@@ -10,6 +10,7 @@ config, so identical configs give byte-identical files.  Exit codes:
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -30,10 +31,9 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One validated invocation: subcommand, typed parameters, seed, outdir."""
+    """One validated invocation: subcommand, typed parameters, outdir."""
     name: str
     params: dict
-    seed: int
     outdir: str
 
 
@@ -67,7 +67,6 @@ def _json_text(doc):
 def _echoed(config):
     return {
         "subcommand": config.name,
-        "seed": config.seed,
         "output_dir": config.outdir,
         "params": dict(sorted(config.params.items())),
     }
@@ -186,6 +185,25 @@ _APPROX_KEYS = {"p", "q", "lambda", "grid", "t_list", "annulus"}
 _GRID_KEYS = {"n", "box"}
 
 
+def _finite(value, key):
+    """A config number as a float; booleans and non-finite values fail."""
+    try:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise UsageError(f"config key {key!r} must be a finite number")
+    return float(value)
+
+
+def _count(value, key):
+    """A config integer >= 1; booleans fail."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise UsageError(f"config key {key!r} must be an integer >= 1")
+    return value
+
+
 def _load_approx_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -211,10 +229,6 @@ def _load_approx_config(path):
     for key in _GRID_KEYS:
         if key not in gdoc:
             raise UsageError(f"missing config key: 'grid.{key}'")
-    if not isinstance(doc["p"], int) or not isinstance(doc["q"], int):
-        raise UsageError("config keys 'p' and 'q' must be integers")
-    if not isinstance(gdoc["n"], int):
-        raise UsageError("config key 'grid.n' must be an integer")
     t_list = doc["t_list"]
     if not isinstance(t_list, list) or not t_list:
         raise UsageError("config key 't_list' must be a non-empty list")
@@ -222,9 +236,13 @@ def _load_approx_config(path):
     if annulus is not None:
         if (not isinstance(annulus, list) or len(annulus) != 2):
             raise UsageError("config key 'annulus' must be a pair of radii")
-        annulus = (float(annulus[0]), float(annulus[1]))
-    return (doc["p"], doc["q"], float(doc["lambda"]), gdoc["n"],
-            float(gdoc["box"]), [float(t) for t in t_list], annulus)
+        annulus = tuple(_finite(a, f"annulus[{i}]")
+                        for i, a in enumerate(annulus))
+    return (_count(doc["p"], "p"), _count(doc["q"], "q"),
+            _finite(doc["lambda"], "lambda"), _count(gdoc["n"], "grid.n"),
+            _finite(gdoc["box"], "grid.box"),
+            [_finite(t, f"t_list[{i}]") for i, t in enumerate(t_list)],
+            annulus)
 
 
 def run_approx(config):
@@ -406,7 +424,6 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--outdir", default=".")
 
     sp = sub.add_parser("spectra", help="link spectrum and stability of a cone")
@@ -437,7 +454,6 @@ def build_parser():
     sp.add_argument("--s0", type=float, required=True)
     sp.add_argument("--rmax", type=float, default=None)
     sp.add_argument("--csv", required=True)
-    sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("approx", help="inward-perturbation run from a config")
     sp.add_argument("--config", required=True)
@@ -446,18 +462,8 @@ def build_parser():
     sp = sub.add_parser("plot", help="render a cell set or curve CSV to SVG")
     sp.add_argument("--input", required=True)
     sp.add_argument("--output", required=True)
-    sp.add_argument("--seed", type=int, default=0)
     return parser
 
-
-_PARAM_KEYS = {
-    "spectra": ("p", "q", "kmax"),
-    "plateau2d": ("radius", "resolution", "lambdas"),
-    "equivariant": ("p", "q", "grid_n", "box", "lam", "obstacle_radius"),
-    "leaf": ("p", "q", "s0", "rmax", "csv"),
-    "approx": ("config",),
-    "plot": ("input", "output"),
-}
 
 _RUNNERS = {
     "spectra": run_spectra,
@@ -472,15 +478,13 @@ _PATH_KEYS = {"csv", "config", "input", "output"}
 
 
 def config_from_args(args):
-    name = args.subcommand
-    params = {}
-    for key in _PARAM_KEYS[name]:
-        value = getattr(args, key)
-        if key in _PATH_KEYS and value is not None:
-            value = os.path.abspath(value)
-        params[key] = value
-    outdir = os.path.abspath(getattr(args, "outdir", "."))
-    return RunConfig(name, params, args.seed, outdir)
+    """RunConfig from parsed arguments; every other parser dest is a param."""
+    params = dict(vars(args))
+    name = params.pop("subcommand")
+    outdir = os.path.abspath(params.pop("outdir", "."))
+    for key in _PATH_KEYS & params.keys():
+        params[key] = os.path.abspath(params[key])
+    return RunConfig(name, params, outdir)
 
 
 def run(config):

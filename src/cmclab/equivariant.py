@@ -26,15 +26,19 @@ from scipy.interpolate import CubicSpline
 from scipy.ndimage import distance_transform_edt
 from scipy.spatial import cKDTree
 
-from .cones import make_cone, gamma_pm, stability
-from .grid import (CellSet, NumericalError, RegionMask, UsageError,
-                   boundary_faces)
+from .cones import RadialFunction, make_cone, gamma_pm, stability
+from .grid import (CellSet, GridGeometry, NumericalError, RegionMask,
+                   UsageError, boundary_faces)
 from .mincut import MinCutProblem, evaluate_quanta, solve
 
 # Fraction of min(a, b) allowed for |u|/r + |u'| before a graph over the cone
 # stops being reliably embedded; also the radial-decay gate.  At 0.4 every
 # principal factor of det(Id - u A_C) stays above 1 - 0.4 sqrt(max/min) > 0.4.
 _GRAPH_BOUND_FACTOR = 0.4
+
+# Most arclength samples shoot_leaf may store; its five float64 curve arrays
+# then take 400 MB.
+_MAX_LEAF_SAMPLES = 10**7
 
 
 class IntegrationFailure(NumericalError):
@@ -204,7 +208,10 @@ def shoot_leaf(p, q, s0, side="below", r_max=None):
     ray; crossing it means the step control failed and raises
     IntegrationFailure.
 
-    Returns a ProfileCurve sampled uniformly in arclength.
+    Returns a ProfileCurve sampled uniformly in arclength with spacing
+    ds = 5e-4 s0.  The curve runs from radius s0 to r_max, so it needs at
+    least (r_max - s0) / ds samples; more than _MAX_LEAF_SAMPLES = 10^7 of
+    them raises UsageError before anything is integrated or allocated.
     """
     cone = make_cone(p, q)
     if not stability(cone):
@@ -222,6 +229,11 @@ def shoot_leaf(p, q, s0, side="below", r_max=None):
     r_max = 50.0 * s0 if r_max is None else float(r_max)
     if r_max <= 2 * s0:
         raise UsageError("exit radius must exceed 2 s0")
+    ds = 5e-4 * s0
+    if not (r_max - s0) / ds <= _MAX_LEAF_SAMPLES:
+        raise UsageError(
+            f"exit radius {r_max:g} needs at least {(r_max - s0) / ds:.3g} "
+            f"samples, over the budget of {_MAX_LEAF_SAMPLES}")
 
     a, b = cone.a, cone.b
     # Taylor start: alpha = pi/2 + c s + c3 s^3 with the axis balance
@@ -256,7 +268,6 @@ def shoot_leaf(p, q, s0, side="below", r_max=None):
         raise IntegrationFailure("leaf never reached the exit radius")
     s_end = sol.t_events[1][0]
 
-    ds = 5e-4 * s0
     s_grid = np.arange(1, int(s_end / ds) + 1) * ds
     xs, ys, alphas = sol.sol(s_grid)
     s_all = np.concatenate([[0.0], s_grid])
@@ -311,7 +322,6 @@ def fit_decay_exponent(leaf, cone):
 
 def leaf_to_radial_graph(leaf, cone, r_min, r_max, n):
     """Resample the leaf as a radial graph over the cone on a log grid."""
-    from .cones import RadialFunction
     rr, uu = _graph_coordinates(leaf, cone)
     inc = np.flatnonzero(np.diff(rr) <= 0)
     start = inc[-1] + 1 if len(inc) else 0
@@ -451,7 +461,6 @@ def _require_radial_decay(cone, f):
 def quadrant_grid(n, box=1.0):
     """n x n grid over (0, box)^2 with cell centers off the axes by h/2."""
     h = box / n
-    from .grid import GridGeometry
     return GridGeometry((n, n), h=h, origin=(h / 2, h / 2))
 
 

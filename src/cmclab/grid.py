@@ -130,29 +130,34 @@ def _require_shared_grid(a, b):
         raise UsageError("operands live on different grids")
 
 
-def _frozen_bits(grid, bits):
-    arr = np.array(bits, dtype=bool)
-    if arr.shape != grid.dims:
-        arr = arr.reshape(grid.dims)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
-class CellSet:
-    """A finite binary labeling of grid cells."""
+class _FrozenBits:
+    """One read-only bit per grid cell; equal only to its own kind."""
 
     grid: GridGeometry
     bits: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", _frozen_bits(self.grid, self.bits))
+        arr = np.array(self.bits, dtype=bool)
+        if arr.shape != self.grid.dims:
+            arr = arr.reshape(self.grid.dims)
+        arr.setflags(write=False)
+        object.__setattr__(self, "bits", arr)
 
     def __eq__(self, other):
-        if not isinstance(other, CellSet):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.grid.compatible(other.grid) and bool(
             np.array_equal(self.bits, other.bits))
+
+    @classmethod
+    def from_predicate(cls, grid, pred):
+        """Membership from a predicate over cell center coordinate arrays."""
+        return cls(grid, pred(*grid.center_mesh()))
+
+
+class CellSet(_FrozenBits):
+    """A finite binary labeling of grid cells."""
 
     def __hash__(self):
         return hash((self.grid.dims, self.grid.h, self.grid.stencil,
@@ -166,38 +171,16 @@ class CellSet:
     def full(cls, grid):
         return cls(grid, np.ones(grid.dims, dtype=bool))
 
-    @classmethod
-    def from_predicate(cls, grid, pred):
-        """Membership from a predicate over cell center coordinate arrays."""
-        return cls(grid, pred(*grid.center_mesh()))
-
     def count(self):
         return int(np.count_nonzero(self.bits))
 
 
-@dataclass(frozen=True, eq=False)
-class RegionMask:
+class RegionMask(_FrozenBits):
     """A region of interest realized as one bit per cell."""
-
-    grid: GridGeometry
-    bits: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", _frozen_bits(self.grid, self.bits))
-
-    def __eq__(self, other):
-        if not isinstance(other, RegionMask):
-            return NotImplemented
-        return self.grid.compatible(other.grid) and bool(
-            np.array_equal(self.bits, other.bits))
 
     @classmethod
     def whole(cls, grid):
         return cls(grid, np.ones(grid.dims, dtype=bool))
-
-    @classmethod
-    def from_predicate(cls, grid, pred):
-        return cls(grid, pred(*grid.center_mesh()))
 
     @classmethod
     def ball(cls, grid, center, r):
@@ -323,23 +306,13 @@ def split_perimeter(D, r, center):
         raise UsageError("ball does not intersect the grid")
 
     ball = _ball_bits(grid, center, r)
-    counts = {"inner": [], "outer": [], "interface": []}
-    for _w, offsets in grid.levels():
-        ci = co = cf = 0
-        for off in offsets:
-            sa, sb = _offset_slices(grid.dims, off)
-            cut = D.bits[sa] != D.bits[sb]
-            ba, bb = ball[sa], ball[sb]
-            ci += int(np.count_nonzero(cut & ba & bb))
-            co += int(np.count_nonzero(cut & ~ba & ~bb))
-            cf += int(np.count_nonzero(cut & (ba != bb)))
-        counts["inner"].append(ci)
-        counts["outer"].append(co)
-        counts["interface"].append(cf)
-
-    per_inner = _value_from_counts(grid, counts["inner"])
-    per_outer = _value_from_counts(grid, counts["outer"])
-    per_interface = _value_from_counts(grid, counts["interface"])
+    inner = _level_counts(D, ball)
+    outer = _level_counts(D, ~ball)
+    interface = [t - i - o for t, i, o in
+                 zip(_level_counts(D, None), inner, outer)]
+    per_inner = _value_from_counts(grid, inner)
+    per_outer = _value_from_counts(grid, outer)
+    per_interface = _value_from_counts(grid, interface)
     return SplitReport(per_inner, per_outer, per_interface,
                        per_inner + per_outer + per_interface)
 
@@ -375,6 +348,7 @@ def boundary_faces(D):
 
 _HEADER_RE = re.compile(
     r"^cmcgrid v1 d=(\d+) ext=([\d,]+) h=([^ ]+) stencil=(\S+)$")
+_RUN_RE = re.compile(r"([0-9]+)([01])")
 
 
 def rle_encode(flat_bits):
@@ -392,12 +366,13 @@ def rle_decode(text, size):
     out = np.empty(size, dtype=bool)
     pos = 0
     for tok in tokens:
-        if len(tok) < 2 or tok[-1] not in "01":
+        m = _RUN_RE.fullmatch(tok)
+        if m is None:
             raise UsageError(f"bad run token {tok!r}")
-        n = int(tok[:-1])
+        n = int(m.group(1))
         if n <= 0 or pos + n > size:
             raise UsageError(f"run lengths do not fit {size} cells")
-        out[pos:pos + n] = tok[-1] == "1"
+        out[pos:pos + n] = m.group(2) == "1"
         pos += n
     if pos != size:
         raise UsageError(f"runs cover {pos} of {size} cells")

@@ -24,7 +24,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .grid import (CellSet, GridGeometry, NumericalError, RegionMask,
-                   UsageError, perimeter, rle_decode, rle_encode)
+                   UsageError, _offset_slices, boundary_faces, perimeter,
+                   rle_decode, rle_encode)
 
 QUANT_BITS = 20
 _INT32_MAX = 2**31 - 1
@@ -140,12 +141,12 @@ def _coefficients(problem):
     return ai, bi, caps, gains.astype(np.int64).ravel()
 
 
-def _offset_slices(dims, off):
-    lo, hi = [], []
-    for n, o in zip(dims, off):
-        lo.append(slice(max(0, -o), n - max(0, o)))
-        hi.append(slice(max(0, o), n - max(0, -o)))
-    return tuple(lo), tuple(hi)
+def _quanta(coeffs, D):
+    """Quantized energy of D under coefficients built by _coefficients."""
+    ai, bi, caps, gains = coeffs
+    bits = D.bits.ravel()
+    cut = bits[ai] != bits[bi]
+    return int(caps[cut].sum()) - int(gains[bits].sum())
 
 
 def evaluate_quanta(problem, D):
@@ -153,10 +154,7 @@ def evaluate_quanta(problem, D):
     coefficients; the arithmetic path shared by solve and brute_force."""
     if not D.grid.compatible(problem.grid):
         raise UsageError("cell set lives on a different grid")
-    ai, bi, caps, gains = _coefficients(problem)
-    bits = D.bits.ravel()
-    cut = bits[ai] != bits[bi]
-    return int(caps[cut].sum()) - int(gains[bits].sum())
+    return _quanta(_coefficients(problem), D)
 
 
 def evaluate(problem, D):
@@ -175,11 +173,13 @@ class _Linearized:
     ew: np.ndarray
     const: int
     labels_flat: np.ndarray
+    coeffs: tuple
 
 
 def _linearized(problem):
     """Fold fixed labels into unary terms over free cells plus a constant."""
-    ai, bi, caps, gains = _coefficients(problem)
+    coeffs = _coefficients(problem)
+    ai, bi, caps, gains = coeffs
     lab = problem.labels().ravel()
     free_flat = np.flatnonzero(lab < 0)
     m = len(free_flat)
@@ -211,7 +211,8 @@ def _linearized(problem):
     theta0 -= shift
     theta1 -= shift
     const += int(shift.sum())
-    return _Linearized(m, free_flat, theta0, theta1, ei, ej, ew, const, lab)
+    return _Linearized(m, free_flat, theta0, theta1, ei, ej, ew, const, lab,
+                       coeffs)
 
 
 def _assemble(problem, lab_flat, free_bits):
@@ -220,9 +221,9 @@ def _assemble(problem, lab_flat, free_bits):
     return CellSet(problem.grid, bits.reshape(problem.grid.dims))
 
 
-def _check_energy(problem, result_quanta, *sets):
+def _check_energy(coeffs, result_quanta, *sets):
     for D in sets:
-        got = evaluate_quanta(problem, D)
+        got = _quanta(coeffs, D)
         if got != result_quanta:
             raise NumericalError(
                 f"energy bookkeeping broke: cut gives {result_quanta} quanta, "
@@ -239,7 +240,7 @@ def solve(problem):
     m = lin.n_free
     if m == 0:
         D = _assemble(problem, lin.labels_flat, np.zeros(0, dtype=bool))
-        q = evaluate_quanta(problem, D)
+        q = _quanta(lin.coeffs, D)
         return MinimizerResult(D, D, q * quantum(problem.grid), q,
                                quantum(problem.grid), True,
                                {"backend": "none", "free_cells": 0})
@@ -291,7 +292,7 @@ def solve(problem):
     set_min = _assemble(problem, lin.labels_flat, x_min)
     set_max = _assemble(problem, lin.labels_flat, x_max)
     q = lin.const + int(res.flow_value)
-    _check_energy(problem, q, set_min, set_max)
+    _check_energy(lin.coeffs, q, set_min, set_max)
     stats = {"backend": "scipy.maximum_flow", "flow_value": int(res.flow_value),
              "nodes": m + 2, "arcs": int(graph.nnz)}
     return MinimizerResult(set_min, set_max, q * quantum(problem.grid), q,
@@ -334,7 +335,7 @@ def brute_force(problem, chunk=1 << 16):
 
     set_min = _assemble(problem, lin.labels_flat, and_bits)
     set_max = _assemble(problem, lin.labels_flat, or_bits)
-    _check_energy(problem, best, set_min, set_max)
+    _check_energy(lin.coeffs, best, set_min, set_max)
     stats = {"backend": "exhaustive", "evaluations": 1 << m}
     return MinimizerResult(set_min, set_max, best * quantum(problem.grid),
                            best, quantum(problem.grid),
@@ -397,7 +398,6 @@ def threshold_experiment(r, resolution, lam_list, keep_sets=False):
 
 
 def _contact_excess(D, center, r, band=2.0):
-    from .grid import boundary_faces
     mids, _axes = boundary_faces(D)
     if len(mids) == 0:
         return 0.0

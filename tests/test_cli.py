@@ -1,5 +1,5 @@
 """End-to-end tests of the experiment runner: artifacts, determinism, exit
-codes, and the concurrency switch."""
+codes, parameter echo, and the concurrency switch."""
 
 import json
 import os
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cmclab import read_cellset, cellset_to_text
-from cmclab.cli import main
+from cmclab.cli import _echoed, build_parser, config_from_args, main
 
 
 def read_text(path):
@@ -139,6 +139,15 @@ class TestLeaf:
         assert run_cli(*args) == 0
         assert read_text(csv) == text
 
+    def test_exit_radius_over_sample_budget_is_config_error(self, tmp_path,
+                                                            capsys):
+        # the budget check runs before any integration or allocation
+        assert run_cli("leaf", "--p", "3", "--q", "3", "--s0", "1.0",
+                       "--rmax", "1e9", "--csv",
+                       str(tmp_path / "leaf.csv")) == 2
+        assert "budget" in capsys.readouterr().err
+        assert not (tmp_path / "leaf.csv").exists()
+
 
 class TestApprox:
     def write_config(self, tmp_path, doc):
@@ -174,6 +183,17 @@ class TestApprox:
         (lambda d: d["grid"].update(spacing=0.1), "grid.spacing"),
         (lambda d: d.update(t_list=[]), "t_list"),
         (lambda d: d["grid"].pop("box"), "grid.box"),
+        (lambda d: d.update({"lambda": "x"}), "'lambda' must be a finite"),
+        (lambda d: d.update({"lambda": float("nan")}), "'lambda' must be"),
+        (lambda d: d.update({"lambda": 10**400}), "'lambda' must be a"),
+        (lambda d: d["grid"].update(box="x"), "'grid.box' must be"),
+        (lambda d: d.update(t_list=["z"]), "'t_list[0]' must be"),
+        (lambda d: d.update(annulus=["a", 1]), "'annulus[0]' must be"),
+        (lambda d: d.update(annulus=[0.1, True]), "'annulus[1]' must be"),
+        (lambda d: d["grid"].update(n=0), "'grid.n' must be an integer"),
+        (lambda d: d["grid"].update(n=2.0), "'grid.n' must be"),
+        (lambda d: d.update(p=True), "'p' must be an integer"),
+        (lambda d: d.update(q="3"), "'q' must be an integer"),
     ])
     def test_config_errors(self, tmp_path, capsys, mangle, needle):
         doc = self.good_config()
@@ -181,7 +201,9 @@ class TestApprox:
         cfg = self.write_config(tmp_path, doc)
         assert run_cli("approx", "--config", cfg,
                        "--outdir", str(tmp_path)) == 2
-        assert needle in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert needle in err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_non_object_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -233,6 +255,14 @@ class TestPlot:
                        "--output", str(tmp_path / "x.svg")) == 2
         assert "neither" in capsys.readouterr().err
 
+    def test_malformed_run_count_is_config_error(self, tmp_path, capsys):
+        src = tmp_path / "bad.csl"
+        src.write_text("cmcgrid v1 d=2 ext=2,3 h=1.0 stencil=cc\n4z1 2z0\n",
+                       encoding="utf-8")
+        assert run_cli("plot", "--input", str(src),
+                       "--output", str(tmp_path / "x.svg")) == 2
+        assert "bad run token '4z1'" in capsys.readouterr().err
+
 
 class TestParser:
     def test_unknown_subcommand(self, capsys):
@@ -246,3 +276,67 @@ class TestParser:
     def test_no_arguments(self, capsys):
         assert run_cli() == 2
         capsys.readouterr()
+
+    def test_seed_is_unrecognized(self, capsys):
+        assert run_cli("spectra", "--p", "3", "--q", "3", "--kmax", "8",
+                       "--seed", "0") == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,keys", [
+        pytest.param(["spectra", "--p", "3", "--q", "3", "--kmax", "8"],
+                     {"p", "q", "kmax"}, id="spectra"),
+        pytest.param(["plateau2d", "--radius", "8", "--resolution", "20",
+                      "--lambda", "0.0"],
+                     {"radius", "resolution", "lambdas"}, id="plateau2d"),
+        pytest.param(["equivariant", "--p", "3", "--q", "3", "--grid-n", "8",
+                      "--lambda", "0.0"],
+                     {"p", "q", "grid_n", "box", "lam", "obstacle_radius"},
+                     id="equivariant"),
+        pytest.param(["leaf", "--p", "3", "--q", "3", "--s0", "1.0",
+                      "--csv", "leaf.csv"],
+                     {"p", "q", "s0", "rmax", "csv"}, id="leaf"),
+        pytest.param(["approx", "--config", "run.json"], {"config"},
+                     id="approx"),
+        pytest.param(["plot", "--input", "a.csl", "--output", "a.svg"],
+                     {"input", "output"}, id="plot"),
+    ])
+    def test_echoed_params_are_the_parser_params(self, argv, keys):
+        echoed = _echoed(config_from_args(build_parser().parse_args(argv)))
+        assert set(echoed) == {"subcommand", "output_dir", "params"}
+        assert set(echoed["params"]) == keys
+
+
+class TestDeterminism:
+    def test_every_subcommand_reruns_byte_identical(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        h = 1.0 / 32
+        (tmp_path / "run.json").write_text(json.dumps(
+            {"p": 3, "q": 3, "lambda": 0.0, "grid": {"n": 32, "box": 1.0},
+             "t_list": [8 * h, 4 * h, 2 * h]}), encoding="utf-8")
+        runs = [
+            ("spectra", "--p", "2", "--q", "4", "--kmax", "10"),
+            ("plateau2d", "--radius", "8", "--resolution", "20",
+             "--lambda", "0.0", "--lambda", "0.5"),
+            ("equivariant", "--p", "3", "--q", "3", "--grid-n", "32",
+             "--lambda", "0.0"),
+            ("approx", "--config", "run.json"),
+            ("leaf", "--p", "3", "--q", "3", "--s0", "1.0", "--rmax", "12",
+             "--csv", "leaf.csv"),
+            ("plot", "--input", "leaf.csv", "--output", "leaf.svg"),
+            ("plot", "--input", "approx_limit.csl",
+             "--output", "approx_limit.svg"),
+        ]
+
+        def artifacts():
+            for args in runs:
+                assert run_cli(*args) == 0, args
+            return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        first = artifacts()
+        second = artifacts()
+        assert {"spectra_p2_q4.json", "plateau2d.json", "equivariant.json",
+                "approx.json", "leaf.csv", "leaf.svg",
+                "approx_limit.svg"} <= set(first)
+        assert sorted(second) == sorted(first)
+        assert [name for name in first if second[name] != first[name]] == []

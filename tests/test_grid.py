@@ -88,6 +88,16 @@ class TestCellSet:
         assert CellSet.full(g1) != CellSet.full(g3)
         assert CellSet.full(g1) != CellSet.empty(g1)
 
+    def test_kinds_stay_apart_and_hash_by_value(self):
+        g = GridGeometry((3, 3))
+        bits = np.eye(3, dtype=bool)
+        assert CellSet(g, bits) != RegionMask(g, bits)
+        assert RegionMask(g, bits) != CellSet(g, bits)
+        assert CellSet(g, bits) == CellSet(g, bits.copy())
+        assert hash(CellSet(g, bits)) == hash(CellSet(g, bits.copy()))
+        with pytest.raises(TypeError):
+            hash(RegionMask(g, bits))
+
     def test_lattice_and_complement(self, rng):
         D1 = random_set(rng, (5, 5))
         D2 = CellSet(D1.grid, rng.random((5, 5)) < 0.5)
@@ -207,8 +217,12 @@ class TestSplitPerimeter:
                 for _ in range(6):
                     D = random_set(rng, (8, 8), h=h, stencil=stencil)
                     c = tuple(rng.uniform(0, 7 * h, size=2))
-                    rep = split_perimeter(D, rng.uniform(h, 5 * h), c)
+                    r = rng.uniform(h, 5 * h)
+                    rep = split_perimeter(D, r, c)
                     total = perimeter(D, RegionMask.whole(D.grid))
+                    ball = RegionMask.ball(D.grid, c, r)
+                    assert rep.per_inner == perimeter(D, ball)
+                    assert rep.per_outer == perimeter(D, ball.invert())
                     assert rep.per_total == total
                     assert (rep.per_inner + rep.per_outer
                             + rep.per_interface == total)
@@ -259,6 +273,8 @@ class TestSerialization:
     def test_rle_malformed(self):
         with pytest.raises(UsageError):
             rle_decode("3x", 3)
+        with pytest.raises(UsageError, match="bad run token"):
+            rle_decode("4z1", 5)
 
     def test_text_round_trip(self, rng):
         for dims, h, stencil in [((5, 7), 1.0, "cc"), ((5, 7), 1 / 3, "face"),

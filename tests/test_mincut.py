@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import cmclab.mincut
 from cmclab import (
-    UsageError, CapacityOverflowError, GridGeometry, CellSet, RegionMask,
+    UsageError, NumericalError, CapacityOverflowError, GridGeometry, CellSet, RegionMask,
     MinCutProblem, quantum, evaluate, evaluate_quanta, solve, brute_force,
     threshold_experiment, convergence_experiment, problem_to_json,
     problem_from_json, result_to_json,
@@ -146,6 +149,19 @@ class TestSolve:
                                    active_region=prob.active_region)
             assert np.all(solve(prob).set_max.bits
                           <= solve(bigger).set_max.bits)
+
+    def test_energy_recheck_catches_a_wrong_flow_value(self, rng,
+                                                       monkeypatch):
+        real = cmclab.mincut.maximum_flow
+
+        def one_quantum_over(graph, s, t):
+            res = real(graph, s, t)
+            return SimpleNamespace(flow=res.flow,
+                                   flow_value=res.flow_value + 1)
+
+        monkeypatch.setattr(cmclab.mincut, "maximum_flow", one_quantum_over)
+        with pytest.raises(NumericalError, match="energy bookkeeping"):
+            solve(random_small_problem(rng))
 
     def test_capacity_overflow_guard(self):
         g = GridGeometry((32, 32))
