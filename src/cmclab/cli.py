@@ -67,7 +67,6 @@ def _json_text(doc):
 def _echoed(config):
     return {
         "subcommand": config.name,
-        "output_dir": config.outdir,
         "params": dict(sorted(config.params.items())),
     }
 
@@ -106,19 +105,17 @@ def run_plateau2d(config):
     lams = config.params["lambdas"]
 
     def job(lam):
-        rows, sets = threshold_experiment(r, resolution, [lam],
-                                          keep_sets=True)
-        return rows[0], sets[0]
+        return threshold_experiment(r, resolution, [lam])[0]
 
     with ThreadPoolExecutor(max_workers=thread_count()) as pool:
         by_lam = dict(zip(lams, pool.map(job, lams)))
 
     table = []
     for i, lam in enumerate(lams):
-        row, largest = by_lam[lam]
+        row = by_lam[lam]
         name = f"plateau2d_{i:02d}.csl"
         atomic_write(os.path.join(config.outdir, name),
-                     cellset_to_text(largest))
+                     cellset_to_text(row.largest))
         table.append({
             "lambda": row.lam,
             "filled": row.filled,
@@ -171,10 +168,8 @@ def run_leaf(config):
     leaf = shoot_leaf(p, q, s0, r_max=config.params["rmax"])
     resid = np.abs(mean_curvature_values(leaf))
     lines = ["s,x,y,curvature_residual"]
-    for i in range(leaf.n_nodes):
-        rv = "nan" if np.isnan(resid[i]) else repr(float(resid[i]))
-        lines.append(f"{float(leaf.s[i])!r},{float(leaf.x[i])!r},"
-                     f"{float(leaf.y[i])!r},{rv}")
+    lines += [f"{s!r},{x!r},{y!r},{r!r}" for s, x, y, r in zip(
+        leaf.s.tolist(), leaf.x.tolist(), leaf.y.tolist(), resid.tolist())]
     atomic_write(config.params["csv"], "\n".join(lines) + "\n")
     return 0
 
@@ -249,11 +244,11 @@ def run_approx(config):
     p, q, lam, n, box, t_list, annulus = _load_approx_config(
         config.params["config"])
     grid = quadrant_grid(n, box)
-    boundary = diagonal_wedge(grid, p, q)
-    r_obs = 0.5 * box
-    base = weighted_minimize(p, q, grid, lam, boundary, r_obs).set_max
-    report = approximation_sequence(p, q, lam, base, t_list,
-                                    obstacle_radius=r_obs, annulus=annulus)
+    # n * (box / n) can differ from box in the last bit, so the radius is
+    # passed rather than left to the grid-derived default.
+    report = approximation_sequence(p, q, lam, diagonal_wedge(grid, p, q),
+                                    t_list, obstacle_radius=0.5 * box,
+                                    annulus=annulus)
     step_files = []
     for j, Ej in enumerate(report.sets):
         name = f"approx_step_{j:02d}.csl"
@@ -474,16 +469,11 @@ _RUNNERS = {
     "plot": run_plot,
 }
 
-_PATH_KEYS = {"csv", "config", "input", "output"}
-
-
 def config_from_args(args):
     """RunConfig from parsed arguments; every other parser dest is a param."""
     params = dict(vars(args))
     name = params.pop("subcommand")
-    outdir = os.path.abspath(params.pop("outdir", "."))
-    for key in _PATH_KEYS & params.keys():
-        params[key] = os.path.abspath(params[key])
+    outdir = params.pop("outdir", ".")
     return RunConfig(name, params, outdir)
 
 

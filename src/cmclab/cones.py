@@ -16,6 +16,11 @@ import numpy as np
 
 from .grid import UsageError
 
+# Most eigenvalues link_spectrum may list.  Time and memory grow linearly in
+# K: at the limit the enumeration takes about 0.6 s and 60 MB on one core of
+# a 2-core x86 machine, so an unchecked K of 1e9 would ask for tens of GB.
+_MAX_EIGENVALUES = 10**6
+
 
 @dataclass(frozen=True)
 class CliffordCone:
@@ -72,10 +77,14 @@ def link_spectrum(cone, K):
 
     Separated form: a harmonic of degree i on the first factor and j on the
     second contributes i(i+p-1)/a^2 + j(j+q-1)/b^2 - (p+q), with multiplicity
-    the product of the harmonic space dimensions.
+    the product of the harmonic space dimensions.  K is at most
+    _MAX_EIGENVALUES = 10^6; a larger K is refused before any enumeration.
     """
     if int(K) != K or K < 1:
         raise UsageError(f"need K >= 1 eigenvalues, got {K}")
+    if K > _MAX_EIGENVALUES:
+        raise UsageError(f"{K} eigenvalues requested, over the budget of "
+                         f"{_MAX_EIGENVALUES}")
     K = int(K)
     p, q = cone.p, cone.q
     inv_a2 = Fraction(p + q, p)

@@ -29,7 +29,7 @@ from scipy.spatial import cKDTree
 from .cones import RadialFunction, make_cone, gamma_pm, stability
 from .grid import (CellSet, GridGeometry, NumericalError, RegionMask,
                    UsageError, boundary_faces)
-from .mincut import MinCutProblem, evaluate_quanta, solve
+from .mincut import MinCutProblem, solve
 
 # Fraction of min(a, b) allowed for |u|/r + |u'| before a graph over the cone
 # stops being reliably embedded; also the radial-decay gate.  At 0.4 every
@@ -478,7 +478,13 @@ def diagonal_wedge(grid, p, q):
     return CellSet(grid, a * Y < b * X)
 
 
-def _weighted_problem(p, q, grid, lam, boundary, r):
+def weighted_minimize(p, q, grid, lam, boundary, r):
+    """Minimize the weighted functional on the quadrant: boundary labels are
+    fixed outside the obstacle ball of radius r around the origin corner.
+
+    Returns the plain MinimizerResult; interpret member cells as the
+    equivariant set in R^(p+q+2).
+    """
     if int(p) != p or int(q) != q or p < 0 or q < 0:
         raise UsageError(f"p, q must be integers >= 0, got {p}, {q}")
     if grid.d != 2:
@@ -495,18 +501,8 @@ def _weighted_problem(p, q, grid, lam, boundary, r):
     ball = X**2 + Y**2 <= r * r
     fixed_in = RegionMask(grid, boundary.bits & ~ball)
     fixed_out = RegionMask(grid, ~boundary.bits & ~ball)
-    return MinCutProblem(grid, lam, fixed_in, fixed_out,
-                         cell_weight=cell_weights(grid, p, q))
-
-
-def weighted_minimize(p, q, grid, lam, boundary, r):
-    """Minimize the weighted functional on the quadrant: boundary labels are
-    fixed outside the obstacle ball of radius r around the origin corner.
-
-    Returns the plain MinimizerResult; interpret member cells as the
-    equivariant set in R^(p+q+2).
-    """
-    return solve(_weighted_problem(p, q, grid, lam, boundary, r))
+    return solve(MinCutProblem(grid, lam, fixed_in, fixed_out,
+                               cell_weight=cell_weights(grid, p, q)))
 
 
 @dataclass(frozen=True)
@@ -568,25 +564,23 @@ def has_interface_pinch(D):
     return bool(np.any(trans >= 6))
 
 
-def _interface_midpoints(D):
-    mids, _axes = boundary_faces(D)
-    return mids
-
-
-def approximation_sequence(p, q, lam, base, t_list, obstacle_radius=None,
+def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius=None,
                            annulus=None, ramp=None):
     """Re-minimize under inward boundary perturbations of shrinking size.
 
-    For each t in t_list (strictly decreasing, >= 0) the base data loses the
-    cells within depth t of its own boundary, modulated by the annulus
-    profile; the largest minimizer of the perturbed data is the step set.
-    Each step set must be contained in the unperturbed largest minimizer;
-    that inclusion is a hard assertion, not a report entry alone.
+    The base problem fixes the labels of `boundary` outside the obstacle
+    ball and is solved once; its largest minimizer E is the limit set.  For
+    each t in t_list (strictly decreasing, >= 0) E loses the cells within
+    depth t of its own boundary, modulated by the annulus profile; the
+    largest minimizer of the perturbed data is the step set.  Each step set
+    must be contained in E; that inclusion is a hard assertion, not a report
+    entry alone.
 
     Args:
         p, q: rotation multiplicities of the reduction weight.
         lam: prescribed mean curvature of the functional.
-        base: boundary data; must itself minimize its own data.
+        boundary: boundary data; only its cells outside the obstacle ball
+            matter, so the wedge and its own minimizer give the same run.
         t_list: perturbation magnitudes, strictly decreasing.
         obstacle_radius: free-ball radius (default half the box width).
         annulus: support radii (default (0.75, 1.6) times the obstacle).
@@ -597,7 +591,7 @@ def approximation_sequence(p, q, lam, base, t_list, obstacle_radius=None,
         weighted symmetric-difference volume, interface Hausdorff distance,
         minimum interface distance to the origin, and the pinch flag.
     """
-    grid = base.grid
+    grid = boundary.grid
     t_arr = [float(t) for t in t_list]
     if not t_arr:
         raise UsageError("t_list is empty")
@@ -610,25 +604,21 @@ def approximation_sequence(p, q, lam, base, t_list, obstacle_radius=None,
     if annulus is None:
         annulus = (0.75 * r_obs, 1.6 * r_obs)
 
-    problem0 = _weighted_problem(p, q, grid, lam, base, r_obs)
-    res0 = solve(problem0)
-    if evaluate_quanta(problem0, base) != res0.energy_quanta:
-        raise UsageError("base is not a minimizer of its own boundary data")
-    E = res0.set_max
+    E = weighted_minimize(p, q, grid, lam, boundary, r_obs).set_max
 
     X, Y = grid.center_mesh()
     radius = np.hypot(X, Y)
-    depth = grid.h * distance_transform_edt(base.bits)
+    depth = grid.h * distance_transform_edt(E.bits)
     weights = cell_weights(grid, p, q)
     hvol = grid.h ** 2
-    E_mids = _interface_midpoints(E)
+    E_mids = boundary_faces(E)[0]
     tree_E = cKDTree(E_mids) if len(E_mids) else None
 
     sets, incl, chain, sym, haus, dist0, pinch = [], [], [], [], [], [], []
     prev = None
     for t in t_arr:
         field = PerturbationField(t, annulus[0], annulus[1], ramp)
-        data = CellSet(grid, base.bits & (depth > field.displacement(radius)))
+        data = CellSet(grid, E.bits & (depth > field.displacement(radius)))
         res = weighted_minimize(p, q, grid, lam, data, r_obs)
         Ej = res.set_max
 
@@ -642,7 +632,7 @@ def approximation_sequence(p, q, lam, base, t_list, obstacle_radius=None,
                      else bool(np.all(prev.bits <= Ej.bits)))
         diff = Ej.bits != E.bits
         sym.append(float((weights[diff]).sum() * hvol))
-        mids = _interface_midpoints(Ej)
+        mids = boundary_faces(Ej)[0]
         if tree_E is None or len(mids) == 0:
             haus.append(float("inf") if (tree_E is None) != (len(mids) == 0)
                         else 0.0)

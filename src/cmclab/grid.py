@@ -347,7 +347,7 @@ def boundary_faces(D):
 # encoded as whitespace-separated "<count><0|1>" tokens, newline-terminated.
 
 _HEADER_RE = re.compile(
-    r"^cmcgrid v1 d=(\d+) ext=([\d,]+) h=([^ ]+) stencil=(\S+)$")
+    r"^cmcgrid v1 d=(\d+) ext=(\d+(?:,\d+)*) h=([^ ]+) stencil=(\S+)$")
 _RUN_RE = re.compile(r"([0-9]+)([01])")
 
 

@@ -348,9 +348,10 @@ class ThresholdRow:
     filled: bool
     contact_excess: float
     obstacle_circumference: float
+    largest: CellSet
 
 
-def threshold_experiment(r, resolution, lam_list, keep_sets=False):
+def threshold_experiment(r, resolution, lam_list):
     """Half-plane data outside a free disk: which lambdas fill the upper half.
 
     Crofton stencil; h = 1.  The face-only metric is too anisotropic here (it
@@ -360,9 +361,7 @@ def threshold_experiment(r, resolution, lam_list, keep_sets=False):
     largest minimizer covers every disk cell above the equator.
     contact_excess is the face-length of the smallest minimizer's boundary
     lying within one cell of the obstacle circle but away from the equator
-    band (2h half-width).
-
-    With keep_sets the return value is (rows, largest minimizers).
+    band (2h half-width).  `largest` is the largest minimizer itself.
     """
     if r < 8:
         raise UsageError(f"disk radius must be at least 8 cells, got {r}")
@@ -381,7 +380,6 @@ def threshold_experiment(r, resolution, lam_list, keep_sets=False):
     circumference = perimeter(ball_set, RegionMask.whole(grid))
 
     rows = []
-    sets = []
     for lam in lam_list:
         if not np.isfinite(lam):
             raise UsageError(f"lambda values must be finite, got {lam}")
@@ -389,11 +387,7 @@ def threshold_experiment(r, resolution, lam_list, keep_sets=False):
         filled = bool(np.all(res.set_max.bits[upper]))
         rows.append(ThresholdRow(float(lam), filled,
                                  _contact_excess(res.set_min, c, r),
-                                 circumference))
-        if keep_sets:
-            sets.append(res.set_max)
-    if keep_sets:
-        return rows, sets
+                                 circumference, res.set_max))
     return rows
 
 

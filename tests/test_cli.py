@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from cmclab import read_cellset, cellset_to_text
+from cmclab import (cellset_to_text, mean_curvature_values, read_cellset,
+                    shoot_leaf)
 from cmclab.cli import _echoed, build_parser, config_from_args, main
 
 
@@ -56,6 +57,13 @@ class TestSpectra:
                        "--outdir", str(tmp_path))
         assert code == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_kmax_over_budget_is_config_error(self, tmp_path, capsys):
+        # refused before link_spectrum enumerates anything
+        assert run_cli("spectra", "--p", "3", "--q", "3",
+                       "--kmax", "1000000000", "--outdir", str(tmp_path)) == 2
+        assert "budget" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPlateau2d:
@@ -138,6 +146,21 @@ class TestLeaf:
         assert np.nanmax(data[:, 3]) < 1e-5
         assert run_cli(*args) == 0
         assert read_text(csv) == text
+
+    def test_csv_fields_parse_back_bit_exactly(self, tmp_path):
+        csv = tmp_path / "leaf.csv"
+        assert run_cli("leaf", "--p", "3", "--q", "3", "--s0", "1.0",
+                       "--rmax", "12", "--csv", str(csv)) == 0
+        leaf = shoot_leaf(3, 3, 1.0, r_max=12.0)
+        want = np.column_stack([leaf.s, leaf.x, leaf.y,
+                                np.abs(mean_curvature_values(leaf))])
+        got = np.array([[float(v) for v in line.split(",")]
+                        for line in read_text(csv).splitlines()[1:]])
+        assert got.shape == want.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64),
+                              want[~nan].view(np.int64))
 
     def test_exit_radius_over_sample_budget_is_config_error(self, tmp_path,
                                                             capsys):
@@ -263,6 +286,16 @@ class TestPlot:
                        "--output", str(tmp_path / "x.svg")) == 2
         assert "bad run token '4z1'" in capsys.readouterr().err
 
+    def test_empty_ext_field_is_config_error(self, tmp_path, capsys):
+        src = tmp_path / "bad.csl"
+        src.write_text("cmcgrid v1 d=2 ext=2,,3 h=1.0 stencil=cc\n61\n",
+                       encoding="utf-8")
+        assert run_cli("plot", "--input", str(src),
+                       "--output", str(tmp_path / "x.svg")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad cell set header")
+        assert err.count("\n") == 1
+
 
 class TestParser:
     def test_unknown_subcommand(self, capsys):
@@ -302,7 +335,7 @@ class TestParser:
     ])
     def test_echoed_params_are_the_parser_params(self, argv, keys):
         echoed = _echoed(config_from_args(build_parser().parse_args(argv)))
-        assert set(echoed) == {"subcommand", "output_dir", "params"}
+        assert set(echoed) == {"subcommand", "params"}
         assert set(echoed["params"]) == keys
 
 
@@ -340,3 +373,20 @@ class TestDeterminism:
                 "approx_limit.svg"} <= set(first)
         assert sorted(second) == sorted(first)
         assert [name for name in first if second[name] != first[name]] == []
+
+    def test_json_does_not_depend_on_the_working_directory(self, tmp_path,
+                                                           monkeypatch):
+        h = 1.0 / 16
+        config = json.dumps({"p": 3, "q": 3, "lambda": 0.0,
+                             "grid": {"n": 16, "box": 1.0},
+                             "t_list": [4 * h, 2 * h]})
+        docs = []
+        for name in ("a", "b"):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            (cwd / "run.json").write_text(config, encoding="utf-8")
+            monkeypatch.chdir(cwd)
+            assert run_cli("approx", "--config", "run.json",
+                           "--outdir", "out") == 0
+            docs.append((cwd / "out" / "approx.json").read_bytes())
+        assert docs[0] == docs[1]

@@ -563,14 +563,19 @@ class TestApproximationSequence:
         with pytest.raises(UsageError, match="decreasing"):
             approximation_sequence(3, 3, 0.0, wedge, [0.01, 0.02])
 
-    def test_base_must_minimize(self):
-        # The extra cell sits inside the free ball, so the solver may and
-        # will drop it; outside the ball it would just become fixed data.
-        g, wedge = self.wedge_setup(16)
-        bits = wedge.bits.copy()
+    def test_only_data_outside_the_ball_matters(self):
+        # The run solves its own base problem, so the raw wedge, its solved
+        # minimizer, and that minimizer plus a cell inside the free ball all
+        # fix the same labels and give the same report.
+        g, base = self.wedge_setup(16)
+        wedge = diagonal_wedge(g, 3, 3)
+        bits = base.bits.copy()
         bits[1, 5] = True
-        with pytest.raises(UsageError, match="not a minimizer"):
-            approximation_sequence(3, 3, 0.0, CellSet(g, bits), [0.01])
+        runs = [approximation_sequence(3, 3, 0.0, data, [4 * g.h, 2 * g.h])
+                for data in (wedge, base, CellSet(g, bits))]
+        assert runs[0].sets[0] != runs[0].limit_set
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
 
     def test_zero_perturbation_reproduces_base(self):
         g, wedge = self.wedge_setup(32)

@@ -304,3 +304,9 @@ class TestSerialization:
             cellset_from_text("cmcgrid v1 d=3 ext=2,2 h=1.0 stencil=cc\n40\n")
         with pytest.raises(UsageError):
             cellset_from_text("cmcgrid v1 d=2 ext=2,2 h=zz stencil=cc\n40\n")
+
+    @pytest.mark.parametrize("ext", ["2,,3", ",2", "2,"])
+    def test_empty_ext_field_is_bad_header(self, ext):
+        with pytest.raises(UsageError, match="bad cell set header"):
+            cellset_from_text(f"cmcgrid v1 d=2 ext={ext} h=1.0 stencil=cc\n"
+                              "60\n")

@@ -186,8 +186,9 @@ class TestThreshold:
             threshold_experiment(16, 20, [0.1])
 
     def test_keep_sets(self):
-        rows, sets = threshold_experiment(8, 24, [0.0, 0.25], keep_sets=True)
-        assert len(rows) == len(sets) == 2
+        rows = threshold_experiment(8, 24, [0.0, 0.25])
+        assert len(rows) == 2
+        assert all(row.largest.grid.dims == (24, 24) for row in rows)
         assert rows[0].lam == 0.0
         assert rows[0].obstacle_circumference > 0
 
@@ -203,10 +204,10 @@ class TestThreshold:
             assert got.set_max == want.set_max
 
     def test_chord_at_lambda_zero(self):
-        rows, sets = threshold_experiment(8, 24, [0.0], keep_sets=True)
-        g = sets[0].grid
+        rows = threshold_experiment(8, 24, [0.0])
+        g = rows[0].largest.grid
         _, Y = g.center_mesh()
-        assert np.array_equal(sets[0].bits, Y < (24 - 1) / 2.0)
+        assert np.array_equal(rows[0].largest.bits, Y < (24 - 1) / 2.0)
         assert rows[0].filled is False
         assert rows[0].contact_excess == 0.0
 
