@@ -244,8 +244,6 @@ def run_approx(config):
     p, q, lam, n, box, t_list, annulus = _load_approx_config(
         config.params["config"])
     grid = quadrant_grid(n, box)
-    # n * (box / n) can differ from box in the last bit, so the radius is
-    # passed rather than left to the grid-derived default.
     report = approximation_sequence(p, q, lam, diagonal_wedge(grid, p, q),
                                     t_list, obstacle_radius=0.5 * box,
                                     annulus=annulus)
@@ -380,11 +378,14 @@ def run_plot(config):
     try:
         with open(src, "r", encoding="utf-8") as fh:
             head = fh.readline()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read input: {e}")
 
     if head.startswith("cmcgrid "):
-        D = read_cellset(src)
+        try:
+            D = read_cellset(src)
+        except UnicodeDecodeError as e:
+            raise UsageError(f"cannot read input: {e}")
         segs = _interface_segments(D)
         if not segs:
             raise UsageError("cell set has no interface to plot")
@@ -395,7 +396,10 @@ def run_plot(config):
         paths = [_path_data(c, flip) for c in _chain_segments(segs)]
         text = _svg_document(paths, (x0, y0, x1, y1), 0.25 * D.grid.h)
     elif head.strip().startswith("s,x,y"):
-        data = np.loadtxt(src, delimiter=",", skiprows=1)
+        try:
+            data = np.loadtxt(src, delimiter=",", skiprows=1)
+        except ValueError as e:
+            raise UsageError(f"bad curve CSV: {e}")
         if data.ndim != 2 or data.shape[1] < 3:
             raise UsageError("curve CSV must have columns s,x,y,...")
         x, y = data[:, 1], data[:, 2]

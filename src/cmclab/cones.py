@@ -222,21 +222,33 @@ class RadialFunction:
         return (math.log(self.r_max) - math.log(self.r_min)) / (self.n_nodes - 1)
 
 
-def lc_residual(cone, f):
-    """Max interior node value of the cone-linearized operator applied to f.
+def _radial_derivatives(f):
+    """(r, g, g', g'') of f at its interior nodes, primes in r.
 
-    On the log grid t = log r the operator acts as
-    (g'' + (n-2) g' + A2 g) / r^2; second-order central differences.
+    Second-order central differences in t = log r give g_t and g_tt; then
+    g' = g_t / r and g'' = (g_tt - g_t) / r^2.
     """
-    if f.n_nodes < 16:
-        raise UsageError(f"need at least 16 radial nodes, got {f.n_nodes}")
     g = f.values
     dt = f.dt
-    gdd = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / dt**2
-    gd = (g[2:] - g[:-2]) / (2.0 * dt)
-    rin = f.r[1:-1]
-    val = (gdd + (cone.n - 2) * gd + cone.A2 * g[1:-1]) / rin**2
-    return float(np.max(np.abs(val)))
+    gt = (g[2:] - g[:-2]) / (2.0 * dt)
+    gtt = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / dt**2
+    r = f.r[1:-1]
+    return r, g[1:-1], gt / r, (gtt - gt) / r**2
+
+
+def _jacobi_operator(cone, r, g, g1, g2):
+    """The cone's Jacobi operator L_C g = g'' + (n-1) g'/r + A2 g/r^2 on
+    radial functions, from the arrays _radial_derivatives returns."""
+    return g2 + (cone.n - 1) * g1 / r + cone.A2 * g / r**2
+
+
+def lc_residual(cone, f):
+    """Max interior node value of the cone-linearized operator applied to f,
+    from second-order central differences on the log grid."""
+    if f.n_nodes < 16:
+        raise UsageError(f"need at least 16 radial nodes, got {f.n_nodes}")
+    Lg = _jacobi_operator(cone, *_radial_derivatives(f))
+    return float(np.max(np.abs(Lg)))
 
 
 def classify_positive_jacobi(cone, f):

@@ -12,9 +12,12 @@ The formula is validated in the test suite two ways: finite-difference first
 variation of weighted length/area, and the closed cases (circle, orthogonal
 quarter-circle, the minimal diagonal ray).
 
-Curvature at a node uses the angle between the two flanking stored tangents
-divided by the flanking arclength gap; this is exact on circles and does not
-amplify integrator noise the way second differences of positions do.
+On sampled curves (leaves, curve_from_samples) the curvature at a node is
+the angle between the two flanking stored tangents over the flanking
+arclength gap: exact on circles, and it does not amplify integrator noise
+the way second differences of positions do.  Graphs over the cone use the
+closed form of _graph_mean_curvature, which never forms the two O(1/r)
+weight terms that cancel near the cone.
 """
 
 import math
@@ -26,7 +29,8 @@ from scipy.interpolate import CubicSpline
 from scipy.ndimage import distance_transform_edt
 from scipy.spatial import cKDTree
 
-from .cones import RadialFunction, make_cone, gamma_pm, stability
+from .cones import (RadialFunction, _jacobi_operator, _radial_derivatives,
+                    gamma_pm, make_cone, stability)
 from .grid import (CellSet, GridGeometry, NumericalError, RegionMask,
                    UsageError, boundary_faces)
 from .mincut import MinCutProblem, solve
@@ -335,47 +339,47 @@ def leaf_to_radial_graph(leaf, cone, r_min, r_max, n):
     return RadialFunction(r_min, r_max, spline(r))
 
 
-def _graph_curve(cone, f):
-    """Profile curve of the normal graph P(r) = r (a,b) + f(r) (-b,a)."""
-    r = f.r
-    g = f.values
-    gd = np.gradient(g, np.log(r), edge_order=2)
-    up = gd / r
-    bound = np.max(np.abs(g) / r + np.abs(up))
+def _graph_mean_curvature(cone, r, g, g1, g2):
+    """Mean curvature of the normal graph P(r) = r (a,b) + g(r) (-b,a) over
+    the cone, from its values and radial derivatives at the same nodes.
+
+    With a^2 + b^2 = 1 and p b^2 = q a^2 the curvature of P and the weight
+    terms combine exactly into
+
+        H = g''/w^3 + [(p+q) a b (g + r g') + (p a^2 - q b^2) g g']
+                      / [(a r - b g)(b r + a g) w],     w = (1 + g'^2)^(1/2),
+
+    so the O(1/r) weight terms that cancel on the cone are never formed.
+    Raises UsageError where |g|/r + |g'| exceeds the embeddedness bound.
+    """
+    bound = np.max(np.abs(g) / r + np.abs(g1))
     limit = _GRAPH_BOUND_FACTOR * min(cone.a, cone.b)
     if bound > limit:
         raise UsageError(
             f"embeddedness bound violated: |u|/r + |u'| reaches {bound:.4g}, "
             f"limit {limit:.4g} for this cone")
-    a, b = cone.a, cone.b
-    X = a * r - b * g
-    Y = b * r + a * g
-    dX = a - b * up
-    dY = b + a * up
-    speed = np.hypot(dX, dY)
-    s = np.concatenate([[0.0], np.cumsum(
-        0.5 * (speed[1:] + speed[:-1]) * np.diff(r))])
-    return ProfileCurve(cone.p, cone.q, s, X, Y, dX / speed, dY / speed)
+    a, b, p, q = cone.a, cone.b, cone.p, cone.q
+    w = np.sqrt(1.0 + g1 * g1)
+    return g2 / w**3 + (((p + q) * a * b * (g + r * g1)
+                         + (p * a * a - q * b * b) * g * g1)
+                        / ((a * r - b * g) * (b * r + a * g) * w))
 
 
 def cmc_graph_residual(cone, u, lam):
     """Max deviation of the graph's mean curvature from the prescribed
     right-hand side lam * det(Id - u A_C), over interior nodes.
 
-    The determinant uses the closed-form principal curvatures b/(a r) with
-    multiplicity p, -a/(b r) with multiplicity q, and 0 radially.
-
-    The two interior nodes adjacent to the endpoints are excluded from the
-    max: their curvature stencil reads the one-sided endpoint tangents.
+    The mean curvature is the closed form of _graph_mean_curvature on
+    central differences; the determinant uses the closed-form principal
+    curvatures b/(a r) with multiplicity p, -a/(b r) with multiplicity q,
+    and 0 radially.
     """
     if not np.isfinite(lam):
         raise UsageError(f"lambda must be finite, got {lam}")
     if u.n_nodes < 16:
         raise UsageError(f"need at least 16 nodes, got {u.n_nodes}")
-    curve = _graph_curve(cone, u)
-    H = mean_curvature_values(curve)[2:-2]
-    r = u.r[2:-2]
-    g = u.values[2:-2]
+    r, g, g1, g2 = _radial_derivatives(u)
+    H = _graph_mean_curvature(cone, r, g, g1, g2)
     det = ((1.0 - g * cone.b / (cone.a * r)) ** cone.p
            * (1.0 + g * cone.a / (cone.b * r)) ** cone.q)
     return float(np.max(np.abs(H - lam * det)))
@@ -399,42 +403,36 @@ def linearization_check(cone, u, v):
     most linear in their size; when p = q the operator is odd, the
     remainder is cubic and the ratio falls like the square of the size.
 
-    The curvatures come from turning angles between nearly parallel
-    tangents, so the remainder carries a round-off floor that grows with
-    the node count and with 1/amplitude: on C(3,3) with r in [1, 10] and
-    8192 nodes it reads about 4e-7 at amplitude 1e-4, above the true
-    ratio there.
+    M_C is the closed form of _graph_mean_curvature and L_C h uses the
+    differences of u's and v's derivative arrays, so no O(1/r) terms
+    cancel and the ratio shows no round-off floor: from 0 to eps r^-2 on
+    C(3,3), r in [1, 10], 8192 nodes, it reads 3.328e-6, 3.328e-8,
+    3.328e-10 at eps = 1e-3, 1e-4, 1e-5 (slope 2.000), and 3.29e-8,
+    3.33e-8, 3.33e-8 on 1024, 8192, 32768 nodes at eps = 1e-4.  Scaling
+    A2 by 1.001 in L_C drops the slopes over acceptance criterion 10's
+    amplitudes to 0.375 on C(2,4) and 0.176 on C(3,3).
     """
     if (u.r_min, u.r_max, u.n_nodes) != (v.r_min, v.r_max, v.n_nodes):
         raise UsageError("u and v must share the radial grid")
     if u.n_nodes < 16:
         raise UsageError(f"need at least 16 nodes, got {u.n_nodes}")
-    h = v.values - u.values
-    if not np.any(h):
+    if np.array_equal(u.values, v.values):
         raise UsageError("v - u is identically zero")
-    for f in (u, v):
-        _require_radial_decay(cone, f)
+    du, dv = _radial_derivatives(u), _radial_derivatives(v)
+    for d in (du, dv):
+        _require_radial_decay(cone, *d)
+    Hu = _graph_mean_curvature(cone, *du)
+    Hv = _graph_mean_curvature(cone, *dv)
 
-    # Flanking interior nodes dropped for the same reason as in
-    # cmc_graph_residual: their stencil sees the endpoint tangents.
-    Hu = mean_curvature_values(_graph_curve(cone, u))[2:-2]
-    Hv = mean_curvature_values(_graph_curve(cone, v))[2:-2]
-
-    dt = u.dt
-    r = u.r[2:-2]
-    hc = h[2:-2]
-    hdd = (h[3:-1] - 2 * hc + h[1:-3]) / dt**2
-    hd = (h[3:-1] - h[1:-3]) / (2 * dt)
-    Lh = (hdd + (cone.n - 2) * hd + cone.A2 * hc) / r**2
-    h2 = (hdd - hd) / r**2
-    h1 = hd / r
+    r = du[0]
+    hc, h1, h2 = (y - x for x, y in zip(du[1:], dv[1:]))
     denom = np.abs(h2) + np.abs(h1) / r + np.abs(hc) / r**2
     keep = denom > 0
     if not keep.any():
         raise UsageError("v - u degenerates at every interior node")
-    remainder = np.abs((Hv - Hu) - Lh)[keep]
+    remainder = np.abs((Hv - Hu) - _jacobi_operator(cone, r, hc, h1, h2))
     r = r[keep]
-    ratio = remainder / denom[keep]
+    ratio = remainder[keep] / denom[keep]
 
     inner = r <= min(10.0 * r.min(), r.max())
     logs = np.log(np.maximum(ratio[inner], 1e-300))
@@ -442,15 +440,8 @@ def linearization_check(cone, u, v):
     return LinearizationReport(r, ratio, float(ratio.max()), slope)
 
 
-def _require_radial_decay(cone, f):
-    dt = f.dt
-    g = f.values
-    r = f.r[1:-1]
-    gd = (g[2:] - g[:-2]) / (2 * dt)
-    gdd = (g[2:] - 2 * g[1:-1] + g[:-2]) / dt**2
-    w1 = gd / r
-    w2 = (gdd - gd) / r**2
-    size = np.max(np.abs(g[1:-1]) / r + np.abs(w1) + r * np.abs(w2))
+def _require_radial_decay(cone, r, g, g1, g2):
+    size = np.max(np.abs(g) / r + np.abs(g1) + r * np.abs(g2))
     limit = _GRAPH_BOUND_FACTOR * min(cone.a, cone.b)
     if size > limit:
         raise UsageError(
@@ -564,7 +555,7 @@ def has_interface_pinch(D):
     return bool(np.any(trans >= 6))
 
 
-def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius=None,
+def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
                            annulus=None, ramp=None):
     """Re-minimize under inward boundary perturbations of shrinking size.
 
@@ -582,7 +573,7 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius=None,
         boundary: boundary data; only its cells outside the obstacle ball
             matter, so the wedge and its own minimizer give the same run.
         t_list: perturbation magnitudes, strictly decreasing.
-        obstacle_radius: free-ball radius (default half the box width).
+        obstacle_radius: free-ball radius around the origin corner.
         annulus: support radii (default (0.75, 1.6) times the obstacle).
         ramp: shoulder width of the displacement profile.
 
@@ -599,8 +590,7 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius=None,
         raise UsageError("perturbation magnitudes must be finite and >= 0")
     if any(b >= a for a, b in zip(t_arr, t_arr[1:])) and len(t_arr) > 1:
         raise UsageError("t_list must be strictly decreasing")
-    box = grid.dims[0] * grid.h
-    r_obs = 0.5 * box if obstacle_radius is None else float(obstacle_radius)
+    r_obs = float(obstacle_radius)
     if annulus is None:
         annulus = (0.75 * r_obs, 1.6 * r_obs)
 

@@ -14,6 +14,7 @@ any desk-scale count; with power-of-two h this makes the inner/outer/interface
 splitting sums agree with perimeter() bit for bit.
 """
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -66,10 +67,18 @@ def stencil_levels(d, stencil):
     raise UsageError(f"unknown stencil {stencil!r}")
 
 
+# Most cells a grid may have: 16 MB of bits, 134 MB per float64 per-cell
+# array, and a solve holds several of those plus its arcs.  The check runs
+# before any per-cell array exists, so an extent read from a flag or a
+# cell-set header cannot ask for terabytes.
+_MAX_CELLS = 2**24
+
+
 @dataclass(frozen=True)
 class GridGeometry:
     """Cell layout: extents per axis, cell side h, center of cell (0, ..., 0),
-    and the neighborhood stencil used for perimeter."""
+    and the neighborhood stencil used for perimeter.  At most _MAX_CELLS =
+    2^24 cells."""
 
     dims: tuple
     h: float = 1.0
@@ -82,6 +91,9 @@ class GridGeometry:
             raise UsageError(f"grid dimension must be 2 or 3, got {len(dims)}")
         if any(n < 1 for n in dims):
             raise UsageError(f"all extents must be >= 1, got {dims}")
+        if math.prod(dims) > _MAX_CELLS:
+            raise UsageError(f"grid {dims} has more cells than the budget "
+                             f"of {_MAX_CELLS}")
         if not (self.h > 0 and np.isfinite(self.h)):
             raise UsageError(f"cell size must be positive, got {self.h}")
         origin = self.origin
@@ -101,7 +113,7 @@ class GridGeometry:
 
     @property
     def ncells(self):
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def axis_coords(self, k):
         """Cell center coordinates along axis k."""

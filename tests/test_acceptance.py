@@ -206,7 +206,7 @@ def test_criterion_09():
     for lam in (0.0, 0.2 / 0.5):
         base = weighted_minimize(3, 3, g, lam, wedge, 0.5).set_max
         rep = approximation_sequence(3, 3, lam, base,
-                                     [8 * h, 4 * h, 2 * h, h])
+                                     [8 * h, 4 * h, 2 * h, h], 0.5)
         assert all(rep.inclusion_ok)
         assert all(rep.chain_ok)
         sym = rep.sym_diff_volume
@@ -241,25 +241,23 @@ def test_criterion_10():
 
     On the stable generic cone C(2,4) in R^8 the first neglected term is
     quadratic, so the remainder ratio is proportional to the amplitude; the
-    slope is fitted over 1e-2, 1e-3 and 1e-4 (measured 0.985 from
-    4.407e-3, 4.677e-4, 4.711e-5).
+    slope is fitted over 1e-2, 1e-3 and 1e-4 (measured 0.986 from
+    4.410e-3, 4.680e-4, 4.707e-5).
 
     On the balanced cone C(3,3) the swap of the two axes maps the graph u
     to -u while flipping the chosen normal, so the graph curvature operator
     is odd: its even-order terms vanish, the first neglected term is cubic
     and the ratio falls like the square of the amplitude (measured slope
-    2.010 from 3.320e-4, 2.982e-5, 3.241e-6 at 1e-2, 3e-3, 1e-3).  The
-    amplitudes stop at 1e-3 because of a round-off floor in the
-    turning-angle curvature of `mean_curvature_values`: at 1e-4 the true
-    ratio, about 3.3e-8, reads 4.1e-7.  That floor is cancellation, not
-    truncation: at 1e-4 refining the grid lowers the reading only up to
-    8192 nodes (5.3e-6 at 1024, 4.1e-7 at 8192) and then raises it in
-    proportion to the node count (7.3e-7 at 16384, 1.5e-6 at 32768), and
-    at 8192 nodes it grows like 1/amplitude (3.2e-6 at 1e-5, 3.8e-5 at
-    1e-6).  No node count resolves 1e-4 on this cone; the three amplitudes
-    used sit at least 8x above the floor.  Both bands catch a wrong
-    linearization: scaling the Jacobi coefficient A2 by 1.001 drops the
-    slopes to 0.374 on C(2,4) and 0.175 on C(3,3).
+    2.000 from 3.326e-4, 2.995e-5, 3.328e-6 at 1e-2, 3e-3, 1e-3).
+
+    `linearization_check` takes the curvature in a closed form that never
+    forms the O(1/r) weight terms that cancel near the cone, so the
+    remainder has no round-off floor at these amplitudes: the C(3,3) slope
+    stays 2.000 down to 1e-5 (3.328e-8 at 1e-4, 3.328e-10 at 1e-5), and
+    the C(2,4) ratio at 1e-6 is a tenth of that at 1e-5 (4.710e-7 against
+    4.710e-6); `test_equivariant.py` pins both.  Both bands catch a wrong
+    linearization: scaling the Jacobi coefficient A2 by 1.001 in L_C drops
+    the slopes to 0.375 on C(2,4) and 0.176 on C(3,3).
     """
     generic, generic_ratios = _remainder_slope(2, 4, (1e-2, 1e-3, 1e-4))
     assert 0.8 <= generic <= 1.2, (generic, generic_ratios)

@@ -297,6 +297,41 @@ class TestPlot:
         assert err.count("\n") == 1
 
 
+class TestMalformedInput:
+    # The two giant grids are refused by the cell budget before any
+    # per-cell allocation (4e12 and 1e15 cells); the non-UTF-8 cell sets
+    # fail in the header read and, past the first read chunk, in the body.
+    @pytest.mark.parametrize("name,data,argv", [
+        pytest.param(None, None, ["equivariant", "--p", "3", "--q", "3",
+                                  "--grid-n", "2000000", "--lambda", "0.0"],
+                     id="giant-grid-n"),
+        pytest.param("giant.csl",
+                     b"cmcgrid v1 d=3 ext=100000,100000,100000 h=1.0 "
+                     b"stencil=cc\n1000000000000000x1\n",
+                     ["plot"], id="giant-header"),
+        pytest.param("bad.csv", b"s,x,y,curvature_residual\n0.0,1.0,abc,0\n",
+                     ["plot"], id="non-numeric-csv"),
+        pytest.param("head.csl", b"\xffcmcgrid v1 d=2 ext=2,3\n61\n",
+                     ["plot"], id="non-utf8-header"),
+        pytest.param("body.csl",
+                     b"cmcgrid v1 d=2 ext=2,3 h=1.0 stencil=cc\n"
+                     + b" " * 10000 + b"6\xff1\n",
+                     ["plot"], id="non-utf8-body"),
+    ])
+    def test_is_config_error(self, tmp_path, capsys, name, data, argv):
+        if name is not None:
+            (tmp_path / name).write_bytes(data)
+            argv = argv + ["--input", str(tmp_path / name),
+                           "--output", str(tmp_path / "x.svg")]
+        else:
+            argv = argv + ["--outdir", str(tmp_path)]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.svg").exists()
+
+
 class TestParser:
     def test_unknown_subcommand(self, capsys):
         assert run_cli("frobnicate") == 2

@@ -355,6 +355,13 @@ class TestLinearization:
     def radial(self, f, n=2048, r0=1.0, r1=10.0):
         return RadialFunction.from_callable(f, r0, r1, n)
 
+    def amplitude_ratio(self, cone, eps):
+        """Max remainder ratio from 0 to eps r^-2 on 8192 nodes, r in
+        [1, 10]: the protocol of acceptance criterion 10."""
+        u = self.radial(lambda r: 0.0 * r, n=8192)
+        v = self.radial(lambda r: eps * r ** -2, n=8192)
+        return linearization_check(cone, u, v).max_ratio
+
     def test_identical_graphs_rejected(self, cone33):
         u = self.radial(lambda r: 1e-3 * r ** -2)
         with pytest.raises(UsageError, match="identically zero"):
@@ -404,14 +411,23 @@ class TestLinearization:
         # reversing the normal, so the curvature operator is odd and every
         # even term of its expansion cancels.  The first correction is then
         # cubic and the remainder ratio drops like the amplitude squared.
-        maxima = []
-        for eps in (1e-2, 1e-3):
-            u = RadialFunction.from_callable(lambda r: 0.0 * r, 1.0, 10.0,
-                                             8192)
-            v = RadialFunction.from_callable(lambda r, e=eps: e * r ** -2,
-                                             1.0, 10.0, 8192)
-            maxima.append(linearization_check(cone33, u, v).max_ratio)
+        maxima = [self.amplitude_ratio(cone33, eps) for eps in (1e-2, 1e-3)]
         assert 70.0 < maxima[0] / maxima[1] < 140.0
+
+    def test_quadratic_fall_has_no_floor_on_balanced_cone(self, cone33):
+        # The closed-form curvature forms no O(1/r) terms that cancel, so
+        # the ratio keeps falling like eps^2 two decades below criterion
+        # 10's amplitudes (measured 3.328e-6, 3.328e-8, 3.328e-10).
+        eps_list = (1e-3, 1e-4, 1e-5)
+        maxima = [self.amplitude_ratio(cone33, eps) for eps in eps_list]
+        slope = np.polyfit(np.log(eps_list), np.log(maxima), 1)[0]
+        assert 1.95 <= slope <= 2.05, maxima
+
+    def test_linear_fall_has_no_floor_on_generic_cone(self):
+        # measured 4.7098e-6 at 1e-5 and 4.7100e-7 at 1e-6
+        cone = make_cone(2, 4)
+        big, small = (self.amplitude_ratio(cone, eps) for eps in (1e-5, 1e-6))
+        assert small == pytest.approx(big / 10, rel=0.05)
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3])
     def test_operator_is_odd_only_on_balanced_cone(self, eps):
@@ -557,11 +573,11 @@ class TestApproximationSequence:
     def test_t_list_validation(self):
         g, wedge = self.wedge_setup(16)
         with pytest.raises(UsageError, match="empty"):
-            approximation_sequence(3, 3, 0.0, wedge, [])
+            approximation_sequence(3, 3, 0.0, wedge, [], 0.5)
         with pytest.raises(UsageError, match="finite"):
-            approximation_sequence(3, 3, 0.0, wedge, [0.1, -0.2])
+            approximation_sequence(3, 3, 0.0, wedge, [0.1, -0.2], 0.5)
         with pytest.raises(UsageError, match="decreasing"):
-            approximation_sequence(3, 3, 0.0, wedge, [0.01, 0.02])
+            approximation_sequence(3, 3, 0.0, wedge, [0.01, 0.02], 0.5)
 
     def test_only_data_outside_the_ball_matters(self):
         # The run solves its own base problem, so the raw wedge, its solved
@@ -571,7 +587,8 @@ class TestApproximationSequence:
         wedge = diagonal_wedge(g, 3, 3)
         bits = base.bits.copy()
         bits[1, 5] = True
-        runs = [approximation_sequence(3, 3, 0.0, data, [4 * g.h, 2 * g.h])
+        runs = [approximation_sequence(3, 3, 0.0, data, [4 * g.h, 2 * g.h],
+                                       0.5)
                 for data in (wedge, base, CellSet(g, bits))]
         assert runs[0].sets[0] != runs[0].limit_set
         assert runs[1] == runs[0]
@@ -579,7 +596,7 @@ class TestApproximationSequence:
 
     def test_zero_perturbation_reproduces_base(self):
         g, wedge = self.wedge_setup(32)
-        rep = approximation_sequence(3, 3, 0.0, wedge, [0.0])
+        rep = approximation_sequence(3, 3, 0.0, wedge, [0.0], 0.5)
         assert rep.inclusion_ok == (True,)
         assert rep.sym_diff_volume == (0.0,)
         assert rep.hausdorff_to_E == (0.0,)
@@ -588,7 +605,8 @@ class TestApproximationSequence:
     def test_shrinking_chain(self):
         g, wedge = self.wedge_setup(64)
         h = g.h
-        rep = approximation_sequence(3, 3, 0.0, wedge, [8 * h, 4 * h, 2 * h])
+        rep = approximation_sequence(3, 3, 0.0, wedge, [8 * h, 4 * h, 2 * h],
+                                     0.5)
         assert all(rep.inclusion_ok)
         assert all(rep.chain_ok)
         sym = rep.sym_diff_volume
