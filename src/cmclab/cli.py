@@ -13,15 +13,16 @@ import json
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (UsageError, NumericalError, CellSet, cellset_to_text,
-                   read_cellset)
+from .grid import (UsageError, NumericalError, boundary_faces,
+                   cellset_to_text, read_cellset)
 from .mincut import threshold_experiment, result_to_json
-from .cones import make_cone, link_spectrum, stability, gamma_pm
+from .cones import make_cone, link_spectrum
 from .equivariant import (shoot_leaf, mean_curvature_values, quadrant_grid,
                           diagonal_wedge, weighted_minimize,
                           approximation_sequence)
@@ -60,15 +61,21 @@ def atomic_write(path, text):
     os.replace(tmp, path)
 
 
-def _json_text(doc):
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 def _echoed(config):
     return {
         "subcommand": config.name,
         "params": dict(sorted(config.params.items())),
     }
+
+
+def _write_report(config, name, doc):
+    """Write doc, with schema_version and the echoed config, as the JSON
+    file outdir/name and echo it to stdout; returns exit status 0."""
+    doc = {"schema_version": SCHEMA_VERSION, "config": _echoed(config), **doc}
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    atomic_write(os.path.join(config.outdir, name), text)
+    sys.stdout.write(text)
+    return 0
 
 
 # ---------------------------------------------------------------- spectra
@@ -77,24 +84,17 @@ def run_spectra(config):
     p, q, kmax = (config.params[k] for k in ("p", "q", "kmax"))
     cone = make_cone(p, q)
     spectrum = link_spectrum(cone, kmax)
-    stable = stability(cone)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "config": _echoed(config),
+    return _write_report(config, f"spectra_p{p}_q{q}.json", {
         "p": p,
         "q": q,
         "dimension": cone.n,
         "lambda1": spectrum.eigenvalues[0],
         "eigenvalues": list(spectrum.eigenvalues),
         "multiplicities": list(spectrum.multiplicities),
-        "stable": stable,
-        "gamma": list(gamma_pm(cone)) if stable else None,
-    }
-    text = _json_text(doc)
-    out = os.path.join(config.outdir, f"spectra_p{p}_q{q}.json")
-    atomic_write(out, text)
-    sys.stdout.write(text)
-    return 0
+        "stable": spectrum.stable,
+        "gamma": ([spectrum.gamma_minus, spectrum.gamma_plus]
+                  if spectrum.stable else None),
+    })
 
 
 # -------------------------------------------------------------- plateau2d
@@ -108,11 +108,10 @@ def run_plateau2d(config):
         return threshold_experiment(r, resolution, [lam])[0]
 
     with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        by_lam = dict(zip(lams, pool.map(job, lams)))
+        rows = list(pool.map(job, lams))
 
     table = []
-    for i, lam in enumerate(lams):
-        row = by_lam[lam]
+    for i, row in enumerate(rows):
         name = f"plateau2d_{i:02d}.csl"
         atomic_write(os.path.join(config.outdir, name),
                      cellset_to_text(row.largest))
@@ -123,15 +122,7 @@ def run_plateau2d(config):
             "obstacle_circumference": row.obstacle_circumference,
             "cellset": name,
         })
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "config": _echoed(config),
-        "rows": table,
-    }
-    text = _json_text(doc)
-    atomic_write(os.path.join(config.outdir, "plateau2d.json"), text)
-    sys.stdout.write(text)
-    return 0
+    return _write_report(config, "plateau2d.json", {"rows": table})
 
 
 # ------------------------------------------------------------ equivariant
@@ -149,16 +140,10 @@ def run_equivariant(config):
     name = "equivariant_largest.csl"
     atomic_write(os.path.join(config.outdir, name),
                  cellset_to_text(res.set_max))
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "config": _echoed(config),
+    return _write_report(config, "equivariant.json", {
         "result": result_to_json(res),
         "cellset": name,
-    }
-    text = _json_text(doc)
-    atomic_write(os.path.join(config.outdir, "equivariant.json"), text)
-    sys.stdout.write(text)
-    return 0
+    })
 
 
 # ------------------------------------------------------------------- leaf
@@ -255,9 +240,7 @@ def run_approx(config):
     limit_name = "approx_limit.csl"
     atomic_write(os.path.join(config.outdir, limit_name),
                  cellset_to_text(report.limit_set))
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "config": _echoed(config),
+    return _write_report(config, "approx.json", {
         "t_list": list(report.t_list),
         "inclusion_ok": list(report.inclusion_ok),
         "chain_ok": list(report.chain_ok),
@@ -269,108 +252,106 @@ def run_approx(config):
         "annulus": list(report.annulus),
         "steps": step_files,
         "limit": limit_name,
-    }
-    text = _json_text(doc)
-    atomic_write(os.path.join(config.outdir, "approx.json"), text)
-    sys.stdout.write(text)
-    return 0
+    })
 
 
 # -------------------------------------------------------------------- plot
+
+# Plotted coordinates stay below this magnitude, so every number the SVG
+# derives from them (extent, padding, flip) is finite.
+_PLOT_LIMIT = 1e300
+
 
 def _fmt(v):
     return repr(round(float(v), 9))
 
 
 def _interface_segments(D):
-    """Unit cell-boundary segments between differing face neighbors.
-
-    Returns segments as ((x0, y0), (x1, y1)) corner points in physical
-    coordinates.
-    """
+    """Interface faces of a 2-D cell set as an (m, 2, 2) array of unit
+    segments, each face's midpoint -/+ h/2 across its normal axis, in
+    boundary_faces order."""
     if D.grid.d != 2:
         raise UsageError("plot supports 2-D cell sets only")
-    h = D.grid.h
-    ox, oy = (D.grid.origin if D.grid.origin is not None else (0.0, 0.0))
-    bits = D.bits
-    segs = []
-    diff = bits[1:, :] != bits[:-1, :]
-    for i, j in zip(*np.nonzero(diff)):
-        x = ox + (i + 0.5) * h
-        y0 = oy + (j - 0.5) * h
-        segs.append(((x, y0), (x, y0 + h)))
-    diff = bits[:, 1:] != bits[:, :-1]
-    for i, j in zip(*np.nonzero(diff)):
-        y = oy + (j + 0.5) * h
-        x0 = ox + (i - 0.5) * h
-        segs.append(((x0, y), (x0 + h, y)))
-    return segs
+    if not D.grid.h * max(D.grid.dims) < _PLOT_LIMIT:
+        raise UsageError(f"cell set extent is over {_PLOT_LIMIT:g}")
+    mids, axes = boundary_faces(D)
+    if not len(axes):
+        raise UsageError("cell set has no interface to plot")
+    half = np.zeros_like(mids)
+    half[np.arange(len(axes)), 1 - axes] = 0.5 * D.grid.h
+    return np.stack([mids - half, mids + half], axis=1)
 
 
-def _chain_segments(segs):
-    """Join segments into maximal polylines by shared endpoints."""
-    def key(pt):
-        return (round(pt[0], 9), round(pt[1], 9))
+def _chain_segments(keys):
+    """Join segments into maximal polylines by shared endpoints.
 
-    adj = {}
-    for a, b in segs:
-        adj.setdefault(key(a), []).append((key(a), key(b)))
-        adj.setdefault(key(b), []).append((key(b), key(a)))
-    unused = {(key(a), key(b)) for a, b in segs}
+    keys is an (m, 2, 2) array: endpoint j of segment s is keys[s, j], and
+    equal keys are one vertex.  One sort orders the vertices by key and
+    lists each vertex's segments in input order.  Open chains start at the
+    degree-1 vertices, in vertex order: first where the vertex is its
+    segment's first point, then where it is the second.  Closed chains then
+    start at the smallest remaining segment, compared as (first point,
+    second point).  Each step takes the first unused segment at the chain's
+    end.  Returns each chain as an array of endpoint indices into
+    keys.reshape(-1, 2), one per vertex.
+    """
+    flat = keys.reshape(-1, 2)
+    order = np.lexsort((flat[:, 1], flat[:, 0]))
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (flat[order[1:]] != flat[order[:-1]]).any(axis=1)
+    vertex = np.empty(len(order), dtype=np.int64)
+    vertex[order] = np.cumsum(new) - 1
+    first = np.flatnonzero(new).tolist() + [len(order)]
+    incident = (order // 2).tolist()
+    seg = vertex.reshape(-1, 2).tolist()
+    used = [False] * len(seg)
+    unread = first[:-1]    # per vertex, the first incident entry not used
 
-    def take(frm, to):
-        unused.discard((frm, to))
-        unused.discard((to, frm))
+    def walk(v, s):
+        chain = [v]
+        while s is not None:
+            used[s] = True
+            v = seg[s][1] if seg[s][0] == v else seg[s][0]
+            chain.append(v)
+            i, end = unread[v], first[v + 1]
+            while i < end and used[incident[i]]:
+                i += 1
+            unread[v] = i
+            s = incident[i] if i < end else None
+        return chain
 
+    vertices = range(len(first) - 1)
+    tips = [v for v in vertices if first[v + 1] - first[v] == 1]
     chains = []
-    while unused:
-        # prefer an endpoint with odd degree of remaining edges (open chain)
-        start = None
-        for a, b in sorted(unused):
-            live = [e for e in adj[a] if (e in unused or e[::-1] in unused)]
-            if len(live) == 1:
-                start = (a, b)
-                break
-        if start is None:
-            start = sorted(unused)[0]
-        a, b = start
-        take(a, b)
-        chain = [a, b]
-        cur, prev = b, a
-        while True:
-            nxt = None
-            for e in adj[cur]:
-                if e in unused or e[::-1] in unused:
-                    nxt = e[1]
-                    break
-            if nxt is None:
-                break
-            take(cur, nxt)
-            chain.append(nxt)
-            cur = nxt
-        chains.append(chain)
-    return chains
+    for j in (0, 1):
+        for v in tips:
+            s = incident[first[v]]
+            if not used[s] and seg[s][j] == v:
+                chains.append(walk(v, s))
+    for v in vertices:
+        while out := [(seg[s][1], s) for s in incident[first[v]:first[v + 1]]
+                      if seg[s][0] == v and not used[s]]:
+            chains.append(walk(v, min(out)[1]))
+    at = order[new]
+    return [at[c] for c in chains]
 
 
-def _svg_document(paths, bbox, stroke_width):
+def _svg_document(polylines, bbox, stroke_width):
+    """SVG of polylines, each a (k, 2) array, with y flipped in bbox."""
     x0, y0, x1, y1 = bbox
+    flip = float(y0 + y1)
     pad = 0.05 * max(x1 - x0, y1 - y0, stroke_width)
-    vb = (_fmt(x0 - pad), _fmt(y0 - pad),
-          _fmt(x1 - x0 + 2 * pad), _fmt(y1 - y0 + 2 * pad))
+    vb = " ".join(map(_fmt, (x0 - pad, y0 - pad,
+                             x1 - x0 + 2 * pad, y1 - y0 + 2 * pad)))
+    tail = (f'" fill="none" stroke="black" '
+            f'stroke-width="{_fmt(stroke_width)}"/>')
     body = "\n".join(
-        f'  <path d="{d}" fill="none" stroke="black" '
-        f'stroke-width="{_fmt(stroke_width)}"/>' for d in paths)
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" '
-            f'viewBox="{vb[0]} {vb[1]} {vb[2]} {vb[3]}">\n'
+        '  <path d="M ' + " L ".join(
+            f"{round(x, 9)!r} {round(flip - y, 9)!r}"
+            for x, y in line.tolist()) + tail
+        for line in polylines)
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{vb}">\n'
             f"{body}\n</svg>\n")
-
-
-def _path_data(points, flip):
-    cmds = []
-    for k, (x, y) in enumerate(points):
-        yy = flip - y
-        cmds.append(f"{'M' if k == 0 else 'L'} {_fmt(x)} {_fmt(yy)}")
-    return " ".join(cmds)
 
 
 def run_plot(config):
@@ -386,28 +367,34 @@ def run_plot(config):
             D = read_cellset(src)
         except UnicodeDecodeError as e:
             raise UsageError(f"cannot read input: {e}")
-        segs = _interface_segments(D)
-        if not segs:
-            raise UsageError("cell set has no interface to plot")
-        pts = np.array([p for s in segs for p in s])
-        x0, y0 = pts.min(axis=0)
-        x1, y1 = pts.max(axis=0)
-        flip = y0 + y1
-        paths = [_path_data(c, flip) for c in _chain_segments(segs)]
-        text = _svg_document(paths, (x0, y0, x1, y1), 0.25 * D.grid.h)
+        ends = _interface_segments(D)
+        # Lattice vertices as odd integers, exact at any cell size.
+        keys = np.rint(2 * (ends - D.grid.origin) / D.grid.h)
+        pts = np.round(ends.reshape(-1, 2), 9)
+        lines = [pts[c] for c in _chain_segments(keys)]
+        bbox = (*ends.min(axis=(0, 1)), *ends.max(axis=(0, 1)))
+        text = _svg_document(lines, bbox, 0.25 * D.grid.h)
     elif head.strip().startswith("s,x,y"):
         try:
-            data = np.loadtxt(src, delimiter=",", skiprows=1)
+            with warnings.catch_warnings():
+                # an empty body is refused below, without numpy's warning
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(src, delimiter=",", skiprows=1, ndmin=2)
         except ValueError as e:
             raise UsageError(f"bad curve CSV: {e}")
-        if data.ndim != 2 or data.shape[1] < 3:
+        if len(data) < 2:
+            raise UsageError("curve CSV needs at least two rows")
+        if data.shape[1] < 3:
             raise UsageError("curve CSV must have columns s,x,y,...")
-        x, y = data[:, 1], data[:, 2]
-        x0, x1, y0, y1 = x.min(), x.max(), y.min(), y.max()
-        flip = y0 + y1
+        xy = data[:, 1:3]
+        if not (np.abs(xy) < _PLOT_LIMIT).all():
+            raise UsageError(f"curve x and y must be finite and below "
+                             f"{_PLOT_LIMIT:g} in magnitude")
+        (x0, y0), (x1, y1) = xy.min(axis=0), xy.max(axis=0)
         span = max(x1 - x0, y1 - y0)
-        paths = [_path_data(np.column_stack([x, y]), flip)]
-        text = _svg_document(paths, (x0, y0, x1, y1), 0.004 * span)
+        if span == 0:
+            raise UsageError("curve has zero extent")
+        text = _svg_document([xy], (x0, y0, x1, y1), 0.004 * span)
     else:
         raise UsageError("input is neither a cell-set file nor a curve CSV")
     atomic_write(config.params["output"], text)

@@ -363,7 +363,7 @@ def threshold_experiment(r, resolution, lam_list):
     lying within one cell of the obstacle circle but away from the equator
     band (2h half-width).  `largest` is the largest minimizer itself.
     """
-    if r < 8:
+    if not r >= 8:
         raise UsageError(f"disk radius must be at least 8 cells, got {r}")
     grid = GridGeometry((int(resolution),) * 2, h=1.0, stencil="cc")
     c = ((resolution - 1) / 2.0,) * 2

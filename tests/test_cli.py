@@ -1,14 +1,22 @@
 """End-to-end tests of the experiment runner: artifacts, determinism, exit
 codes, parameter echo, and the concurrency switch."""
 
+import contextlib
+import io
 import json
+import math
 import os
+import re
+import time
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cmclab import (cellset_to_text, mean_curvature_values, read_cellset,
-                    shoot_leaf)
+from cmclab import (CellSet, GridGeometry, boundary_faces, cellset_to_text,
+                    mean_curvature_values, read_cellset, shoot_leaf)
 from cmclab.cli import _echoed, build_parser, config_from_args, main
 
 
@@ -297,10 +305,111 @@ class TestPlot:
         assert err.count("\n") == 1
 
 
+def svg_paths(text):
+    """The path data of an SVG as lists of (x, y) points."""
+    return [[tuple(float(v) for v in pt.split()) for pt in d[2:].split(" L ")]
+            for d in re.findall(r' d="([^"]*)"', text)]
+
+
+class TestPlotChains:
+    def test_random_interfaces_are_maximal_polylines(self, tmp_path):
+        # Every interface face is drawn exactly once, as a unit segment,
+        # and an open path ends only at vertices that one face touches.
+        src, svg = tmp_path / "d.csl", tmp_path / "d.svg"
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            dims = tuple(int(n) for n in rng.integers(2, 14, size=2))
+            D = CellSet(GridGeometry(dims, h=1.0),
+                        rng.random(dims) < rng.uniform(0.2, 0.8))
+            src.write_text(cellset_to_text(D), encoding="utf-8")
+            mids, axes = boundary_faces(D)
+            if len(axes) == 0:
+                assert run_cli("plot", "--input", str(src),
+                               "--output", str(svg)) == 2
+                continue
+            assert run_cli("plot", "--input", str(src),
+                           "--output", str(svg)) == 0
+            half = 0.5 * np.eye(2)[1 - axes]
+            ends = np.stack([mids - half, mids + half], axis=1)
+            y = ends[..., 1]
+            ends[..., 1] = y.min() + y.max() - y    # as the SVG flips it
+            faces = Counter(frozenset(map(tuple, e)) for e in ends.tolist())
+            paths = svg_paths(svg.read_text(encoding="utf-8"))
+            drawn = Counter(frozenset(pair) for p in paths
+                            for pair in zip(p, p[1:]))
+            assert drawn == faces, seed
+            degree = Counter(pt for face in faces for pt in face)
+            for p in paths:
+                if p[0] != p[-1]:
+                    assert degree[p[0]] == degree[p[-1]] == 1, seed
+
+    def test_random_128_square_plots_within_budget(self, tmp_path):
+        rng = np.random.default_rng(0)
+        D = CellSet(GridGeometry((128, 128), h=1.0),
+                    rng.random((128, 128)) < 0.5)
+        src = tmp_path / "d.csl"
+        src.write_text(cellset_to_text(D), encoding="utf-8")
+        start = time.perf_counter()
+        assert run_cli("plot", "--input", str(src),
+                       "--output", str(tmp_path / "d.svg")) == 0
+        assert time.perf_counter() - start < 3.0
+
+
+# Curve CSVs of any floats and a valid cell set, which the fuzz test
+# mutates by splicing in these pieces.
+_CURVES = st.lists(st.tuples(st.floats(), st.floats()), max_size=4).map(
+    lambda rows: b"s,x,y,curvature_residual\n" + b"".join(
+        f"{k},{x!r},{y!r},0.0\n".encode() for k, (x, y) in enumerate(rows)))
+_CELLS = b"cmcgrid v1 d=2 ext=3,4 h=0.25 stencil=cc\n50 31 40\n"
+_PIECES = [b"nan", b"inf", b"-", b"1e308", b"1e-320", b"0", b"9", b",", b"\n",
+           b" ", b"x", b"e", b".", b"#", b"\xff", b"d=3", b"ext=1,", b"h=",
+           b"99999999999"]
+
+
+class TestPlotFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.one_of(_CURVES, st.just(_CELLS)),
+           st.lists(st.tuples(st.integers(0, 200), st.integers(0, 2),
+                              st.sampled_from(_PIECES)), max_size=3))
+    def test_exit_contract(self, tmp_path_factory, seed_text, edits):
+        # rc 0 writes an SVG of finite numbers; rc 2 prints one line.
+        data = seed_text
+        for pos, op, piece in edits:
+            pos %= len(data) + 1
+            if op == 0:
+                data = data[:pos] + piece + data[pos:]
+            elif op == 1:
+                data = data[:pos] + data[pos + 1:]
+            else:
+                data = data[:pos] + piece + data[pos + 1:]
+        work = tmp_path_factory.mktemp("fuzz")
+        src, svg = work / "in", work / "out.svg"
+        src.write_bytes(data)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main(["plot", "--input", str(src), "--output", str(svg)])
+        assert caught == []
+        if rc == 2:
+            assert err.getvalue().startswith("config error: ")
+            assert err.getvalue().count("\n") == 1
+            assert not svg.exists()
+            return
+        assert rc == 0 and err.getvalue() == ""
+        text = svg.read_text(encoding="utf-8")
+        values = re.findall(r'(?:viewBox|d|stroke-width)="([^"]*)"', text)
+        numbers = [v for value in values for v in value.split()
+                   if v not in ("M", "L")]
+        assert numbers and all(math.isfinite(float(v)) for v in numbers)
+
+
 class TestMalformedInput:
     # The two giant grids are refused by the cell budget before any
     # per-cell allocation (4e12 and 1e15 cells); the non-UTF-8 cell sets
     # fail in the header read and, past the first read chunk, in the body.
+    # A curve needs two rows of finite x and y with a nonzero extent.
     @pytest.mark.parametrize("name,data,argv", [
         pytest.param(None, None, ["equivariant", "--p", "3", "--q", "3",
                                   "--grid-n", "2000000", "--lambda", "0.0"],
@@ -317,6 +426,28 @@ class TestMalformedInput:
                      b"cmcgrid v1 d=2 ext=2,3 h=1.0 stencil=cc\n"
                      + b" " * 10000 + b"6\xff1\n",
                      ["plot"], id="non-utf8-body"),
+        pytest.param("head.csv", b"s,x,y,curvature_residual\n", ["plot"],
+                     id="header-only-csv"),
+        pytest.param("one.csv", b"s,x,y,curvature_residual\n0.0,1.0,2.0,0\n",
+                     ["plot"], id="one-row-csv"),
+        pytest.param("nan.csv",
+                     b"s,x,y,curvature_residual\n0,1,2,0\n1,nan,2,0\n",
+                     ["plot"], id="nan-csv"),
+        pytest.param("inf.csv",
+                     b"s,x,y,curvature_residual\n0,-inf,0,0\n1,inf,1,0\n",
+                     ["plot"], id="inf-csv"),
+        pytest.param("huge.csv",
+                     b"s,x,y,curvature_residual\n0,-1e308,0,0\n1,1e308,0,0\n",
+                     ["plot"], id="overflowing-csv"),
+        pytest.param("flat.csv",
+                     b"s,x,y,curvature_residual\n0,1,2,0\n1,1,2,0\n",
+                     ["plot"], id="zero-extent-csv"),
+        pytest.param("huge.csl",
+                     b"cmcgrid v1 d=2 ext=3,3 h=1e308 stencil=cc\n40 51\n",
+                     ["plot"], id="overflowing-cellset"),
+        pytest.param(None, None, ["plateau2d", "--radius", "nan",
+                                  "--resolution", "20", "--lambda", "0"],
+                     id="nan-radius"),
     ])
     def test_is_config_error(self, tmp_path, capsys, name, data, argv):
         if name is not None:
@@ -325,11 +456,14 @@ class TestMalformedInput:
                            "--output", str(tmp_path / "x.svg")]
         else:
             argv = argv + ["--outdir", str(tmp_path)]
-        assert run_cli(*argv) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(*argv) == 2
+        assert caught == []
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
-        assert not (tmp_path / "x.svg").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ([name] if name else [])
 
 
 class TestParser:
