@@ -1,21 +1,22 @@
 """Experiment runner: subcommands around the library with deterministic
 file artifacts.
 
-Every run validates its flags into a RunConfig, executes, and writes JSON,
-CSV, CellSet, or SVG outputs atomically (temp file in the target directory,
-then rename).  JSON artifacts carry schema_version and the full echoed
-config, so identical configs give byte-identical files.  Exit codes:
-0 success, 2 config error, 3 numerical failure.
+Each runner reads its flags from the parsed arguments, executes, and writes
+JSON, CSV, CellSet, or SVG outputs atomically (temp file in the target
+directory, then rename).  JSON artifacts carry schema_version and the full
+echoed config, so identical configs give byte-identical files.  Exit codes:
+0 success, 2 config error (a path that cannot be read or written among
+them), 3 numerical failure.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,14 +29,6 @@ from .equivariant import (shoot_leaf, mean_curvature_values, quadrant_grid,
                           approximation_sequence)
 
 SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated invocation: subcommand, typed parameters, outdir."""
-    name: str
-    params: dict
-    outdir: str
 
 
 def thread_count():
@@ -51,40 +44,54 @@ def thread_count():
 
 
 def atomic_write(path, text):
-    """Write text to path via a same-directory temp file and rename."""
+    """Write text to path via a same-directory temp file and rename; the
+    temp file is removed if either step fails."""
     path = os.path.abspath(path)
     d = os.path.dirname(path)
     os.makedirs(d, exist_ok=True)
     tmp = os.path.join(d, f".{os.path.basename(path)}.tmp.{os.getpid()}")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
-def _echoed(config):
+def _echoed(args):
+    """The subcommand and its parameters: every parsed flag but --outdir."""
     return {
-        "subcommand": config.name,
-        "params": dict(sorted(config.params.items())),
+        "subcommand": args.subcommand,
+        "params": {k: v for k, v in sorted(vars(args).items())
+                   if k not in ("subcommand", "outdir")},
     }
 
 
-def _write_report(config, name, doc):
+def _write_report(args, name, doc):
     """Write doc, with schema_version and the echoed config, as the JSON
     file outdir/name and echo it to stdout; returns exit status 0."""
-    doc = {"schema_version": SCHEMA_VERSION, "config": _echoed(config), **doc}
+    doc = {"schema_version": SCHEMA_VERSION, "config": _echoed(args), **doc}
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    atomic_write(os.path.join(config.outdir, name), text)
+    atomic_write(os.path.join(args.outdir, name), text)
     sys.stdout.write(text)
     return 0
 
 
+def _write_cellset(args, name, D):
+    """Write the cell set D as the file outdir/name; returns name."""
+    atomic_write(os.path.join(args.outdir, name), cellset_to_text(D))
+    return name
+
+
 # ---------------------------------------------------------------- spectra
 
-def run_spectra(config):
-    p, q, kmax = (config.params[k] for k in ("p", "q", "kmax"))
+def run_spectra(args):
+    p, q = args.p, args.q
     cone = make_cone(p, q)
-    spectrum = link_spectrum(cone, kmax)
-    return _write_report(config, f"spectra_p{p}_q{q}.json", {
+    spectrum = link_spectrum(cone, args.kmax)
+    return _write_report(args, f"spectra_p{p}_q{q}.json", {
         "p": p,
         "q": q,
         "dimension": cone.n,
@@ -99,63 +106,50 @@ def run_spectra(config):
 
 # -------------------------------------------------------------- plateau2d
 
-def run_plateau2d(config):
-    r = config.params["radius"]
-    resolution = config.params["resolution"]
-    lams = config.params["lambdas"]
-
+def run_plateau2d(args):
     def job(lam):
-        return threshold_experiment(r, resolution, [lam])[0]
+        return threshold_experiment(args.radius, args.resolution, [lam])[0]
 
     with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        rows = list(pool.map(job, lams))
+        rows = list(pool.map(job, args.lambdas))
 
-    table = []
-    for i, row in enumerate(rows):
-        name = f"plateau2d_{i:02d}.csl"
-        atomic_write(os.path.join(config.outdir, name),
-                     cellset_to_text(row.largest))
-        table.append({
-            "lambda": row.lam,
-            "filled": row.filled,
-            "contact_excess": row.contact_excess,
-            "obstacle_circumference": row.obstacle_circumference,
-            "cellset": name,
-        })
-    return _write_report(config, "plateau2d.json", {"rows": table})
+    table = [{
+        "lambda": row.lam,
+        "filled": row.filled,
+        "contact_excess": row.contact_excess,
+        "obstacle_circumference": row.obstacle_circumference,
+        "cellset": _write_cellset(args, f"plateau2d_{i:02d}.csl",
+                                  row.largest),
+    } for i, row in enumerate(rows)]
+    return _write_report(args, "plateau2d.json", {"rows": table})
 
 
 # ------------------------------------------------------------ equivariant
 
-def run_equivariant(config):
-    p, q = config.params["p"], config.params["q"]
-    n, box = config.params["grid_n"], config.params["box"]
-    lam = config.params["lam"]
-    grid = quadrant_grid(n, box)
-    r_obs = config.params["obstacle_radius"]
+def run_equivariant(args):
+    p, q = args.p, args.q
+    grid = quadrant_grid(args.grid_n, args.box)
+    r_obs = args.obstacle_radius
     if r_obs is None:
-        r_obs = 0.5 * box
+        r_obs = 0.5 * args.box
     boundary = diagonal_wedge(grid, p, q)
-    res = weighted_minimize(p, q, grid, lam, boundary, r_obs)
-    name = "equivariant_largest.csl"
-    atomic_write(os.path.join(config.outdir, name),
-                 cellset_to_text(res.set_max))
-    return _write_report(config, "equivariant.json", {
+    res = weighted_minimize(p, q, grid, args.lam, boundary, r_obs)
+    return _write_report(args, "equivariant.json", {
         "result": result_to_json(res),
-        "cellset": name,
+        "cellset": _write_cellset(args, "equivariant_largest.csl",
+                                  res.set_max),
     })
 
 
 # ------------------------------------------------------------------- leaf
 
-def run_leaf(config):
-    p, q, s0 = (config.params[k] for k in ("p", "q", "s0"))
-    leaf = shoot_leaf(p, q, s0, r_max=config.params["rmax"])
+def run_leaf(args):
+    leaf = shoot_leaf(args.p, args.q, args.s0, r_max=args.rmax)
     resid = np.abs(mean_curvature_values(leaf))
     lines = ["s,x,y,curvature_residual"]
     lines += [f"{s!r},{x!r},{y!r},{r!r}" for s, x, y, r in zip(
         leaf.s.tolist(), leaf.x.tolist(), leaf.y.tolist(), resid.tolist())]
-    atomic_write(config.params["csv"], "\n".join(lines) + "\n")
+    atomic_write(args.csv, "\n".join(lines) + "\n")
     return 0
 
 
@@ -188,8 +182,6 @@ def _load_approx_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as e:
-        raise UsageError(f"cannot read config: {e}")
     except json.JSONDecodeError as e:
         raise UsageError(f"config is not valid JSON: {e}")
     if not isinstance(doc, dict):
@@ -225,22 +217,16 @@ def _load_approx_config(path):
             annulus)
 
 
-def run_approx(config):
-    p, q, lam, n, box, t_list, annulus = _load_approx_config(
-        config.params["config"])
+def run_approx(args):
+    p, q, lam, n, box, t_list, annulus = _load_approx_config(args.config)
     grid = quadrant_grid(n, box)
     report = approximation_sequence(p, q, lam, diagonal_wedge(grid, p, q),
                                     t_list, obstacle_radius=0.5 * box,
                                     annulus=annulus)
-    step_files = []
-    for j, Ej in enumerate(report.sets):
-        name = f"approx_step_{j:02d}.csl"
-        atomic_write(os.path.join(config.outdir, name), cellset_to_text(Ej))
-        step_files.append(name)
-    limit_name = "approx_limit.csl"
-    atomic_write(os.path.join(config.outdir, limit_name),
-                 cellset_to_text(report.limit_set))
-    return _write_report(config, "approx.json", {
+    steps = [_write_cellset(args, f"approx_step_{j:02d}.csl", Ej)
+             for j, Ej in enumerate(report.sets)]
+    limit = _write_cellset(args, "approx_limit.csl", report.limit_set)
+    return _write_report(args, "approx.json", {
         "t_list": list(report.t_list),
         "inclusion_ok": list(report.inclusion_ok),
         "chain_ok": list(report.chain_ok),
@@ -250,8 +236,8 @@ def run_approx(config):
         "singular_proxy_flag": list(report.singular_proxy_flag),
         "obstacle_radius": report.obstacle_radius,
         "annulus": list(report.annulus),
-        "steps": step_files,
-        "limit": limit_name,
+        "steps": steps,
+        "limit": limit,
     })
 
 
@@ -260,6 +246,10 @@ def run_approx(config):
 # Plotted coordinates stay below this magnitude, so every number the SVG
 # derives from them (extent, padding, flip) is finite.
 _PLOT_LIMIT = 1e300
+# The SVG rounds every number to 9 decimals, so a plotted cell is at least
+# this wide: its corners then stay apart by a thousand steps of 1e-9 and
+# its stroke width h/4 keeps two significant digits.
+_PLOT_MIN_CELL = 1e-6
 
 
 def _fmt(v):
@@ -274,6 +264,9 @@ def _interface_segments(D):
         raise UsageError("plot supports 2-D cell sets only")
     if not D.grid.h * max(D.grid.dims) < _PLOT_LIMIT:
         raise UsageError(f"cell set extent is over {_PLOT_LIMIT:g}")
+    if not D.grid.h >= _PLOT_MIN_CELL:
+        raise UsageError(f"cell size {D.grid.h:g} is below "
+                         f"{_PLOT_MIN_CELL:g}, which the SVG cannot resolve")
     mids, axes = boundary_faces(D)
     if not len(axes):
         raise UsageError("cell set has no interface to plot")
@@ -354,19 +347,13 @@ def _svg_document(polylines, bbox, stroke_width):
             f"{body}\n</svg>\n")
 
 
-def run_plot(config):
-    src = config.params["input"]
-    try:
-        with open(src, "r", encoding="utf-8") as fh:
-            head = fh.readline()
-    except (OSError, UnicodeDecodeError) as e:
-        raise UsageError(f"cannot read input: {e}")
+def run_plot(args):
+    src = args.input
+    with open(src, "r", encoding="utf-8") as fh:
+        head = fh.readline()
 
     if head.startswith("cmcgrid "):
-        try:
-            D = read_cellset(src)
-        except UnicodeDecodeError as e:
-            raise UsageError(f"cannot read input: {e}")
+        D = read_cellset(src)
         ends = _interface_segments(D)
         # Lattice vertices as odd integers, exact at any cell size.
         keys = np.rint(2 * (ends - D.grid.origin) / D.grid.h)
@@ -397,7 +384,7 @@ def run_plot(config):
         text = _svg_document([xy], (x0, y0, x1, y1), 0.004 * span)
     else:
         raise UsageError("input is neither a cell-set file nor a curve CSV")
-    atomic_write(config.params["output"], text)
+    atomic_write(args.output, text)
     return 0
 
 
@@ -460,29 +447,22 @@ _RUNNERS = {
     "plot": run_plot,
 }
 
-def config_from_args(args):
-    """RunConfig from parsed arguments; every other parser dest is a param."""
-    params = dict(vars(args))
-    name = params.pop("subcommand")
-    outdir = params.pop("outdir", ".")
-    return RunConfig(name, params, outdir)
-
-
-def run(config):
-    """Execute a validated RunConfig; returns the process exit status."""
-    return _RUNNERS[config.name](config)
-
 
 def main(argv=None):
-    parser = build_parser()
+    """Parse argv, run its subcommand, and map each failure to an exit
+    status: 2 for a config error or a named path that cannot be read or
+    written, 3 for a numerical failure."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if e.code is not None else 0
     try:
-        return run(config_from_args(args))
+        return _RUNNERS[args.subcommand](args)
     except UsageError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError) as e:
+        print(f"config error: cannot read or write: {e}", file=sys.stderr)
         return 2
     except NumericalError as e:
         diag = {

@@ -451,14 +451,18 @@ def _require_radial_decay(cone, r, g, g1, g2):
 
 def quadrant_grid(n, box=1.0):
     """n x n grid over (0, box)^2 with cell centers off the axes by h/2."""
+    if not n >= 1:
+        raise UsageError(f"grid side must be at least 1 cell, got {n}")
     h = box / n
     return GridGeometry((n, n), h=h, origin=(h / 2, h / 2))
 
 
 def cell_weights(grid, p, q):
-    """The reduction weight x^p y^q at cell centers."""
+    """The reduction weight x^p y^q at cell centers.  A weight past the
+    float range is inf, without a warning; MinCutProblem refuses it."""
     X, Y = grid.center_mesh()
-    return X ** p * Y ** q
+    with np.errstate(over="ignore"):
+        return X ** p * Y ** q
 
 
 def diagonal_wedge(grid, p, q):
@@ -489,7 +493,8 @@ def weighted_minimize(p, q, grid, lam, boundary, r):
     if not (r > 0 and np.isfinite(r)):
         raise UsageError(f"obstacle radius must be positive, got {r}")
     X, Y = grid.center_mesh()
-    ball = X**2 + Y**2 <= r * r
+    with np.errstate(over="ignore"):    # squares past the float range: inf
+        ball = X**2 + Y**2 <= r * r
     fixed_in = RegionMask(grid, boundary.bits & ~ball)
     fixed_out = RegionMask(grid, ~boundary.bits & ~ball)
     return solve(MinCutProblem(grid, lam, fixed_in, fixed_out,
@@ -556,7 +561,7 @@ def has_interface_pinch(D):
 
 
 def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
-                           annulus=None, ramp=None):
+                           annulus=None):
     """Re-minimize under inward boundary perturbations of shrinking size.
 
     The base problem fixes the labels of `boundary` outside the obstacle
@@ -575,7 +580,6 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
         t_list: perturbation magnitudes, strictly decreasing.
         obstacle_radius: free-ball radius around the origin corner.
         annulus: support radii (default (0.75, 1.6) times the obstacle).
-        ramp: shoulder width of the displacement profile.
 
     Returns:
         ApproxRunReport with per-step inclusion, successive-chain flags,
@@ -607,7 +611,7 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
     sets, incl, chain, sym, haus, dist0, pinch = [], [], [], [], [], [], []
     prev = None
     for t in t_arr:
-        field = PerturbationField(t, annulus[0], annulus[1], ramp)
+        field = PerturbationField(t, annulus[0], annulus[1])
         data = CellSet(grid, E.bits & (depth > field.displacement(radius)))
         res = weighted_minimize(p, q, grid, lam, data, r_obs)
         Ej = res.set_max

@@ -13,7 +13,9 @@ source form the smallest minimizer, cells not reaching the sink form the
 largest.  Uniqueness is their coincidence.
 
 The max-flow backend works on int32 capacities and wraps silently past 2^31,
-so capacities and both terminal totals are guarded first.
+so capacities and both terminal totals are guarded first.  Before that, the
+coefficients are refused unless their total magnitude stays below 2^62
+quanta, so no int64 energy sum can wrap.
 """
 
 import math
@@ -111,34 +113,35 @@ def _coefficients(problem):
 
     Arcs outside the active region carry nothing; each kept arc costs
     ceil(weight * 2^20 * mean incident cell weight) quanta, so no cut arc is
-    ever free.  Gains are round(lambda * h * 2^20 * cell weight).
+    ever free.  Gains are round(lambda * h * 2^20 * cell weight).  Both are
+    built in floats; CapacityOverflowError unless their magnitudes, summed,
+    stay below 2^62 quanta, so every energy sum fits int64.
     """
     grid = problem.grid
     act = problem.active_bits()
     cw = problem.weights()
     flat = np.arange(grid.ncells).reshape(grid.dims)
     ai, bi, caps = [], [], []
-    for w, offsets in grid.levels():
-        scale = w * 2**QUANT_BITS
-        for off in offsets:
-            sa, sb = _offset_slices(grid.dims, off)
-            keep = act[sa] & act[sb]
-            if not keep.any():
-                continue
-            ai.append(flat[sa][keep])
-            bi.append(flat[sb][keep])
-            mw = 0.5 * (cw[sa][keep] + cw[sb][keep])
-            caps.append(np.ceil(scale * mw).astype(np.int64))
-    if ai:
-        ai = np.concatenate(ai)
-        bi = np.concatenate(bi)
+    with np.errstate(over="ignore"):
+        for w, offsets in grid.levels():
+            scale = w * 2**QUANT_BITS
+            for off in offsets:
+                sa, sb = _offset_slices(grid.dims, off)
+                keep = act[sa] & act[sb]
+                ai.append(flat[sa][keep])
+                bi.append(flat[sb][keep])
+                mw = 0.5 * (cw[sa][keep] + cw[sb][keep])
+                caps.append(np.ceil(scale * mw))
         caps = np.concatenate(caps)
-    else:
-        ai = bi = np.zeros(0, dtype=np.int64)
-        caps = np.zeros(0, dtype=np.int64)
-    gains = np.where(
-        act, np.rint(problem.lam * grid.h * 2**QUANT_BITS * cw), 0.0)
-    return ai, bi, caps, gains.astype(np.int64).ravel()
+        gains = np.where(
+            act, np.rint(problem.lam * grid.h * 2**QUANT_BITS * cw), 0.0)
+        total = caps.sum() + np.abs(gains).sum()
+    if not total < 2.0**62:
+        raise CapacityOverflowError(
+            f"energy coefficients total {total:.3g} quanta, over the int64 "
+            f"budget of 2^62; shrink the grid or rescale lambda")
+    return (np.concatenate(ai), np.concatenate(bi), caps.astype(np.int64),
+            gains.astype(np.int64).ravel())
 
 
 def _quanta(coeffs, D):
@@ -165,7 +168,6 @@ def evaluate(problem, D):
 @dataclass
 class _Linearized:
     n_free: int
-    free_flat: np.ndarray
     theta0: np.ndarray
     theta1: np.ndarray
     ei: np.ndarray
@@ -211,8 +213,7 @@ def _linearized(problem):
     theta0 -= shift
     theta1 -= shift
     const += int(shift.sum())
-    return _Linearized(m, free_flat, theta0, theta1, ei, ej, ew, const, lab,
-                       coeffs)
+    return _Linearized(m, theta0, theta1, ei, ej, ew, const, lab, coeffs)
 
 
 def _assemble(problem, lab_flat, free_bits):
@@ -274,18 +275,17 @@ def solve(problem):
                        dtype=np.int64).astype(np.int32)
     res = maximum_flow(graph, s, t)
 
-    residual = (graph - res.flow).tocoo()
-    keep = residual.data > 0
-    radj = csr_matrix(
-        (np.ones(keep.sum(), dtype=np.int8),
-         (residual.row[keep], residual.col[keep])), shape=(m + 2, m + 2))
-
-    order = breadth_first_order(radj, s, directed=True,
+    # Every stored entry of the residual is a positive capacity: flow stays
+    # within each arc's capacity and is antisymmetric, so graph - flow is
+    # never negative, and scipy's sparse subtraction stores no zeros.  The
+    # stored entries are therefore exactly the residual arcs.
+    residual = graph - res.flow
+    order = breadth_first_order(residual, s, directed=True,
                                 return_predecessors=False)
     x_min = np.zeros(m, dtype=bool)
     x_min[order[order < m]] = True
-    order_t = breadth_first_order(radj.T, t, directed=True,
-                                 return_predecessors=False)
+    order_t = breadth_first_order(residual.T, t, directed=True,
+                                  return_predecessors=False)
     x_max = np.ones(m, dtype=bool)
     x_max[order_t[order_t < m]] = False
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from cmclab import (CellSet, GridGeometry, boundary_faces, cellset_to_text,
                     mean_curvature_values, read_cellset, shoot_leaf)
-from cmclab.cli import _echoed, build_parser, config_from_args, main
+from cmclab.cli import _echoed, build_parser, main
 
 
 def read_text(path):
@@ -136,6 +136,41 @@ class TestEquivariant:
         diag = json.loads(capsys.readouterr().err)
         assert diag["error"] == "CapacityOverflowError"
         assert diag["schema_version"] == 1
+
+
+class TestEnergyBudget:
+    # Weights x^3 y^3 on a box of side 100 or 1000, or a lambda of 1e300,
+    # give coefficients whose magnitudes sum past 2^62 quanta: refused as
+    # a numerical failure before any integer cast, also when no cell is
+    # free.  A box of 1e200 puts the weights past the float range: a
+    # config error.  Each prints one line and no warning.
+    @pytest.mark.parametrize("argv,rc", [
+        pytest.param(["equivariant", "--p", "3", "--q", "3", "--grid-n", "64",
+                      "--box", "100", "--obstacle-radius", "3",
+                      "--lambda", "0"], 3, id="weights-past-int64"),
+        pytest.param(["equivariant", "--p", "3", "--q", "3", "--grid-n", "64",
+                      "--box", "100", "--obstacle-radius", "0.05",
+                      "--lambda", "0"], 3, id="no-free-cell"),
+        pytest.param(["equivariant", "--p", "3", "--q", "3", "--grid-n", "16",
+                      "--box", "1000", "--lambda", "0"], 3, id="box-1000"),
+        pytest.param(["plateau2d", "--radius", "8", "--resolution", "20",
+                      "--lambda", "1e300"], 3, id="lambda-1e300"),
+        pytest.param(["equivariant", "--p", "3", "--q", "3", "--grid-n", "16",
+                      "--box", "1e200", "--lambda", "0"], 2,
+                     id="weights-past-float-range"),
+    ])
+    def test_is_refused(self, tmp_path, capsys, argv, rc):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(*argv, "--outdir", str(tmp_path)) == rc
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        if rc == 3:
+            assert json.loads(err)["error"] == "CapacityOverflowError"
+        else:
+            assert err.startswith("config error: cell weights")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLeaf:
@@ -405,65 +440,187 @@ class TestPlotFuzz:
         assert numbers and all(math.isfinite(float(v)) for v in numbers)
 
 
+# Values for the fuzz test of main.  Flags draw from strings the parser
+# accepts for their type, so every argv parses and the runners meet zero,
+# negatives, nan, inf, 1e300 and 2^63; grid sides stay at 16 or fewer
+# cells and leaves short.  The approx config draws from JSON values of
+# every type.
+_INTS = st.sampled_from(["0", "-1", "1", "3", "16", str(2**63)])
+_FLOATS = st.sampled_from(["0", "-1", "0.5", "1", "8", "nan", "inf", "-inf",
+                           "1e300", "1e-300", str(2**63)])
+_RMAX = st.sampled_from(["3", "0", "-1", "nan", "inf", "1e300", "1e-300"])
+
+
+def _argv(sub, flags):
+    """Strategy for sub's argv: per flag, a list of values to pass it."""
+    return st.tuples(*flags.values()).map(lambda values: [sub] + [
+        f"--{flag}={v}" for flag, vals in zip(flags, values) for v in vals])
+
+
+def _one(values):
+    return values.map(lambda v: [v])
+
+
+_FLAG_ARGVS = st.one_of(
+    _argv("spectra", {"p": _one(_INTS), "q": _one(_INTS),
+                      "kmax": _one(_INTS)}),
+    _argv("plateau2d", {"radius": _one(_FLOATS), "resolution": _one(_INTS),
+                        "lambda": st.lists(_FLOATS, min_size=1, max_size=3)}),
+    _argv("equivariant", {"p": _one(_INTS), "q": _one(_INTS),
+                          "grid-n": _one(_INTS),
+                          "box": st.lists(_FLOATS, max_size=1),
+                          "lambda": _one(_FLOATS),
+                          "obstacle-radius": st.lists(_FLOATS, max_size=1)}),
+    _argv("leaf", {"p": _one(_INTS), "q": _one(_INTS), "s0": _one(_FLOATS),
+                   "rmax": _one(_RMAX)}))
+_JSON = st.sampled_from([0, -1, 1, 3, 16, 2**63, 0.5, 0.25, 1e300, -1e300,
+                         float("nan"), float("inf"), "3", None, True]) | \
+    st.builds(dict)
+_EDITS = st.lists(st.tuples(
+    st.sampled_from(["p", "q", "lambda", "grid", "grid.n", "grid.box",
+                     "t_list", "annulus", "spare"]),
+    st.one_of(_JSON, st.lists(_JSON, max_size=4), st.none().map(
+        lambda _: KeyError))), max_size=3)
+
+
+def _approx_config(edits):
+    """A small valid approx config with edits (KeyError: delete) applied."""
+    doc = {"p": 3, "q": 3, "lambda": 0.0, "grid": {"n": 16, "box": 1.0},
+           "t_list": [0.25, 0.125]}
+    for key, value in edits:
+        *outer, key = key.split(".")
+        target = doc.get(outer[0]) if outer else doc
+        if not isinstance(target, dict):
+            continue
+        if value is KeyError:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    return json.dumps(doc)
+
+
+class TestExitContractFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.one_of(_FLAG_ARGVS, _EDITS.map(_approx_config)))
+    def test_main(self, tmp_path_factory, case):
+        # rc in {0, 2, 3}; one stderr line unless rc is 0; no warning.
+        work = tmp_path_factory.mktemp("fuzz")
+        if isinstance(case, str):
+            (work / "run.json").write_text(case, encoding="utf-8")
+            argv = ["approx", "--config", str(work / "run.json")]
+        else:
+            argv = case
+        if argv[0] == "leaf":
+            argv = argv + ["--csv", str(work / "leaf.csv")]
+        else:
+            argv = argv + ["--outdir", str(work)]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            rc = main(argv)
+        assert caught == []
+        assert rc in (0, 2, 3)
+        assert err.getvalue().count("\n") == (rc != 0)
+        if rc == 2:
+            assert err.getvalue().startswith("config error: ")
+        if rc == 3:
+            assert json.loads(err.getvalue())["schema_version"] == 1
+
+
+def plot_row(name, data, id):
+    """A plot of the input file name, holding data, to x.svg."""
+    return pytest.param({name: data}, ["plot", "--input", "{d}/" + name,
+                                       "--output", "{d}/x.svg"], id=id)
+
+
+def outdir_row(argv, id):
+    """argv writing its artifacts to the test directory."""
+    return pytest.param({}, argv + ["--outdir", "{d}"], id=id)
+
+
 class TestMalformedInput:
     # The two giant grids are refused by the cell budget before any
     # per-cell allocation (4e12 and 1e15 cells); the non-UTF-8 cell sets
     # fail in the header read and, past the first read chunk, in the body.
-    # A curve needs two rows of finite x and y with a nonzero extent.
-    @pytest.mark.parametrize("name,data,argv", [
-        pytest.param(None, None, ["equivariant", "--p", "3", "--q", "3",
-                                  "--grid-n", "2000000", "--lambda", "0.0"],
-                     id="giant-grid-n"),
-        pytest.param("giant.csl",
-                     b"cmcgrid v1 d=3 ext=100000,100000,100000 h=1.0 "
-                     b"stencil=cc\n1000000000000000x1\n",
-                     ["plot"], id="giant-header"),
-        pytest.param("bad.csv", b"s,x,y,curvature_residual\n0.0,1.0,abc,0\n",
-                     ["plot"], id="non-numeric-csv"),
-        pytest.param("head.csl", b"\xffcmcgrid v1 d=2 ext=2,3\n61\n",
-                     ["plot"], id="non-utf8-header"),
-        pytest.param("body.csl",
-                     b"cmcgrid v1 d=2 ext=2,3 h=1.0 stencil=cc\n"
-                     + b" " * 10000 + b"6\xff1\n",
-                     ["plot"], id="non-utf8-body"),
-        pytest.param("head.csv", b"s,x,y,curvature_residual\n", ["plot"],
-                     id="header-only-csv"),
-        pytest.param("one.csv", b"s,x,y,curvature_residual\n0.0,1.0,2.0,0\n",
-                     ["plot"], id="one-row-csv"),
-        pytest.param("nan.csv",
-                     b"s,x,y,curvature_residual\n0,1,2,0\n1,nan,2,0\n",
-                     ["plot"], id="nan-csv"),
-        pytest.param("inf.csv",
-                     b"s,x,y,curvature_residual\n0,-inf,0,0\n1,inf,1,0\n",
-                     ["plot"], id="inf-csv"),
-        pytest.param("huge.csv",
-                     b"s,x,y,curvature_residual\n0,-1e308,0,0\n1,1e308,0,0\n",
-                     ["plot"], id="overflowing-csv"),
-        pytest.param("flat.csv",
-                     b"s,x,y,curvature_residual\n0,1,2,0\n1,1,2,0\n",
-                     ["plot"], id="zero-extent-csv"),
-        pytest.param("huge.csl",
-                     b"cmcgrid v1 d=2 ext=3,3 h=1e308 stencil=cc\n40 51\n",
-                     ["plot"], id="overflowing-cellset"),
-        pytest.param(None, None, ["plateau2d", "--radius", "nan",
-                                  "--resolution", "20", "--lambda", "0"],
-                     id="nan-radius"),
+    # A curve needs two rows of finite x and y with a nonzero extent, and a
+    # plotted cell set a cell size the SVG resolves.  The last four rows
+    # name a path that cannot be read or written.  Each row lists its
+    # input files (None: a directory) and its argv, where {d} is the test
+    # directory.
+    @pytest.mark.parametrize("files,argv", [
+        outdir_row(["equivariant", "--p", "3", "--q", "3",
+                    "--grid-n", "2000000", "--lambda", "0.0"],
+                   id="giant-grid-n"),
+        plot_row("giant.csl",
+                 b"cmcgrid v1 d=3 ext=100000,100000,100000 h=1.0 "
+                 b"stencil=cc\n1000000000000000x1\n", id="giant-header"),
+        plot_row("bad.csv", b"s,x,y,curvature_residual\n0.0,1.0,abc,0\n",
+                 id="non-numeric-csv"),
+        plot_row("head.csl", b"\xffcmcgrid v1 d=2 ext=2,3\n61\n",
+                 id="non-utf8-header"),
+        plot_row("body.csl",
+                 b"cmcgrid v1 d=2 ext=2,3 h=1.0 stencil=cc\n"
+                 + b" " * 10000 + b"6\xff1\n", id="non-utf8-body"),
+        plot_row("head.csv", b"s,x,y,curvature_residual\n",
+                 id="header-only-csv"),
+        plot_row("one.csv", b"s,x,y,curvature_residual\n0.0,1.0,2.0,0\n",
+                 id="one-row-csv"),
+        plot_row("nan.csv", b"s,x,y,curvature_residual\n0,1,2,0\n1,nan,2,0\n",
+                 id="nan-csv"),
+        plot_row("inf.csv",
+                 b"s,x,y,curvature_residual\n0,-inf,0,0\n1,inf,1,0\n",
+                 id="inf-csv"),
+        plot_row("huge.csv",
+                 b"s,x,y,curvature_residual\n0,-1e308,0,0\n1,1e308,0,0\n",
+                 id="overflowing-csv"),
+        plot_row("flat.csv", b"s,x,y,curvature_residual\n0,1,2,0\n1,1,2,0\n",
+                 id="zero-extent-csv"),
+        plot_row("huge.csl",
+                 b"cmcgrid v1 d=2 ext=3,3 h=1e308 stencil=cc\n40 51\n",
+                 id="overflowing-cellset"),
+        outdir_row(["plateau2d", "--radius", "nan", "--resolution", "20",
+                    "--lambda", "0"], id="nan-radius"),
+        plot_row("tiny.csl",
+                 b"cmcgrid v1 d=2 ext=3,3 h=1e-12 stencil=cc\n40 51\n",
+                 id="unresolved-cellset"),
+        plot_row("subnormal.csl",
+                 b"cmcgrid v1 d=2 ext=3,3 h=5e-324 stencil=cc\n40 51\n",
+                 id="subnormal-cellset"),
+        pytest.param({"run.json": b'\xff{"p": 3}'},
+                     ["approx", "--config", "{d}/run.json", "--outdir", "{d}"],
+                     id="non-utf8-approx-config"),
+        pytest.param({"out": b""}, ["spectra", "--p", "3", "--q", "3",
+                                    "--kmax", "8", "--outdir", "{d}/out"],
+                     id="outdir-is-a-file"),
+        pytest.param({"leaf.csv": None},
+                     ["leaf", "--p", "3", "--q", "3", "--s0", "1.0",
+                      "--rmax", "3", "--csv", "{d}/leaf.csv"],
+                     id="csv-is-a-directory"),
+        pytest.param({"leaf.csv": b"s,x,y,curvature_residual\n0,0,0,0\n"
+                                  b"1,1,1,0\n", "x.svg": None},
+                     ["plot", "--input", "{d}/leaf.csv",
+                      "--output", "{d}/x.svg"],
+                     id="output-is-a-directory"),
     ])
-    def test_is_config_error(self, tmp_path, capsys, name, data, argv):
-        if name is not None:
-            (tmp_path / name).write_bytes(data)
-            argv = argv + ["--input", str(tmp_path / name),
-                           "--output", str(tmp_path / "x.svg")]
-        else:
-            argv = argv + ["--outdir", str(tmp_path)]
+    def test_is_config_error(self, tmp_path, capsys, files, argv):
+        for name, data in files.items():
+            if data is None:
+                (tmp_path / name).mkdir()
+            else:
+                (tmp_path / name).write_bytes(data)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert run_cli(*argv) == 2
+            assert run_cli(*(a.format(d=tmp_path) for a in argv)) == 2
         assert caught == []
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
-        assert [p.name for p in tmp_path.iterdir()] == ([name] if name else [])
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+        for name, data in files.items():
+            assert (tmp_path / name).is_dir() == (data is None)
 
 
 class TestParser:
@@ -503,7 +660,7 @@ class TestParser:
                      {"input", "output"}, id="plot"),
     ])
     def test_echoed_params_are_the_parser_params(self, argv, keys):
-        echoed = _echoed(config_from_args(build_parser().parse_args(argv)))
+        echoed = _echoed(build_parser().parse_args(argv))
         assert set(echoed) == {"subcommand", "params"}
         assert set(echoed["params"]) == keys
 

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -168,6 +169,22 @@ class TestSolve:
         none = RegionMask.whole(g).invert()
         with pytest.raises(CapacityOverflowError):
             solve(MinCutProblem(g, 1e9, fixed_in=none, fixed_out=none))
+
+    @pytest.mark.parametrize("lam,weight", [(1e300, 1.0), (1.0, 1e300),
+                                            (0.0, 1e30)])
+    def test_coefficients_past_int64_are_refused(self, lam, weight):
+        # Refused before any integer cast, on every path through the
+        # coefficients, so no energy sum wraps and numpy never warns.
+        g = GridGeometry((3, 3))
+        none = RegionMask.whole(g).invert()
+        prob = MinCutProblem(g, lam, fixed_in=none, fixed_out=none,
+                             cell_weight=np.full((3, 3), weight))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (solve, brute_force,
+                        lambda pr: evaluate_quanta(pr, CellSet.empty(g))):
+                with pytest.raises(CapacityOverflowError, match="2\\^62"):
+                    run(prob)
 
     def test_brute_force_size_limit(self):
         g = GridGeometry((6, 6))
