@@ -390,8 +390,16 @@ def run_plot(args):
 
 # ------------------------------------------------------------------ driver
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise UsageError, so they print as
+    one config error line; its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cmclab",
         description="constant-mean-curvature minimization experiments")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -454,10 +462,9 @@ def main(argv=None):
     written, 3 for a numerical failure."""
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as e:
-        return e.code if e.code is not None else 0
-    try:
         return _RUNNERS[args.subcommand](args)
+    except SystemExit as e:    # --help: the parser's only exit
+        return e.code if e.code is not None else 0
     except UsageError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

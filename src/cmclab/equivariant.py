@@ -231,8 +231,9 @@ def shoot_leaf(p, q, s0, side="below", r_max=None):
     if not (s0 > 0 and np.isfinite(s0)):
         raise UsageError(f"axis distance must be positive, got {s0}")
     r_max = 50.0 * s0 if r_max is None else float(r_max)
-    if r_max <= 2 * s0:
-        raise UsageError("exit radius must exceed 2 s0")
+    if not (np.isfinite(r_max) and r_max > 2 * s0):
+        raise UsageError(
+            f"exit radius must be finite and exceed 2 s0, got {r_max:g}")
     ds = 5e-4 * s0
     if not (r_max - s0) / ds <= _MAX_LEAF_SAMPLES:
         raise UsageError(

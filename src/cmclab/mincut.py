@@ -31,6 +31,7 @@ from .grid import (CellSet, GridGeometry, NumericalError, RegionMask,
 
 QUANT_BITS = 20
 _INT32_MAX = 2**31 - 1
+_BRUTE_CHUNK = 1 << 16    # labelings brute_force scores per batch
 
 
 class CapacityOverflowError(NumericalError):
@@ -79,23 +80,6 @@ class MinCutProblem:
         return RegionMask(self.grid,
                           ~(self.fixed_in.bits | self.fixed_out.bits))
 
-    def labels(self):
-        """Per-cell label: 1 fixed in, 0 fixed out, -1 free."""
-        lab = np.full(self.grid.dims, -1, dtype=np.int8)
-        lab[self.fixed_out.bits] = 0
-        lab[self.fixed_in.bits] = 1
-        return lab
-
-    def weights(self):
-        if self.cell_weight is None:
-            return np.ones(self.grid.dims)
-        return self.cell_weight
-
-    def active_bits(self):
-        if self.active_region is None:
-            return np.ones(self.grid.dims, dtype=bool)
-        return self.active_region.bits
-
 
 @dataclass(frozen=True)
 class MinimizerResult:
@@ -118,8 +102,10 @@ def _coefficients(problem):
     stay below 2^62 quanta, so every energy sum fits int64.
     """
     grid = problem.grid
-    act = problem.active_bits()
-    cw = problem.weights()
+    act = (np.ones(grid.dims, dtype=bool) if problem.active_region is None
+           else problem.active_region.bits)
+    cw = (np.ones(grid.dims) if problem.cell_weight is None
+          else problem.cell_weight)
     flat = np.arange(grid.ncells).reshape(grid.dims)
     ai, bi, caps = [], [], []
     with np.errstate(over="ignore"):
@@ -167,68 +153,70 @@ def evaluate(problem, D):
 
 @dataclass
 class _Linearized:
-    n_free: int
-    theta0: np.ndarray
-    theta1: np.ndarray
+    theta: np.ndarray
     ei: np.ndarray
     ej: np.ndarray
     ew: np.ndarray
     const: int
-    labels_flat: np.ndarray
+    node: np.ndarray
     coeffs: tuple
 
 
 def _linearized(problem):
-    """Fold fixed labels into unary terms over free cells plus a constant."""
+    """Fold fixed labels into unary terms over free cells plus a constant.
+
+    Cells are numbered as flow nodes: the m free cells 0..m-1, every fixed-in
+    cell m (the source) and every fixed-out cell m+1 (the sink), so node n
+    carries label 1 for n = m and 0 for n = m+1.  theta[x, i] is what free
+    cell i pays for label x: the arcs to fixed cells of the other label,
+    less its gain when x = 1.  Arcs between free cells stay as (ei, ej, ew).
+    The energy of free labels x is const + theta[x, arange(m)].sum() plus
+    ew over the arcs whose ends differ, and theta.min(axis=0) is zero.
+    """
     coeffs = _coefficients(problem)
     ai, bi, caps, gains = coeffs
-    lab = problem.labels().ravel()
-    free_flat = np.flatnonzero(lab < 0)
+    fixed_in = problem.fixed_in.bits.ravel()
+    free_flat = np.flatnonzero(problem.free.bits)
     m = len(free_flat)
-    fid = np.full(lab.size, -1, dtype=np.int64)
-    fid[free_flat] = np.arange(m)
+    node = np.where(fixed_in, m, m + 1)
+    node[free_flat] = np.arange(m)
+    na, nb = node[ai], node[bi]
 
-    theta0 = np.zeros(m, dtype=np.int64)
-    theta1 = np.zeros(m, dtype=np.int64)
-    const = 0
-
-    fa, fb = fid[ai], fid[bi]
-    both = (fa >= 0) & (fb >= 0)
-    ei, ej, ew = fa[both], fb[both], caps[both]
-
-    for aa, bb in ((ai, bi), (bi, ai)):
-        sel = (fid[aa] >= 0) & (fid[bb] < 0)
-        tgt = fid[aa[sel]]
-        opp = lab[bb[sel]]
-        c = caps[sel]
-        np.add.at(theta1, tgt[opp == 0], c[opp == 0])
-        np.add.at(theta0, tgt[opp == 1], c[opp == 1])
-    fixed_pair = (fa < 0) & (fb < 0)
-    const += int(caps[fixed_pair][lab[ai[fixed_pair]] != lab[bi[fixed_pair]]].sum())
-
-    theta1 -= gains[free_flat]
-    const -= int(gains[lab == 1].sum())
-
-    shift = np.minimum(theta0, theta1)
-    theta0 -= shift
-    theta1 -= shift
-    const += int(shift.sum())
-    return _Linearized(m, theta0, theta1, ei, ej, ew, const, lab, coeffs)
+    theta = np.zeros((2, m), dtype=np.int64)
+    theta[1] = -gains[free_flat]
+    # Row node - m of a fixed end is the label that differs from it.
+    sel = (na < m) & (nb >= m)
+    np.add.at(theta, (nb[sel] - m, na[sel]), caps[sel])
+    sel = (nb < m) & (na >= m)
+    np.add.at(theta, (na[sel] - m, nb[sel]), caps[sel])
+    both = (na < m) & (nb < m)
+    cross = (na >= m) & (nb >= m) & (na != nb)
+    shift = theta.min(axis=0)
+    theta -= shift
+    const = (int(caps[cross].sum()) - int(gains[fixed_in].sum())
+             + int(shift.sum()))
+    return _Linearized(theta, na[both], nb[both], caps[both], const, node,
+                       coeffs)
 
 
-def _assemble(problem, lab_flat, free_bits):
-    bits = lab_flat == 1
-    bits[lab_flat < 0] = free_bits
-    return CellSet(problem.grid, bits.reshape(problem.grid.dims))
-
-
-def _check_energy(coeffs, result_quanta, *sets):
-    for D in sets:
-        got = _quanta(coeffs, D)
-        if got != result_quanta:
+def _minimizer(problem, lin, q, x_min, x_max, stats):
+    """The result for the extremal free labels x_min and x_max of energy q
+    quanta; both sets are re-evaluated from the coefficients, and a
+    NumericalError raised unless each gives q."""
+    grid = problem.grid
+    sets = []
+    for x in (x_min, x_max):
+        bits = np.concatenate([x, [True, False]])[lin.node]
+        D = CellSet(grid, bits.reshape(grid.dims))
+        got = _quanta(lin.coeffs, D)
+        if got != q:
             raise NumericalError(
-                f"energy bookkeeping broke: cut gives {result_quanta} quanta, "
+                f"energy bookkeeping broke: cut gives {q} quanta, "
                 f"re-evaluation gives {got}")
+        sets.append(D)
+    return MinimizerResult(sets[0], sets[1], q * quantum(grid), q,
+                           quantum(grid), bool(np.array_equal(x_min, x_max)),
+                           stats)
 
 
 def solve(problem):
@@ -238,32 +226,21 @@ def solve(problem):
     minimum energy (quantized), and whether the minimizer is unique.
     """
     lin = _linearized(problem)
-    m = lin.n_free
+    m = lin.theta.shape[1]
     if m == 0:
-        D = _assemble(problem, lin.labels_flat, np.zeros(0, dtype=bool))
-        q = _quanta(lin.coeffs, D)
-        return MinimizerResult(D, D, q * quantum(problem.grid), q,
-                               quantum(problem.grid), True,
-                               {"backend": "none", "free_cells": 0})
+        x = np.zeros(0, dtype=bool)
+        return _minimizer(problem, lin, lin.const, x, x,
+                          {"backend": "none", "free_cells": 0})
 
     s, t = m, m + 1
-    rows = [lin.ei, lin.ej]
-    cols = [lin.ej, lin.ei]
-    vals = [lin.ew, lin.ew]
-    src = np.flatnonzero(lin.theta0)
-    rows.append(np.full(len(src), s, dtype=np.int64))
-    cols.append(src)
-    vals.append(lin.theta0[src])
-    snk = np.flatnonzero(lin.theta1)
-    rows.append(snk)
-    cols.append(np.full(len(snk), t, dtype=np.int64))
-    vals.append(lin.theta1[snk])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
+    src = np.flatnonzero(lin.theta[0])
+    snk = np.flatnonzero(lin.theta[1])
+    rows = np.concatenate([lin.ei, lin.ej, np.full(len(src), s), snk])
+    cols = np.concatenate([lin.ej, lin.ei, src, np.full(len(snk), t)])
+    vals = np.concatenate([lin.ew, lin.ew, lin.theta[0, src],
+                           lin.theta[1, snk]])
 
-    src_total = int(lin.theta0.sum())
-    snk_total = int(lin.theta1.sum())
+    src_total, snk_total = (int(v) for v in lin.theta.sum(axis=1))
     max_cap = int(vals.max()) if len(vals) else 0
     if max_cap > _INT32_MAX or min(src_total, snk_total) > _INT32_MAX:
         raise CapacityOverflowError(
@@ -289,35 +266,31 @@ def solve(problem):
     x_max = np.ones(m, dtype=bool)
     x_max[order_t[order_t < m]] = False
 
-    set_min = _assemble(problem, lin.labels_flat, x_min)
-    set_max = _assemble(problem, lin.labels_flat, x_max)
-    q = lin.const + int(res.flow_value)
-    _check_energy(lin.coeffs, q, set_min, set_max)
     stats = {"backend": "scipy.maximum_flow", "flow_value": int(res.flow_value),
              "nodes": m + 2, "arcs": int(graph.nnz)}
-    return MinimizerResult(set_min, set_max, q * quantum(problem.grid), q,
-                           quantum(problem.grid), bool(np.array_equal(x_min, x_max)),
-                           stats)
+    return _minimizer(problem, lin, lin.const + int(res.flow_value),
+                      x_min, x_max, stats)
 
 
-def brute_force(problem, chunk=1 << 16):
+def brute_force(problem):
     """Exhaustive minimization over all labelings of the free cells.
 
     Returns the same contract as solve, with set_min/set_max the intersection
     and union of the whole argmin family.
     """
     lin = _linearized(problem)
-    m = lin.n_free
+    m = lin.theta.shape[1]
     if m > 24:
         raise UsageError(f"brute force supports at most 24 free cells, got {m}")
     shifts = np.arange(m, dtype=np.uint32)
-    dtheta = (lin.theta1 - lin.theta0).astype(np.int64)
-    base = lin.const + int(lin.theta0.sum())
+    dtheta = lin.theta[1] - lin.theta[0]
+    base = lin.const + int(lin.theta[0].sum())
 
     best = None
     and_bits = or_bits = None
-    for start in range(0, 1 << m, chunk):
-        codes = np.arange(start, min(start + chunk, 1 << m), dtype=np.uint32)
+    for start in range(0, 1 << m, _BRUTE_CHUNK):
+        codes = np.arange(start, min(start + _BRUTE_CHUNK, 1 << m),
+                          dtype=np.uint32)
         bits = (codes[:, None] >> shifts[None, :]) & 1
         e = base + bits.astype(np.int64) @ dtheta
         if len(lin.ew):
@@ -333,13 +306,8 @@ def brute_force(problem, chunk=1 << 16):
             and_bits &= argm.all(axis=0)
             or_bits |= argm.any(axis=0)
 
-    set_min = _assemble(problem, lin.labels_flat, and_bits)
-    set_max = _assemble(problem, lin.labels_flat, or_bits)
-    _check_energy(lin.coeffs, best, set_min, set_max)
-    stats = {"backend": "exhaustive", "evaluations": 1 << m}
-    return MinimizerResult(set_min, set_max, best * quantum(problem.grid),
-                           best, quantum(problem.grid),
-                           bool(np.array_equal(and_bits, or_bits)), stats)
+    return _minimizer(problem, lin, best, and_bits, or_bits,
+                      {"backend": "exhaustive", "evaluations": 1 << m})
 
 
 @dataclass(frozen=True)
@@ -381,8 +349,6 @@ def threshold_experiment(r, resolution, lam_list):
 
     rows = []
     for lam in lam_list:
-        if not np.isfinite(lam):
-            raise UsageError(f"lambda values must be finite, got {lam}")
         res = solve(MinCutProblem(grid, lam, fixed_in, fixed_out))
         filled = bool(np.all(res.set_max.bits[upper]))
         rows.append(ThresholdRow(float(lam), filled,
@@ -424,9 +390,7 @@ def convergence_experiment(problems):
     for p in problems[1:]:
         if not p.grid.compatible(first.grid) or p.lam != first.lam:
             raise UsageError("problems do not share grid and lambda")
-        if (p.active_region is None) != (first.active_region is None) or (
-                p.active_region is not None
-                and p.active_region != first.active_region):
+        if p.active_region != first.active_region:
             raise UsageError("problems do not share the active region")
 
     sets = [solve(p).set_max for p in problems]

@@ -546,8 +546,10 @@ class TestMalformedInput:
     # per-cell allocation (4e12 and 1e15 cells); the non-UTF-8 cell sets
     # fail in the header read and, past the first read chunk, in the body.
     # A curve needs two rows of finite x and y with a nonzero extent, and a
-    # plotted cell set a cell size the SVG resolves.  The last four rows
-    # name a path that cannot be read or written.  Each row lists its
+    # plotted cell set a cell size the SVG resolves.  The four rows from
+    # non-utf8-approx-config name a path that cannot be read or written;
+    # the argument parser refuses the next four, and shoot_leaf the last
+    # two, a non-finite exit radius.  Each row lists its
     # input files (None: a directory) and its argv, where {d} is the test
     # directory.
     @pytest.mark.parametrize("files,argv", [
@@ -604,6 +606,19 @@ class TestMalformedInput:
                      ["plot", "--input", "{d}/leaf.csv",
                       "--output", "{d}/x.svg"],
                      id="output-is-a-directory"),
+        outdir_row(["spectra", "--p", "nan", "--q", "3", "--kmax", "8"],
+                   id="wrong-type-flag"),
+        outdir_row(["spectra", "--p", "3", "--kmax", "8"],
+                   id="missing-flag"),
+        outdir_row(["frobnicate"], id="unknown-subcommand"),
+        outdir_row(["plateau2d", "--radius", "-inf", "--resolution", "20",
+                    "--lambda", "0"], id="detached-negative-inf"),
+        pytest.param({}, ["leaf", "--p", "3", "--q", "3", "--s0", "1.0",
+                          "--rmax", "nan", "--csv", "{d}/leaf.csv"],
+                     id="nan-exit-radius"),
+        pytest.param({}, ["leaf", "--p", "3", "--q", "3", "--s0", "1.0",
+                          "--rmax", "inf", "--csv", "{d}/leaf.csv"],
+                     id="inf-exit-radius"),
     ])
     def test_is_config_error(self, tmp_path, capsys, files, argv):
         for name, data in files.items():
@@ -623,23 +638,36 @@ class TestMalformedInput:
             assert (tmp_path / name).is_dir() == (data is None)
 
 
+def one_config_error_line(capsys):
+    """The captured stderr, after asserting it is one config error line."""
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    return err
+
+
 class TestParser:
     def test_unknown_subcommand(self, capsys):
         assert run_cli("frobnicate") == 2
-        capsys.readouterr()
+        one_config_error_line(capsys)
 
     def test_missing_required_flag(self, capsys):
         assert run_cli("spectra", "--p", "3") == 2
-        capsys.readouterr()
+        one_config_error_line(capsys)
 
     def test_no_arguments(self, capsys):
         assert run_cli() == 2
-        capsys.readouterr()
+        one_config_error_line(capsys)
 
     def test_seed_is_unrecognized(self, capsys):
         assert run_cli("spectra", "--p", "3", "--q", "3", "--kmax", "8",
                        "--seed", "0") == 2
-        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        assert "unrecognized arguments: --seed" in one_config_error_line(
+            capsys)
+
+    def test_help_exits_zero(self, capsys):
+        assert run_cli("spectra", "--help") == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("argv,keys", [
         pytest.param(["spectra", "--p", "3", "--q", "3", "--kmax", "8"],

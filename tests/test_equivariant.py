@@ -228,6 +228,12 @@ class TestShootLeaf:
         with pytest.raises(UsageError, match="exit radius"):
             shoot_leaf(3, 3, 1.0, r_max=1.5)
 
+    @pytest.mark.parametrize("r_max", [float("nan"), float("inf")])
+    def test_non_finite_exit_radius(self, r_max):
+        # refused as a radius, not by the sample budget
+        with pytest.raises(UsageError, match="must be finite"):
+            shoot_leaf(3, 3, 1.0, r_max=r_max)
+
     def test_start_at_axis_orthogonal(self, leaf33):
         assert leaf33.x[0] == pytest.approx(1.0, abs=1e-2)
         assert leaf33.y[0] == 0.0

@@ -164,6 +164,48 @@ class TestSolve:
         with pytest.raises(NumericalError, match="energy bookkeeping"):
             solve(random_small_problem(rng))
 
+    @pytest.mark.parametrize("run", [solve, brute_force],
+                             ids=["solve", "brute_force"])
+    @pytest.mark.parametrize("all_fixed", [True, False],
+                             ids=["all-fixed", "free"])
+    def test_energy_recheck_catches_a_wrong_fold(self, rng, monkeypatch,
+                                                 run, all_fixed):
+        # Every path re-evaluates its sets, the one with no free cell too.
+        real = cmclab.mincut._linearized
+
+        def one_quantum_over(problem):
+            lin = real(problem)
+            lin.const += 1
+            return lin
+
+        monkeypatch.setattr(cmclab.mincut, "_linearized", one_quantum_over)
+        if all_fixed:
+            g = GridGeometry((4, 4))
+            top = RegionMask.from_predicate(g, lambda x, y: y > 1.5)
+            prob = MinCutProblem(g, 1.0, fixed_in=top, fixed_out=top.invert())
+        else:
+            prob = random_small_problem(rng)
+        with pytest.raises(NumericalError, match="energy bookkeeping"):
+            run(prob)
+
+    def test_fold_prices_every_labeling(self, rng):
+        # The folded energy equals the energy of the assembled set for any
+        # labels of the free cells, not only for the minimizers.
+        for _ in range(30):
+            prob = random_small_problem(rng)
+            lin = cmclab.mincut._linearized(prob)
+            m = lin.theta.shape[1]
+            assert np.all(lin.theta.min(axis=0) == 0)
+            for _ in range(8):
+                x = rng.random(m) < 0.5
+                bits = prob.fixed_in.bits.copy()
+                bits[prob.free.bits] = x
+                folded = (lin.const
+                          + int(lin.theta[x.astype(int), np.arange(m)].sum())
+                          + int(lin.ew[x[lin.ei] != x[lin.ej]].sum()))
+                assert folded == evaluate_quanta(prob, CellSet(prob.grid,
+                                                               bits))
+
     def test_capacity_overflow_guard(self):
         g = GridGeometry((32, 32))
         none = RegionMask.whole(g).invert()
