@@ -79,7 +79,6 @@ from .equivariant import (
     cell_weights,
     diagonal_wedge,
     weighted_minimize,
-    PerturbationField,
     ApproxRunReport,
     has_interface_pinch,
     approximation_sequence,
@@ -106,6 +105,6 @@ __all__ = [
     "fit_decay_exponent", "leaf_to_radial_graph", "cmc_graph_residual",
     "LinearizationReport", "linearization_check", "quadrant_grid",
     "cell_weights", "diagonal_wedge", "weighted_minimize",
-    "PerturbationField", "ApproxRunReport", "has_interface_pinch",
+    "ApproxRunReport", "has_interface_pinch",
     "approximation_sequence",
 ]

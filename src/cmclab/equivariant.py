@@ -43,6 +43,10 @@ _GRAPH_BOUND_FACTOR = 0.4
 # Most arclength samples shoot_leaf may store; its five float64 curve arrays
 # then take 400 MB.
 _MAX_LEAF_SAMPLES = 10**7
+# Axis distances shoot_leaf accepts: with the default exit radius every stable
+# cone tried (p, q <= 100) shoots from s0 = 1e-102 to 1e106, and past either
+# end the cubic Taylor start overflows.
+_LEAF_S0_RANGE = (1e-100, 1e100)
 
 
 class IntegrationFailure(NumericalError):
@@ -190,8 +194,6 @@ def profile_mean_curvature(curve, i):
     """
     if not 0 < i < curve.n_nodes - 1:
         raise UsageError(f"index {i} is not an interior sample")
-    if curve.x[i] <= 0 or curve.y[i] <= 0:
-        raise UsageError("sample touches a coordinate axis")
     return float(mean_curvature_values(curve)[i])
 
 
@@ -208,14 +210,16 @@ def shoot_leaf(p, q, s0, side="below", r_max=None):
 
     Integrates the lam = 0 profile equation with a cubic Taylor start at the
     axis (the q/y term is singular there) and stops at exit radius r_max
-    (default 50 s0).  The curve must stay strictly on its side of the cone
-    ray; crossing it means the step control failed and raises
+    (default 50 s0).  The absolute tolerance of x and y scales with s0,
+    that of the angle does not.  The curve must stay strictly on its side
+    of the cone ray; crossing it means the step control failed and raises
     IntegrationFailure.
 
     Returns a ProfileCurve sampled uniformly in arclength with spacing
     ds = 5e-4 s0.  The curve runs from radius s0 to r_max, so it needs at
     least (r_max - s0) / ds samples; more than _MAX_LEAF_SAMPLES = 10^7 of
-    them raises UsageError before anything is integrated or allocated.
+    them raises UsageError before anything is integrated or allocated, and
+    so does an s0 outside _LEAF_S0_RANGE = [1e-100, 1e100].
     """
     cone = make_cone(p, q)
     if not stability(cone):
@@ -228,8 +232,10 @@ def shoot_leaf(p, q, s0, side="below", r_max=None):
         mirror = shoot_leaf(q, p, s0, side="below", r_max=r_max)
         return ProfileCurve(p, q, mirror.s, mirror.y, mirror.x,
                             mirror.ty, mirror.tx)
-    if not (s0 > 0 and np.isfinite(s0)):
-        raise UsageError(f"axis distance must be positive, got {s0}")
+    lo, hi = _LEAF_S0_RANGE
+    if not lo <= s0 <= hi:
+        raise UsageError(f"axis distance must be positive and in "
+                         f"[{lo:g}, {hi:g}], got {s0}")
     r_max = 50.0 * s0 if r_max is None else float(r_max)
     if not (np.isfinite(r_max) and r_max > 2 * s0):
         raise UsageError(
@@ -249,6 +255,8 @@ def shoot_leaf(p, q, s0, side="below", r_max=None):
     start = (s0 - c * eps**2 / 2.0,
              eps - c**2 * eps**3 / 6.0,
              math.pi / 2.0 + c * eps + c3 * eps**3)
+    if not all(map(math.isfinite, start)):
+        raise IntegrationFailure(f"Taylor start at s0={s0:g} is not finite")
 
     def hit_ray(_s, st):
         return b * st[0] - a * st[1]
@@ -260,7 +268,7 @@ def shoot_leaf(p, q, s0, side="below", r_max=None):
     hit_exit.terminal = True
 
     sol = solve_ivp(_profile_rhs(p, q, 0.0), (eps, 4.0 * r_max), start,
-                    method="RK45", rtol=1e-10, atol=1e-12 * s0,
+                    method="RK45", rtol=1e-10, atol=[1e-12 * s0] * 2 + [1e-12],
                     dense_output=True, events=(hit_ray, hit_exit))
     if len(sol.t_events[0]):
         st = sol.sol(sol.t_events[0][0])
@@ -485,49 +493,41 @@ def weighted_minimize(p, q, grid, lam, boundary, r):
         raise UsageError(f"p, q must be integers >= 0, got {p}, {q}")
     if grid.d != 2:
         raise UsageError("the reduction lives on 2-D grids")
-    if abs(grid.origin[0] - grid.h / 2) > 1e-12 * grid.h or \
-            abs(grid.origin[1] - grid.h / 2) > 1e-12 * grid.h:
-        raise UsageError(
-            "quadrant grid must exclude the axes by half a cell")
+    if max(abs(o - grid.h / 2) for o in grid.origin) > 1e-12 * grid.h:
+        raise UsageError("quadrant grid must exclude the axes by half a cell")
     if not boundary.grid.compatible(grid):
         raise UsageError("boundary data lives on a different grid")
-    if not (r > 0 and np.isfinite(r)):
-        raise UsageError(f"obstacle radius must be positive, got {r}")
-    X, Y = grid.center_mesh()
-    with np.errstate(over="ignore"):    # squares past the float range: inf
-        ball = X**2 + Y**2 <= r * r
+    ball = RegionMask.ball(grid, (0.0, 0.0), _obstacle_radius(r)).bits
     fixed_in = RegionMask(grid, boundary.bits & ~ball)
     fixed_out = RegionMask(grid, ~boundary.bits & ~ball)
     return solve(MinCutProblem(grid, lam, fixed_in, fixed_out,
                                cell_weight=cell_weights(grid, p, q)))
 
 
-@dataclass(frozen=True)
-class PerturbationField:
-    """Inward displacement profile supported on an annulus of radii."""
+def _obstacle_radius(r):
+    if not (r > 0 and np.isfinite(r)):
+        raise UsageError(f"obstacle radius must be positive, got {r}")
+    return float(r)
 
-    t: float
-    r_lo: float
-    r_hi: float
-    ramp: float = None
 
-    def __post_init__(self):
-        if self.t < 0 or not np.isfinite(self.t):
-            raise UsageError(f"magnitude must be >= 0, got {self.t}")
-        if not 0 <= self.r_lo < self.r_hi:
-            raise UsageError("need 0 <= r_lo < r_hi")
-        ramp = self.ramp
-        if ramp is None:
-            ramp = (self.r_hi - self.r_lo) / 4.0
-        if not 0 < ramp <= (self.r_hi - self.r_lo) / 2.0:
-            raise UsageError("ramp width must fit inside the annulus")
-        object.__setattr__(self, "ramp", float(ramp))
+def _annulus_profile(radius, r_lo, r_hi):
+    """Unit inward-perturbation profile at the given radii: 0 off the annulus
+    (r_lo, r_hi), 1 on its middle half, linear on its outer quarters."""
+    if not 0 <= r_lo < r_hi:
+        raise UsageError("need 0 <= r_lo < r_hi")
+    ramp = (r_hi - r_lo) / 4.0
+    if not 0 < ramp < math.inf:
+        raise UsageError("ramp width must fit inside the annulus")
+    return np.clip(np.minimum((radius - r_lo) / ramp, (r_hi - radius) / ramp),
+                   0.0, 1.0)
 
-    def displacement(self, r):
-        r = np.asarray(r, dtype=float)
-        shoulder = np.minimum((r - self.r_lo) / self.ramp,
-                              (self.r_hi - r) / self.ramp)
-        return self.t * np.clip(shoulder, 0.0, 1.0)
+
+def _hausdorff(a, b):
+    """Hausdorff distance of point sets; 0 if both are empty, inf if one is."""
+    if len(a) == 0 or len(b) == 0:
+        return float("inf") if len(a) or len(b) else 0.0
+    return float(max(cKDTree(a).query(b)[0].max(),
+                     cKDTree(b).query(a)[0].max()))
 
 
 @dataclass(frozen=True)
@@ -565,22 +565,25 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
                            annulus=None):
     """Re-minimize under inward boundary perturbations of shrinking size.
 
-    The base problem fixes the labels of `boundary` outside the obstacle
-    ball and is solved once; its largest minimizer E is the limit set.  For
-    each t in t_list (strictly decreasing, >= 0) E loses the cells within
-    depth t of its own boundary, modulated by the annulus profile; the
-    largest minimizer of the perturbed data is the step set.  Each step set
-    must be contained in E; that inclusion is a hard assertion, not a report
-    entry alone.
+    t_list, the obstacle radius and the annulus are checked first.  The
+    base problem fixes the labels of `boundary` outside the obstacle ball
+    and is solved once; its largest minimizer E is the limit set.  The
+    annulus profile is 0 off (r_lo, r_hi), 1 on its middle half and linear
+    on the quarter-width ramps between.  For each t in t_list the step data
+    is E less the cells whose depth in E is at most t times the profile,
+    and the largest minimizer of that data is the step set.  Each step set
+    must be contained in E; that inclusion is a hard assertion, so
+    inclusion_ok is all True.
 
     Args:
         p, q: rotation multiplicities of the reduction weight.
         lam: prescribed mean curvature of the functional.
         boundary: boundary data; only its cells outside the obstacle ball
             matter, so the wedge and its own minimizer give the same run.
-        t_list: perturbation magnitudes, strictly decreasing.
+        t_list: perturbation magnitudes, finite, >= 0, strictly decreasing.
         obstacle_radius: free-ball radius around the origin corner.
-        annulus: support radii (default (0.75, 1.6) times the obstacle).
+        annulus: support radii 0 <= r_lo < r_hi (default (0.75, 1.6) times
+            the obstacle radius).
 
     Returns:
         ApproxRunReport with per-step inclusion, successive-chain flags,
@@ -593,55 +596,32 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
         raise UsageError("t_list is empty")
     if any(not np.isfinite(t) or t < 0 for t in t_arr):
         raise UsageError("perturbation magnitudes must be finite and >= 0")
-    if any(b >= a for a, b in zip(t_arr, t_arr[1:])) and len(t_arr) > 1:
+    if any(b >= a for a, b in zip(t_arr, t_arr[1:])):
         raise UsageError("t_list must be strictly decreasing")
-    r_obs = float(obstacle_radius)
-    if annulus is None:
-        annulus = (0.75 * r_obs, 1.6 * r_obs)
+    r_obs = _obstacle_radius(obstacle_radius)
+    r_lo, r_hi = ((0.75 * r_obs, 1.6 * r_obs) if annulus is None
+                  else (float(annulus[0]), float(annulus[1])))
+    with np.errstate(over="ignore"):    # past the float range: inf, clipped
+        profile = _annulus_profile(np.hypot(*grid.center_mesh()), r_lo, r_hi)
 
     E = weighted_minimize(p, q, grid, lam, boundary, r_obs).set_max
-
-    X, Y = grid.center_mesh()
-    radius = np.hypot(X, Y)
     depth = grid.h * distance_transform_edt(E.bits)
     weights = cell_weights(grid, p, q)
-    hvol = grid.h ** 2
     E_mids = boundary_faces(E)[0]
-    tree_E = cKDTree(E_mids) if len(E_mids) else None
-
-    sets, incl, chain, sym, haus, dist0, pinch = [], [], [], [], [], [], []
-    prev = None
+    rows = []
     for t in t_arr:
-        field = PerturbationField(t, annulus[0], annulus[1])
-        data = CellSet(grid, E.bits & (depth > field.displacement(radius)))
-        res = weighted_minimize(p, q, grid, lam, data, r_obs)
-        Ej = res.set_max
-
-        ok = bool(np.all(Ej.bits <= E.bits))
-        if not ok:
+        data = CellSet(grid, E.bits & (depth > t * profile))
+        Ej = weighted_minimize(p, q, grid, lam, data, r_obs).set_max
+        if not np.all(Ej.bits <= E.bits):
             raise NumericalError(
                 f"step t={t}: perturbed minimizer escaped the base minimizer; "
                 "monotonicity is broken")
-        incl.append(ok)
-        chain.append(True if prev is None
-                     else bool(np.all(prev.bits <= Ej.bits)))
-        diff = Ej.bits != E.bits
-        sym.append(float((weights[diff]).sum() * hvol))
         mids = boundary_faces(Ej)[0]
-        if tree_E is None or len(mids) == 0:
-            haus.append(float("inf") if (tree_E is None) != (len(mids) == 0)
-                        else 0.0)
-        else:
-            d1 = tree_E.query(mids)[0].max()
-            d2 = cKDTree(mids).query(E_mids)[0].max()
-            haus.append(float(max(d1, d2)))
-        dist0.append(float(np.hypot(mids[:, 0], mids[:, 1]).min())
-                     if len(mids) else float("inf"))
-        pinch.append(has_interface_pinch(Ej))
-        sets.append(Ej)
-        prev = Ej
-
-    return ApproxRunReport(tuple(t_arr), tuple(incl), tuple(chain),
-                           tuple(sym), tuple(haus), tuple(dist0),
-                           tuple(pinch), tuple(sets), E, r_obs,
-                           (float(annulus[0]), float(annulus[1])))
+        rows.append((not rows or bool(np.all(rows[-1][-1].bits <= Ej.bits)),
+                     float(weights[Ej.bits != E.bits].sum() * grid.h ** 2),
+                     _hausdorff(mids, E_mids),
+                     float(np.hypot(*mids.T).min()) if len(mids) else math.inf,
+                     has_interface_pinch(Ej), Ej))
+    chain, sym, haus, dist0, pinch, sets = zip(*rows)
+    return ApproxRunReport(tuple(t_arr), (True,) * len(rows), chain, sym, haus,
+                           dist0, pinch, sets, E, r_obs, (r_lo, r_hi))

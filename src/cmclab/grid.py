@@ -210,9 +210,10 @@ class RegionMask(_FrozenBits):
 def _ball_bits(grid, center, r):
     mesh = grid.center_mesh()
     d2 = np.zeros(grid.dims)
-    for k in range(grid.d):
-        d2 += (mesh[k] - center[k]) ** 2
-    return d2 <= r * r
+    with np.errstate(over="ignore"):    # squares past the float range: inf
+        for k in range(grid.d):
+            d2 += (mesh[k] - center[k]) ** 2
+        return d2 <= r * r
 
 
 def complement(D):

@@ -256,6 +256,7 @@ class TestApprox:
         (lambda d: d.update(t_list=["z"]), "'t_list[0]' must be"),
         (lambda d: d.update(annulus=["a", 1]), "'annulus[0]' must be"),
         (lambda d: d.update(annulus=[0.1, True]), "'annulus[1]' must be"),
+        (lambda d: d.update(annulus=[0.3, 0.1]), "r_lo < r_hi"),
         (lambda d: d["grid"].update(n=0), "'grid.n' must be an integer"),
         (lambda d: d["grid"].update(n=2.0), "'grid.n' must be"),
         (lambda d: d.update(p=True), "'p' must be an integer"),
@@ -443,8 +444,8 @@ class TestPlotFuzz:
 # Values for the fuzz test of main.  Flags draw from strings the parser
 # accepts for their type, so every argv parses and the runners meet zero,
 # negatives, nan, inf, 1e300 and 2^63; grid sides stay at 16 or fewer
-# cells and leaves short.  The approx config draws from JSON values of
-# every type.
+# cells, and a leaf's --rmax is one of _RMAX or left at its default of
+# 50 s0.  The approx config draws from JSON values of every type.
 _INTS = st.sampled_from(["0", "-1", "1", "3", "16", str(2**63)])
 _FLOATS = st.sampled_from(["0", "-1", "0.5", "1", "8", "nan", "inf", "-inf",
                            "1e300", "1e-300", str(2**63)])
@@ -472,7 +473,7 @@ _FLAG_ARGVS = st.one_of(
                           "lambda": _one(_FLOATS),
                           "obstacle-radius": st.lists(_FLOATS, max_size=1)}),
     _argv("leaf", {"p": _one(_INTS), "q": _one(_INTS), "s0": _one(_FLOATS),
-                   "rmax": _one(_RMAX)}))
+                   "rmax": st.lists(_RMAX, max_size=1)}))
 _JSON = st.sampled_from([0, -1, 1, 3, 16, 2**63, 0.5, 0.25, 1e300, -1e300,
                          float("nan"), float("inf"), "3", None, True]) | \
     st.builds(dict)
@@ -549,9 +550,10 @@ class TestMalformedInput:
     # plotted cell set a cell size the SVG resolves.  The four rows from
     # non-utf8-approx-config name a path that cannot be read or written;
     # the argument parser refuses the next four, and shoot_leaf the last
-    # two, a non-finite exit radius.  Each row lists its
-    # input files (None: a directory) and its argv, where {d} is the test
-    # directory.
+    # seven: a non-finite exit radius, and an axis distance outside
+    # [1e-100, 1e100] at the default exit radius, which overflowed the
+    # Taylor start or left it non-finite.  Each row lists its input files
+    # (None: a directory) and its argv, where {d} is the test directory.
     @pytest.mark.parametrize("files,argv", [
         outdir_row(["equivariant", "--p", "3", "--q", "3",
                     "--grid-n", "2000000", "--lambda", "0.0"],
@@ -619,6 +621,9 @@ class TestMalformedInput:
         pytest.param({}, ["leaf", "--p", "3", "--q", "3", "--s0", "1.0",
                           "--rmax", "inf", "--csv", "{d}/leaf.csv"],
                      id="inf-exit-radius"),
+        *(pytest.param({}, ["leaf", "--p", "3", "--q", "3", "--s0", s0,
+                            "--csv", "{d}/leaf.csv"], id=f"axis-distance-{s0}")
+          for s0 in ("1e300", "1e150", "1e-150", "1e-300", "5e-324")),
     ])
     def test_is_config_error(self, tmp_path, capsys, files, argv):
         for name, data in files.items():

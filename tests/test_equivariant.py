@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from cmclab import (
-    CellSet, GridGeometry, IntegrationFailure, MinCutProblem, PerturbationField,
-    ProfileCurve, RadialFunction, RegionMask, UsageError, approximation_sequence,
+    CellSet, GridGeometry, IntegrationFailure, MinCutProblem, ProfileCurve, RadialFunction, RegionMask, UsageError, approximation_sequence,
     cell_weights, cmc_graph_residual, curve_from_samples, diagonal_wedge,
     evaluate_quanta, fit_decay_exponent, gamma_pm, has_interface_pinch,
     leaf_to_radial_graph, linearization_check, make_cone, mean_curvature_values,
     profile_mean_curvature, quadrant_grid, shoot_leaf, solve, weighted_minimize,
 )
+from cmclab import equivariant
 
 
 def arc_curve(p, q, center, rho, theta0, theta1, n):
@@ -521,32 +521,6 @@ class TestQuadrantReduction:
         assert not np.any(mism & ~near_diag & ~inside)
 
 
-class TestPerturbationField:
-    def test_validation(self):
-        with pytest.raises(UsageError, match=">= 0"):
-            PerturbationField(-0.1, 1.0, 2.0)
-        with pytest.raises(UsageError, match="r_lo < r_hi"):
-            PerturbationField(0.1, 2.0, 1.0)
-        with pytest.raises(UsageError, match="ramp"):
-            PerturbationField(0.1, 1.0, 2.0, ramp=0.8)
-
-    def test_profile_shape(self):
-        f = PerturbationField(0.1, 1.0, 2.0, ramp=0.25)
-        r = np.array([0.9, 1.125, 1.5, 2.1])
-        d = f.displacement(r)
-        assert d[0] == 0.0 and d[3] == 0.0
-        assert d[1] == pytest.approx(0.05)
-        assert d[2] == pytest.approx(0.1)
-
-    def test_zero_magnitude(self):
-        f = PerturbationField(0.0, 1.0, 2.0)
-        assert np.all(f.displacement(np.linspace(0, 3, 50)) == 0.0)
-
-    def test_default_ramp(self):
-        f = PerturbationField(0.1, 1.0, 2.0)
-        assert f.ramp == pytest.approx(0.25)
-
-
 class TestPinchDetector:
     def test_checkerboard_pinches(self):
         g = GridGeometry((6, 6))
@@ -584,6 +558,35 @@ class TestApproximationSequence:
             approximation_sequence(3, 3, 0.0, wedge, [0.1, -0.2], 0.5)
         with pytest.raises(UsageError, match="decreasing"):
             approximation_sequence(3, 3, 0.0, wedge, [0.01, 0.02], 0.5)
+
+    @pytest.mark.parametrize("radius,annulus,needle", [
+        (0.5, (0.3, 0.1), "r_lo < r_hi"),
+        (0.5, (-0.1, 0.3), "r_lo < r_hi"),
+        (0.5, (0.0, 5e-324), "ramp width"),
+        (0.5, (0.1, math.inf), "ramp width"),
+        (math.nan, None, "obstacle radius must be positive"),
+        (-0.5, (0.1, 0.3), "obstacle radius must be positive"),
+    ])
+    def test_refused_before_any_solve(self, monkeypatch, radius, annulus,
+                                      needle):
+        # A bad annulus or obstacle radius is refused before the base solve;
+        # a nan radius is named as such, not as the nan annulus it implies.
+        g, wedge = self.wedge_setup(16)
+        calls = []
+        monkeypatch.setattr(equivariant, "weighted_minimize",
+                            lambda *args: calls.append(args))
+        with pytest.raises(UsageError, match=needle):
+            approximation_sequence(3, 3, 0.0, wedge, [0.1], radius, annulus)
+        assert calls == []
+
+    def test_annulus_profile(self):
+        # Quarter-width ramps: on (1, 2) the profile rises over [1, 1.25],
+        # is 1 on [1.25, 1.75] and falls over [1.75, 2].
+        r = np.array([0.9, 1.125, 1.5, 2.1])
+        assert equivariant._annulus_profile(r, 1.0, 2.0).tolist() == [
+            0.0, 0.5, 1.0, 0.0]
+        profile = equivariant._annulus_profile(np.linspace(0, 3, 50), 1.0, 2.0)
+        assert np.all((0.0 <= profile) & (profile <= 1.0))
 
     def test_only_data_outside_the_ball_matters(self):
         # The run solves its own base problem, so the raw wedge, its solved
