@@ -234,6 +234,7 @@ def run_approx(args):
         "hausdorff_to_limit": list(report.hausdorff_to_E),
         "min_origin_distance": list(report.min_origin_distance),
         "singular_proxy_flag": list(report.singular_proxy_flag),
+        "step_free_cells": list(report.step_free_cells),
         "obstacle_radius": report.obstacle_radius,
         "annulus": list(report.annulus),
         "steps": steps,

@@ -34,11 +34,21 @@ class CliffordCone:
     A2: float
 
 
+def _sphere_dimensions(p, q, least):
+    """p and q as ints, refused unless both are integers >= least whose sum
+    is at most 2**53, so that a float holds p, q and p + q exactly."""
+    if int(p) != p or int(q) != q or p < least or q < least:
+        raise UsageError(
+            f"sphere dimensions must be integers >= {least}, got {p}, {q}")
+    if p + q > 2**53:
+        raise UsageError("sphere dimensions must sum to at most 2**53, "
+                         "the largest a float holds exactly")
+    return int(p), int(q)
+
+
 def make_cone(p, q):
     """The minimal product-sphere cone for sphere dimensions p, q >= 1."""
-    if int(p) != p or int(q) != q or p < 1 or q < 1:
-        raise UsageError(f"sphere dimensions must be integers >= 1, got {p}, {q}")
-    p, q = int(p), int(q)
+    p, q = _sphere_dimensions(p, q, 1)
     a2 = Fraction(p, p + q)
     b2 = Fraction(q, p + q)
     curv2 = p * b2 / a2 + q * a2 / b2

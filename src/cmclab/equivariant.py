@@ -30,7 +30,7 @@ from scipy.ndimage import distance_transform_edt
 from scipy.spatial import cKDTree
 
 from .cones import (RadialFunction, _jacobi_operator, _radial_derivatives,
-                    gamma_pm, make_cone, stability)
+                    _sphere_dimensions, gamma_pm, make_cone, stability)
 from .grid import (CellSet, GridGeometry, NumericalError, RegionMask,
                    UsageError, boundary_faces)
 from .mincut import MinCutProblem, solve
@@ -43,10 +43,12 @@ _GRAPH_BOUND_FACTOR = 0.4
 # Most arclength samples shoot_leaf may store; its five float64 curve arrays
 # then take 400 MB.
 _MAX_LEAF_SAMPLES = 10**7
-# Axis distances shoot_leaf accepts: with the default exit radius every stable
-# cone tried (p, q <= 100) shoots from s0 = 1e-102 to 1e106, and past either
-# end the cubic Taylor start overflows.
+# Axis distances shoot_leaf accepts.  The leaf is shot at s0 = 1 and scaled
+# by s0, and over this range the scaled samples, the spacing and the exit
+# radius stay far inside the normal floats.
 _LEAF_S0_RANGE = (1e-100, 1e100)
+# Arclength spacing of shoot_leaf's samples, in units of s0.
+_LEAF_DS = 5e-4
 
 
 class IntegrationFailure(NumericalError):
@@ -210,8 +212,9 @@ def shoot_leaf(p, q, s0, side="below", r_max=None):
 
     Integrates the lam = 0 profile equation with a cubic Taylor start at the
     axis (the q/y term is singular there) and stops at exit radius r_max
-    (default 50 s0).  The absolute tolerance of x and y scales with s0,
-    that of the angle does not.  The curve must stay strictly on its side
+    (default 50 s0).  The equation is scale covariant, so the leaf is shot
+    through (1, 0) and its lengths scaled by s0: it ends at the same
+    multiple of s0 at every s0.  The curve must stay strictly on its side
     of the cone ray; crossing it means the step control failed and raises
     IntegrationFailure.
 
@@ -240,23 +243,24 @@ def shoot_leaf(p, q, s0, side="below", r_max=None):
     if not (np.isfinite(r_max) and r_max > 2 * s0):
         raise UsageError(
             f"exit radius must be finite and exceed 2 s0, got {r_max:g}")
-    ds = 5e-4 * s0
+    ds = _LEAF_DS * s0
     if not (r_max - s0) / ds <= _MAX_LEAF_SAMPLES:
         raise UsageError(
             f"exit radius {r_max:g} needs at least {(r_max - s0) / ds:.3g} "
             f"samples, over the budget of {_MAX_LEAF_SAMPLES}")
 
+    # Shot at unit scale, every absolute tolerance, scipy's event location
+    # among them, meets the same numbers at every s0.
+    r_exit = r_max / s0
     a, b = cone.a, cone.b
     # Taylor start: alpha = pi/2 + c s + c3 s^3 with the axis balance
-    # c (1+q) = -p/s0; the even coefficient vanishes by symmetry.
-    c = -p / s0 / (1 + q)
-    c3 = -p * c * (1.0 / s0 - c) / (2.0 * s0 * (3 + q))
-    eps = 1e-4 * s0
-    start = (s0 - c * eps**2 / 2.0,
+    # c (1+q) = -p; the even coefficient vanishes by symmetry.
+    c = -p / (1 + q)
+    c3 = -p * c * (1.0 - c) / (2.0 * (3 + q))
+    eps = 1e-4
+    start = (1.0 - c * eps**2 / 2.0,
              eps - c**2 * eps**3 / 6.0,
              math.pi / 2.0 + c * eps + c3 * eps**3)
-    if not all(map(math.isfinite, start)):
-        raise IntegrationFailure(f"Taylor start at s0={s0:g} is not finite")
 
     def hit_ray(_s, st):
         return b * st[0] - a * st[1]
@@ -264,33 +268,32 @@ def shoot_leaf(p, q, s0, side="below", r_max=None):
     hit_ray.direction = -1
 
     def hit_exit(_s, st):
-        return math.hypot(st[0], st[1]) - r_max
+        return math.hypot(st[0], st[1]) - r_exit
     hit_exit.terminal = True
 
-    sol = solve_ivp(_profile_rhs(p, q, 0.0), (eps, 4.0 * r_max), start,
-                    method="RK45", rtol=1e-10, atol=[1e-12 * s0] * 2 + [1e-12],
+    sol = solve_ivp(_profile_rhs(p, q, 0.0), (eps, 4.0 * r_exit), start,
+                    method="RK45", rtol=1e-10, atol=1e-12,
                     dense_output=True, events=(hit_ray, hit_exit))
     if len(sol.t_events[0]):
         st = sol.sol(sol.t_events[0][0])
         raise IntegrationFailure(
-            f"leaf crossed the cone ray at s={sol.t_events[0][0]:.6g}, "
-            f"state (x,y,alpha)=({st[0]:.6g},{st[1]:.6g},{st[2]:.6g})")
+            f"leaf crossed the cone ray at s={sol.t_events[0][0] * s0:.6g}, "
+            f"state (x,y,alpha)=({st[0] * s0:.6g},{st[1] * s0:.6g},"
+            f"{st[2]:.6g})")
     if sol.status < 0:
         raise IntegrationFailure(f"profile integration failed: {sol.message}")
     if not len(sol.t_events[1]):
         raise IntegrationFailure("leaf never reached the exit radius")
-    s_end = sol.t_events[1][0]
 
-    s_grid = np.arange(1, int(s_end / ds) + 1) * ds
-    xs, ys, alphas = sol.sol(s_grid)
-    s_all = np.concatenate([[0.0], s_grid])
-    x_all = np.concatenate([[s0], xs])
-    y_all = np.concatenate([[0.0], ys])
-    tx = np.concatenate([[0.0], np.cos(alphas)])
-    ty = np.concatenate([[1.0], np.sin(alphas)])
-    curve = ProfileCurve(p, q, s_all, x_all, y_all, tx, ty)
-    if np.any(b * x_all[1:] - a * y_all[1:] <= 0):
+    k = np.arange(int(sol.t_events[1][0] / _LEAF_DS) + 1)
+    xs, ys, alphas = sol.sol(k[1:] * _LEAF_DS)
+    if np.any(b * xs - a * ys <= 0):
         raise IntegrationFailure("leaf touched the cone ray between steps")
+    curve = ProfileCurve(p, q, k * ds,
+                         np.concatenate([[1.0], xs]) * s0,
+                         np.concatenate([[0.0], ys]) * s0,
+                         np.concatenate([[0.0], np.cos(alphas)]),
+                         np.concatenate([[1.0], np.sin(alphas)]))
     if not curve.is_simple():
         raise IntegrationFailure("leaf self-intersected")
     return curve
@@ -489,8 +492,7 @@ def weighted_minimize(p, q, grid, lam, boundary, r):
     Returns the plain MinimizerResult; interpret member cells as the
     equivariant set in R^(p+q+2).
     """
-    if int(p) != p or int(q) != q or p < 0 or q < 0:
-        raise UsageError(f"p, q must be integers >= 0, got {p}, {q}")
+    _sphere_dimensions(p, q, 0)
     if grid.d != 2:
         raise UsageError("the reduction lives on 2-D grids")
     if max(abs(o - grid.h / 2) for o in grid.origin) > 1e-12 * grid.h:
@@ -541,6 +543,7 @@ class ApproxRunReport:
     hausdorff_to_E: tuple
     min_origin_distance: tuple
     singular_proxy_flag: tuple
+    step_free_cells: tuple
     sets: tuple
     limit_set: CellSet
     obstacle_radius: float
@@ -571,9 +574,17 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
     annulus profile is 0 off (r_lo, r_hi), 1 on its middle half and linear
     on the quarter-width ramps between.  For each t in t_list the step data
     is E less the cells whose depth in E is at most t times the profile,
-    and the largest minimizer of that data is the step set.  Each step set
-    must be contained in E; that inclusion is a hard assertion, so
-    inclusion_ok is all True.
+    and the largest minimizer of that data is the step set.
+
+    Each step solves only the band between the previous step set and E
+    inside the obstacle ball: the previous step set is fixed in and the
+    complement of E fixed out, on top of the step data.  That is exact.
+    t_list strictly decreases, so the step data grow and stay inside E;
+    by the comparison principle for this submodular energy the largest
+    minimizer of step j then contains step j-1's and is contained in E.
+    Fixing labels that a minimizer already has keeps it the largest
+    minimizer, with the same energy.  So inclusion_ok is all True by
+    construction, and step_free_cells counts the band of each solve.
 
     Args:
         p, q: rotation multiplicities of the reduction weight.
@@ -588,7 +599,8 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
     Returns:
         ApproxRunReport with per-step inclusion, successive-chain flags,
         weighted symmetric-difference volume, interface Hausdorff distance,
-        minimum interface distance to the origin, and the pinch flag.
+        minimum interface distance to the origin, the pinch flag, and the
+        free-cell count of each step's solve.
     """
     grid = boundary.grid
     t_arr = [float(t) for t in t_list]
@@ -607,21 +619,24 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
     E = weighted_minimize(p, q, grid, lam, boundary, r_obs).set_max
     depth = grid.h * distance_transform_edt(E.bits)
     weights = cell_weights(grid, p, q)
+    ball = RegionMask.ball(grid, (0.0, 0.0), r_obs).bits
     E_mids = boundary_faces(E)[0]
+    prev = np.zeros(grid.dims, dtype=bool)
     rows = []
     for t in t_arr:
-        data = CellSet(grid, E.bits & (depth > t * profile))
-        Ej = weighted_minimize(p, q, grid, lam, data, r_obs).set_max
-        if not np.all(Ej.bits <= E.bits):
-            raise NumericalError(
-                f"step t={t}: perturbed minimizer escaped the base minimizer; "
-                "monotonicity is broken")
+        data = E.bits & (depth > t * profile)
+        band = E.bits & ball & ~prev
+        fixed_in = prev | (data & ~ball)
+        Ej = solve(MinCutProblem(grid, lam, RegionMask(grid, fixed_in),
+                                 RegionMask(grid, ~(band | fixed_in)),
+                                 cell_weight=weights)).set_max
         mids = boundary_faces(Ej)[0]
-        rows.append((not rows or bool(np.all(rows[-1][-1].bits <= Ej.bits)),
+        rows.append((bool(np.all(prev <= Ej.bits)),
                      float(weights[Ej.bits != E.bits].sum() * grid.h ** 2),
                      _hausdorff(mids, E_mids),
                      float(np.hypot(*mids.T).min()) if len(mids) else math.inf,
-                     has_interface_pinch(Ej), Ej))
-    chain, sym, haus, dist0, pinch, sets = zip(*rows)
+                     has_interface_pinch(Ej), int(np.count_nonzero(band)), Ej))
+        prev = Ej.bits
+    chain, sym, haus, dist0, pinch, free, sets = zip(*rows)
     return ApproxRunReport(tuple(t_arr), (True,) * len(rows), chain, sym, haus,
-                           dist0, pinch, sets, E, r_obs, (r_lo, r_hi))
+                           dist0, pinch, free, sets, E, r_obs, (r_lo, r_hi))

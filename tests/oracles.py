@@ -1,15 +1,18 @@
 """Independent recomputations used to cross-check library results.
 
-Nothing here shares an arithmetic path with the package: the perimeter
-recount walks cells in plain Python, and the link eigenvalues come from a
-one-dimensional Sturm-Liouville discretization per sphere factor instead
-of the separable closed form.
+The perimeter recount walks cells in plain Python, and the link
+eigenvalues come from a one-dimensional Sturm-Liouville discretization per
+sphere factor instead of the separable closed form; neither shares an
+arithmetic path with the package.  The approximation steps are re-solved
+without the band restriction, over the whole obstacle ball.
 """
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.ndimage import distance_transform_edt
 
-from cmclab import stencil_levels
+from cmclab import CellSet, stencil_levels, weighted_minimize
+from cmclab.equivariant import _annulus_profile
 
 
 def perimeter_recount(D, R):
@@ -69,3 +72,21 @@ def link_eigenvalues_oracle(p, q, count, n=2000, cluster_gap=0.1):
         if mu - distinct[-1] > cluster_gap:
             distinct.append(mu)
     return distinct[:count]
+
+
+def unrestricted_steps(p, q, lam, report):
+    """The step sets of an approximation run, each the largest minimizer
+    of its step data with every cell of the obstacle ball free.
+
+    The step data are rebuilt from the report's limit set, t_list,
+    obstacle radius and annulus, as approximation_sequence defines them.
+    """
+    E = report.limit_set
+    grid = E.grid
+    depth = grid.h * distance_transform_edt(E.bits)
+    profile = _annulus_profile(np.hypot(*grid.center_mesh()), *report.annulus)
+    return tuple(
+        weighted_minimize(p, q, grid, lam,
+                          CellSet(grid, E.bits & (depth > t * profile)),
+                          report.obstacle_radius).set_max
+        for t in report.t_list)

@@ -15,7 +15,7 @@ from cmclab import (
     stencil_levels, stability, threshold_experiment, weighted_minimize,
     RegionMask,
 )
-from oracles import link_eigenvalues_oracle
+from oracles import link_eigenvalues_oracle, unrestricted_steps
 from support import random_small_problem
 
 STABLE_PAIRS = [(2, 4), (3, 3), (3, 4), (4, 4)]
@@ -203,10 +203,12 @@ def test_criterion_09():
     g = quadrant_grid(128)
     h = g.h
     wedge = diagonal_wedge(g, 3, 3)
+    runs = []
     for lam in (0.0, 0.2 / 0.5):
         base = weighted_minimize(3, 3, g, lam, wedge, 0.5).set_max
         rep = approximation_sequence(3, 3, lam, base,
                                      [8 * h, 4 * h, 2 * h, h], 0.5)
+        runs.append((lam, rep))
         assert all(rep.inclusion_ok)
         assert all(rep.chain_ok)
         sym = rep.sym_diff_volume
@@ -215,6 +217,9 @@ def test_criterion_09():
         assert not any(rep.singular_proxy_flag)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
+    # Each step solved only its band; the whole ball gives the same sets.
+    for lam, rep in runs:
+        assert rep.sets == unrestricted_steps(3, 3, lam, rep)
     report(9, f"both lambda runs nested and shrinking in {elapsed:.2f}s")
 
 

@@ -261,6 +261,7 @@ class TestApprox:
         (lambda d: d["grid"].update(n=2.0), "'grid.n' must be"),
         (lambda d: d.update(p=True), "'p' must be an integer"),
         (lambda d: d.update(q="3"), "'q' must be an integer"),
+        (lambda d: d.update(p=10**400), "at most 2**53"),
     ])
     def test_config_errors(self, tmp_path, capsys, mangle, needle):
         doc = self.good_config()
@@ -537,6 +538,10 @@ def plot_row(name, data, id):
                                        "--output", "{d}/x.svg"], id=id)
 
 
+# A sphere dimension that converting to float overflows.
+_HUGE = str(10**400)
+
+
 def outdir_row(argv, id):
     """argv writing its artifacts to the test directory."""
     return pytest.param({}, argv + ["--outdir", "{d}"], id=id)
@@ -549,11 +554,13 @@ class TestMalformedInput:
     # A curve needs two rows of finite x and y with a nonzero extent, and a
     # plotted cell set a cell size the SVG resolves.  The four rows from
     # non-utf8-approx-config name a path that cannot be read or written;
-    # the argument parser refuses the next four, and shoot_leaf the last
+    # the argument parser refuses the next four, and shoot_leaf the next
     # seven: a non-finite exit radius, and an axis distance outside
     # [1e-100, 1e100] at the default exit radius, which overflowed the
-    # Taylor start or left it non-finite.  Each row lists its input files
-    # (None: a directory) and its argv, where {d} is the test directory.
+    # Taylor start or left it non-finite.  The last four give p or q past
+    # 2**53, which a float cannot hold exactly.  Each row lists its input
+    # files (None: a directory) and its argv, where {d} is the test
+    # directory.
     @pytest.mark.parametrize("files,argv", [
         outdir_row(["equivariant", "--p", "3", "--q", "3",
                     "--grid-n", "2000000", "--lambda", "0.0"],
@@ -624,6 +631,14 @@ class TestMalformedInput:
         *(pytest.param({}, ["leaf", "--p", "3", "--q", "3", "--s0", s0,
                             "--csv", "{d}/leaf.csv"], id=f"axis-distance-{s0}")
           for s0 in ("1e300", "1e150", "1e-150", "1e-300", "5e-324")),
+        outdir_row(["spectra", "--p", _HUGE, "--q", "3", "--kmax", "8"],
+                   id="spectra-huge-p"),
+        pytest.param({}, ["leaf", "--p", _HUGE, "--q", "3", "--s0", "1.0",
+                          "--csv", "{d}/leaf.csv"], id="leaf-huge-p"),
+        outdir_row(["equivariant", "--p", _HUGE, "--q", "3", "--grid-n", "8",
+                    "--lambda", "0"], id="equivariant-huge-p"),
+        outdir_row(["equivariant", "--p", "0", "--q", _HUGE, "--grid-n", "8",
+                    "--lambda", "0"], id="equivariant-zero-p-huge-q"),
     ])
     def test_is_config_error(self, tmp_path, capsys, files, argv):
         for name, data in files.items():

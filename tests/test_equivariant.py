@@ -15,6 +15,7 @@ from cmclab import (
     profile_mean_curvature, quadrant_grid, shoot_leaf, solve, weighted_minimize,
 )
 from cmclab import equivariant
+from oracles import unrestricted_steps
 
 
 def arc_curve(p, q, center, rho, theta0, theta1, n):
@@ -243,6 +244,17 @@ class TestShootLeaf:
     def test_reaches_exit_radius(self, leaf33):
         r = np.hypot(leaf33.x, leaf33.y)
         assert r.max() > 49.0
+
+    @pytest.mark.parametrize("s0", [1e-100, 1e-15, 1e-14, 1e100])
+    def test_ends_at_the_exit_radius_at_every_scale(self, leaf33, s0):
+        # The last sample lies within one spacing inside the exit radius,
+        # with the sample count of the unit leaf, also at s0 <= 1e-14,
+        # where scipy's absolute event tolerance exceeds a spacing.
+        assert abs(leaf33.n_nodes - 98851) <= 1
+        leaf = shoot_leaf(3, 3, s0)
+        r_max, ds = 50.0 * s0, 5e-4 * s0
+        assert r_max - ds <= math.hypot(leaf.x[-1], leaf.y[-1]) <= r_max
+        assert abs(leaf.n_nodes - leaf33.n_nodes) <= 1
 
     def test_leaf_is_simple(self, leaf33):
         assert leaf33.is_simple()
@@ -623,3 +635,24 @@ class TestApproximationSequence:
         assert all(d >= h for d in rep.min_origin_distance)
         assert not any(rep.singular_proxy_flag)
         assert rep.obstacle_radius == pytest.approx(0.5)
+        assert rep.sets == unrestricted_steps(3, 3, 0.0, rep)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.4])
+    def test_generic_cone_steps_match_full_solves(self, lam):
+        g = quadrant_grid(64)
+        h = g.h
+        rep = approximation_sequence(2, 4, lam, diagonal_wedge(g, 2, 4),
+                                     [8 * h, 4 * h, 2 * h, h], 0.5)
+        assert rep.sets == unrestricted_steps(2, 4, lam, rep)
+        assert all(rep.chain_ok)
+
+    def test_band_of_a_step_that_starts_at_the_limit_is_empty(self):
+        # Every cell of E lies at depth >= h in it, so t = h/2 removes no
+        # cell: the first step returns E, and the second has no free cell.
+        g, wedge = self.wedge_setup(64)
+        rep = approximation_sequence(3, 3, 0.0, wedge, [g.h / 2, 0.0], 0.5)
+        assert rep.sets == (rep.limit_set, rep.limit_set)
+        assert rep.sets == unrestricted_steps(3, 3, 0.0, rep)
+        ball = RegionMask.ball(g, (0.0, 0.0), 0.5).bits
+        assert rep.step_free_cells == (
+            int(np.count_nonzero(rep.limit_set.bits & ball)), 0)

@@ -151,6 +151,30 @@ class TestSolve:
             assert np.all(solve(prob).set_max.bits
                           <= solve(bigger).set_max.bits)
 
+    def test_restriction_around_the_largest_minimizer_is_exact(self, rng):
+        # With M the largest minimizer and free cells A inside M and B
+        # around it, fixing A in and the free cells off B out keeps M the
+        # largest minimizer at the same energy: the lemma that lets each
+        # approximation step solve only its band.
+        for _ in range(40):
+            prob = random_small_problem(rng)
+            full = solve(prob)
+            free = prob.free.bits
+            M = full.set_max.bits
+            A = M & free & (rng.random(free.shape) < 0.5)
+            B = M | (free & (rng.random(free.shape) < 0.5))
+            restricted = MinCutProblem(
+                prob.grid, prob.lam,
+                fixed_in=RegionMask(prob.grid, prob.fixed_in.bits | A),
+                fixed_out=RegionMask(prob.grid,
+                                     prob.fixed_out.bits | (free & ~B)),
+                cell_weight=prob.cell_weight,
+                active_region=prob.active_region)
+            got = solve(restricted)
+            for want in (full, brute_force(prob), brute_force(restricted)):
+                assert got.set_max == want.set_max
+                assert got.energy_quanta == want.energy_quanta
+
     def test_energy_recheck_catches_a_wrong_flow_value(self, rng,
                                                        monkeypatch):
         real = cmclab.mincut.maximum_flow
