@@ -44,10 +44,6 @@ from .mincut import (
     brute_force,
     ThresholdRow,
     threshold_experiment,
-    ConvergenceReport,
-    convergence_experiment,
-    problem_to_json,
-    problem_from_json,
     result_to_json,
 )
 from .cones import (
@@ -68,7 +64,6 @@ from .equivariant import (
     ProfileCurve,
     curve_from_samples,
     mean_curvature_values,
-    profile_mean_curvature,
     shoot_leaf,
     fit_decay_exponent,
     leaf_to_radial_graph,
@@ -94,17 +89,14 @@ __all__ = [
     "cellset_to_text", "cellset_from_text", "write_cellset", "read_cellset",
     "QUANT_BITS", "quantum", "CapacityOverflowError", "MinCutProblem",
     "MinimizerResult", "evaluate", "evaluate_quanta", "solve", "brute_force",
-    "ThresholdRow", "threshold_experiment", "ConvergenceReport",
-    "convergence_experiment", "problem_to_json", "problem_from_json",
-    "result_to_json",
+    "ThresholdRow", "threshold_experiment", "result_to_json",
     "CliffordCone", "make_cone", "SpectralData", "link_spectrum", "stability",
     "indicial_exponents", "gamma_pm", "jacobi_eval", "RadialFunction",
     "lc_residual", "classify_positive_jacobi",
     "IntegrationFailure", "ProfileCurve", "curve_from_samples",
-    "mean_curvature_values", "profile_mean_curvature", "shoot_leaf",
-    "fit_decay_exponent", "leaf_to_radial_graph", "cmc_graph_residual",
-    "LinearizationReport", "linearization_check", "quadrant_grid",
-    "cell_weights", "diagonal_wedge", "weighted_minimize",
-    "ApproxRunReport", "has_interface_pinch",
+    "mean_curvature_values", "shoot_leaf", "fit_decay_exponent",
+    "leaf_to_radial_graph", "cmc_graph_residual", "LinearizationReport",
+    "linearization_check", "quadrant_grid", "cell_weights", "diagonal_wedge",
+    "weighted_minimize", "ApproxRunReport", "has_interface_pinch",
     "approximation_sequence",
 ]

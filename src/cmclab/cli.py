@@ -182,7 +182,7 @@ def _load_approx_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as e:
+    except ValueError as e:    # JSONDecodeError, or an int past the digit limit
         raise UsageError(f"config is not valid JSON: {e}")
     if not isinstance(doc, dict):
         raise UsageError("config must be a JSON object")

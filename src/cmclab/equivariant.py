@@ -188,17 +188,6 @@ def mean_curvature_values(curve):
     return H
 
 
-def profile_mean_curvature(curve, i):
-    """Mean curvature of the generated hypersurface at sample i.
-
-    Positive when the curvature vector points toward the enclosed side (the
-    left normal).
-    """
-    if not 0 < i < curve.n_nodes - 1:
-        raise UsageError(f"index {i} is not an interior sample")
-    return float(mean_curvature_values(curve)[i])
-
-
 def _profile_rhs(p, q, lam):
     def rhs(_s, state):
         x, y, alpha = state

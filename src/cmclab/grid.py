@@ -364,6 +364,15 @@ _HEADER_RE = re.compile(
 _RUN_RE = re.compile(r"([0-9]+)([01])")
 
 
+def _parse_count(digits, what):
+    """int() of a run of digits; UsageError past Python's int-string limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise UsageError(f"{what} has {len(digits)} digits, over the "
+                         f"integer limit") from None
+
+
 def rle_encode(flat_bits):
     bits = np.asarray(flat_bits, dtype=np.uint8).ravel()
     if bits.size == 0:
@@ -382,7 +391,7 @@ def rle_decode(text, size):
         m = _RUN_RE.fullmatch(tok)
         if m is None:
             raise UsageError(f"bad run token {tok!r}")
-        n = int(m.group(1))
+        n = _parse_count(m.group(1), "run length")
         if n <= 0 or pos + n > size:
             raise UsageError(f"run lengths do not fit {size} cells")
         out[pos:pos + n] = m.group(2) == "1"
@@ -406,8 +415,9 @@ def cellset_from_text(text):
     m = _HEADER_RE.match(lines[0].strip())
     if m is None:
         raise UsageError(f"bad cell set header: {lines[0]!r}")
-    d = int(m.group(1))
-    dims = tuple(int(x) for x in m.group(2).split(","))
+    d = _parse_count(m.group(1), "header d")
+    dims = tuple(_parse_count(x, "header ext entry")
+                 for x in m.group(2).split(","))
     if len(dims) != d:
         raise UsageError(f"header d={d} does not match ext={dims}")
     try:

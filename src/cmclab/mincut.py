@@ -18,7 +18,6 @@ coefficients are refused unless their total magnitude stays below 2^62
 quanta, so no int64 energy sum can wrap.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .grid import (CellSet, GridGeometry, NumericalError, RegionMask,
-                   UsageError, _offset_slices, boundary_faces, perimeter,
-                   rle_decode, rle_encode)
+                   UsageError, _offset_slices, boundary_faces, perimeter)
 
 QUANT_BITS = 20
 _INT32_MAX = 2**31 - 1
@@ -46,14 +44,13 @@ def quantum(grid):
 @dataclass(frozen=True, eq=False)
 class MinCutProblem:
     """A discrete instance: fixed labels outside the free window, lambda,
-    optional positive cell weights, and the region where energy is counted."""
+    and optional positive cell weights."""
 
     grid: GridGeometry
     lam: float
     fixed_in: RegionMask
     fixed_out: RegionMask
     cell_weight: np.ndarray = None
-    active_region: RegionMask = None
 
     def __post_init__(self):
         if not np.isfinite(self.lam):
@@ -70,9 +67,6 @@ class MinCutProblem:
             w = w.copy()
             w.setflags(write=False)
             object.__setattr__(self, "cell_weight", w)
-        if self.active_region is not None:
-            if not self.active_region.grid.compatible(self.grid):
-                raise UsageError("active_region lives on a different grid")
         object.__setattr__(self, "lam", float(self.lam))
 
     @property
@@ -95,15 +89,13 @@ class MinimizerResult:
 def _coefficients(problem):
     """Integer arc capacities per stencil edge and volume gains per cell.
 
-    Arcs outside the active region carry nothing; each kept arc costs
-    ceil(weight * 2^20 * mean incident cell weight) quanta, so no cut arc is
-    ever free.  Gains are round(lambda * h * 2^20 * cell weight).  Both are
-    built in floats; CapacityOverflowError unless their magnitudes, summed,
-    stay below 2^62 quanta, so every energy sum fits int64.
+    Each arc costs ceil(weight * 2^20 * mean incident cell weight) quanta,
+    so no cut arc is ever free.  Gains are round(lambda * h * 2^20 * cell
+    weight).  Both are built in floats; CapacityOverflowError unless their
+    magnitudes, summed, stay below 2^62 quanta, so every energy sum fits
+    int64.
     """
     grid = problem.grid
-    act = (np.ones(grid.dims, dtype=bool) if problem.active_region is None
-           else problem.active_region.bits)
     cw = (np.ones(grid.dims) if problem.cell_weight is None
           else problem.cell_weight)
     flat = np.arange(grid.ncells).reshape(grid.dims)
@@ -113,14 +105,12 @@ def _coefficients(problem):
             scale = w * 2**QUANT_BITS
             for off in offsets:
                 sa, sb = _offset_slices(grid.dims, off)
-                keep = act[sa] & act[sb]
-                ai.append(flat[sa][keep])
-                bi.append(flat[sb][keep])
-                mw = 0.5 * (cw[sa][keep] + cw[sb][keep])
-                caps.append(np.ceil(scale * mw))
+                ai.append(flat[sa].ravel())
+                bi.append(flat[sb].ravel())
+                mw = 0.5 * (cw[sa] + cw[sb])
+                caps.append(np.ceil(scale * mw).ravel())
         caps = np.concatenate(caps)
-        gains = np.where(
-            act, np.rint(problem.lam * grid.h * 2**QUANT_BITS * cw), 0.0)
+        gains = np.rint(problem.lam * grid.h * 2**QUANT_BITS * cw)
         total = caps.sum() + np.abs(gains).sum()
     if not total < 2.0**62:
         raise CapacityOverflowError(
@@ -366,81 +356,6 @@ def _contact_excess(D, center, r, band=2.0):
     near_circle = np.abs(dist - r) <= h
     off_equator = np.abs(mids[:, 1] - center[1]) > band * h
     return float(np.count_nonzero(near_circle & off_equator) * h)
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    sym_diff_successive: list
-    sym_diff_to_limit: list
-    perimeters: list
-    perimeter_gaps: list
-
-
-def convergence_experiment(problems):
-    """Minimize a sequence of instances whose data approaches the last one.
-
-    Reports symmetric-difference volumes between successive largest
-    minimizers and against the final instance's minimizer, plus perimeters in
-    the shared active region and their gaps to the final perimeter.
-    """
-    problems = list(problems)
-    if len(problems) < 1:
-        raise UsageError("need at least one problem")
-    first = problems[0]
-    for p in problems[1:]:
-        if not p.grid.compatible(first.grid) or p.lam != first.lam:
-            raise UsageError("problems do not share grid and lambda")
-        if p.active_region != first.active_region:
-            raise UsageError("problems do not share the active region")
-
-    sets = [solve(p).set_max for p in problems]
-    act = (first.active_region if first.active_region is not None
-           else RegionMask.whole(first.grid))
-    hvol = first.grid.h ** first.grid.d
-    vol = lambda a, b: float(np.count_nonzero(a.bits != b.bits) * hvol)
-    pers = [perimeter(s, act) for s in sets]
-    return ConvergenceReport(
-        [vol(a, b) for a, b in zip(sets, sets[1:])],
-        [vol(s, sets[-1]) for s in sets],
-        pers,
-        [abs(p - pers[-1]) for p in pers])
-
-
-def problem_to_json(problem):
-    grid = problem.grid
-    doc = {
-        "schema_version": 1,
-        "grid": {"d": grid.d, "ext": list(grid.dims), "h": grid.h,
-                 "stencil": grid.stencil},
-        "lambda": problem.lam,
-        "fixed_in": rle_encode(problem.fixed_in.bits),
-        "fixed_out": rle_encode(problem.fixed_out.bits),
-        "weights": (None if problem.cell_weight is None
-                    else [float(x) for x in problem.cell_weight.ravel()]),
-        "active_region": (None if problem.active_region is None
-                          else rle_encode(problem.active_region.bits)),
-    }
-    return doc
-
-
-def problem_from_json(doc):
-    try:
-        g = doc["grid"]
-        grid = GridGeometry(tuple(g["ext"]), h=g["h"], stencil=g["stencil"])
-        if g["d"] != grid.d:
-            raise UsageError("grid d does not match ext")
-        n = grid.ncells
-        fi = RegionMask(grid, rle_decode(doc["fixed_in"], n).reshape(grid.dims))
-        fo = RegionMask(grid, rle_decode(doc["fixed_out"], n).reshape(grid.dims))
-        w = doc.get("weights")
-        if w is not None:
-            w = np.asarray(w, dtype=float).reshape(grid.dims)
-        act = doc.get("active_region")
-        if act is not None:
-            act = RegionMask(grid, rle_decode(act, n).reshape(grid.dims))
-        return MinCutProblem(grid, doc["lambda"], fi, fo, w, act)
-    except KeyError as missing:
-        raise UsageError(f"problem document lacks key {missing}") from None
 
 
 def result_to_json(result):

@@ -8,10 +8,11 @@ from cmclab import GridGeometry, RegionMask, MinCutProblem
 def random_small_problem(rng, d=None, max_free=16):
     """Random labeling instance with at most max_free free cells.
 
-    Dimensions, spacing, stencil, fixed labels, lambda, cell weights, and
-    the active region are all drawn at random; every remaining cell is split
-    between the two fixed masks so the free count stays below the brute
-    force budget.
+    Dimensions, spacing, stencil, fixed labels, lambda and cell weights are
+    all drawn at random; every remaining cell is split between the two fixed
+    masks so the free count stays below the brute force budget.  A coin and,
+    when it hits, a per-cell vector are drawn and discarded where an energy
+    region was once drawn, so every seed still yields the problems it did.
     """
     if d is None:
         d = int(rng.integers(2, 4))
@@ -26,8 +27,6 @@ def random_small_problem(rng, d=None, max_free=16):
 
     n_free = int(rng.integers(1, min(max_free, ncells) + 1))
     order = rng.permutation(ncells)
-    free = np.zeros(ncells, dtype=bool)
-    free[order[:n_free]] = True
     fin = np.zeros(ncells, dtype=bool)
     fout = np.zeros(ncells, dtype=bool)
     for idx in order[n_free:]:
@@ -39,13 +38,11 @@ def random_small_problem(rng, d=None, max_free=16):
     weights = None
     if rng.random() < 0.4:
         weights = rng.uniform(0.2, 3.0, size=dims)
-    active = None
     if rng.random() < 0.3:
-        act = free | (rng.random(ncells) < 0.5)
-        active = RegionMask(grid, act.reshape(dims))
+        rng.random(ncells)
 
     return MinCutProblem(
         grid, float(rng.uniform(-2.0, 6.0)),
         fixed_in=RegionMask(grid, fin.reshape(dims)),
         fixed_out=RegionMask(grid, fout.reshape(dims)),
-        cell_weight=weights, active_region=active)
+        cell_weight=weights)

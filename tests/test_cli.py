@@ -285,6 +285,19 @@ class TestApprox:
                        "--outdir", str(tmp_path)) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        # json.dumps cannot write 10**5000 either, so the text is written
+        # as is; Python refuses to read an int of over 4300 digits.
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"p": ' + "1" * 5000 + ', "q": 3, "lambda": 0.0, '
+                       '"grid": {"n": 32, "box": 1.0}, "t_list": [0.25]}',
+                       encoding="utf-8")
+        assert run_cli("approx", "--config", str(cfg),
+                       "--outdir", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
     def test_invalid_json(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text("{nope", encoding="utf-8")
@@ -558,9 +571,10 @@ class TestMalformedInput:
     # seven: a non-finite exit radius, and an axis distance outside
     # [1e-100, 1e100] at the default exit radius, which overflowed the
     # Taylor start or left it non-finite.  The last four give p or q past
-    # 2**53, which a float cannot hold exactly.  Each row lists its input
-    # files (None: a directory) and its argv, where {d} is the test
-    # directory.
+    # 2**53, which a float cannot hold exactly.  The three cell sets after
+    # them hold a d, an ext entry or a run length of 5000 digits, past the
+    # digit limit of Python's int().  Each row lists its input files (None:
+    # a directory) and its argv, where {d} is the test directory.
     @pytest.mark.parametrize("files,argv", [
         outdir_row(["equivariant", "--p", "3", "--q", "3",
                     "--grid-n", "2000000", "--lambda", "0.0"],
@@ -639,6 +653,12 @@ class TestMalformedInput:
                     "--lambda", "0"], id="equivariant-huge-p"),
         outdir_row(["equivariant", "--p", "0", "--q", _HUGE, "--grid-n", "8",
                     "--lambda", "0"], id="equivariant-zero-p-huge-q"),
+        plot_row("d.csl", b"cmcgrid v1 d=" + b"2" * 5000
+                 + b" ext=2,2 h=1 stencil=cc\n40\n", id="huge-digit-d"),
+        plot_row("ext.csl", b"cmcgrid v1 d=2 ext=2," + b"2" * 5000
+                 + b" h=1 stencil=cc\n40\n", id="huge-digit-ext"),
+        plot_row("run.csl", b"cmcgrid v1 d=2 ext=2,2 h=1 stencil=cc\n"
+                 + b"1" * 5000 + b"0\n", id="huge-digit-run-length"),
     ])
     def test_is_config_error(self, tmp_path, capsys, files, argv):
         for name, data in files.items():

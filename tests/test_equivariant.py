@@ -12,7 +12,7 @@ from cmclab import (
     cell_weights, cmc_graph_residual, curve_from_samples, diagonal_wedge,
     evaluate_quanta, fit_decay_exponent, gamma_pm, has_interface_pinch,
     leaf_to_radial_graph, linearization_check, make_cone, mean_curvature_values,
-    profile_mean_curvature, quadrant_grid, shoot_leaf, solve, weighted_minimize,
+    quadrant_grid, shoot_leaf, solve, weighted_minimize,
 )
 from cmclab import equivariant
 from oracles import unrestricted_steps
@@ -143,14 +143,6 @@ class TestMeanCurvature:
                          np.full_like(t, d), np.full_like(t, d))
         H = mean_curvature_values(c)
         assert np.nanmax(np.abs(H)) < 1e-15
-
-    def test_pointwise_accessor(self):
-        c = arc_curve(1, 1, (0.0, 0.0), 2.0, 0.15, math.pi / 2 - 0.15, 400)
-        assert profile_mean_curvature(c, 7) == pytest.approx(1.5, abs=1e-12)
-        with pytest.raises(UsageError, match="interior"):
-            profile_mean_curvature(c, 0)
-        with pytest.raises(UsageError, match="interior"):
-            profile_mean_curvature(c, c.n_nodes - 1)
 
 
 def weighted_length(p, q, x, y):

@@ -8,8 +8,7 @@ import cmclab.mincut
 from cmclab import (
     UsageError, NumericalError, CapacityOverflowError, GridGeometry, CellSet, RegionMask,
     MinCutProblem, quantum, evaluate, evaluate_quanta, solve, brute_force,
-    threshold_experiment, convergence_experiment, problem_to_json,
-    problem_from_json, result_to_json,
+    threshold_experiment, result_to_json,
 )
 from support import random_small_problem
 
@@ -124,8 +123,7 @@ class TestSolve:
                 prob = MinCutProblem(base.grid, float(lam),
                                      fixed_in=base.fixed_in,
                                      fixed_out=base.fixed_out,
-                                     cell_weight=base.cell_weight,
-                                     active_region=base.active_region)
+                                     cell_weight=base.cell_weight)
                 res = solve(prob)
                 if prev is not None:
                     assert np.all(prev.set_min.bits <= res.set_min.bits)
@@ -146,8 +144,7 @@ class TestSolve:
             bigger = MinCutProblem(prob.grid, prob.lam,
                                    fixed_in=RegionMask(prob.grid, fin),
                                    fixed_out=RegionMask(prob.grid, fout),
-                                   cell_weight=prob.cell_weight,
-                                   active_region=prob.active_region)
+                                   cell_weight=prob.cell_weight)
             assert np.all(solve(prob).set_max.bits
                           <= solve(bigger).set_max.bits)
 
@@ -168,8 +165,7 @@ class TestSolve:
                 fixed_in=RegionMask(prob.grid, prob.fixed_in.bits | A),
                 fixed_out=RegionMask(prob.grid,
                                      prob.fixed_out.bits | (free & ~B)),
-                cell_weight=prob.cell_weight,
-                active_region=prob.active_region)
+                cell_weight=prob.cell_weight)
             got = solve(restricted)
             for want in (full, brute_force(prob), brute_force(restricted)):
                 assert got.set_max == want.set_max
@@ -295,45 +291,7 @@ class TestThreshold:
         assert rows[0].contact_excess == 0.0
 
 
-class TestConvergence:
-    def test_requires_shared_setup(self):
-        p1 = half_plane_disk_problem(10, 3.0, 0.5)
-        p2 = half_plane_disk_problem(12, 3.0, 0.5)
-        with pytest.raises(UsageError):
-            convergence_experiment([p1, p2])
-        p3 = half_plane_disk_problem(10, 3.0, 0.7)
-        with pytest.raises(UsageError):
-            convergence_experiment([p1, p3])
-
-    def test_reports_gaps_to_last(self):
-        probs = [half_plane_disk_problem(12, r, 0.9) for r in (4.5, 4.0, 3.5)]
-        rep = convergence_experiment(probs)
-        assert len(rep.sym_diff_successive) == 2
-        assert len(rep.sym_diff_to_limit) == 3
-        assert rep.sym_diff_to_limit[-1] == 0.0
-        assert len(rep.perimeters) == 3
-        assert rep.perimeter_gaps[-1] == 0.0
-
-
 class TestSerialization:
-    def test_problem_round_trip(self, rng):
-        for _ in range(8):
-            prob = random_small_problem(rng)
-            back = problem_from_json(problem_to_json(prob))
-            assert back.grid.compatible(prob.grid)
-            assert back.lam == prob.lam
-            assert back.fixed_in == prob.fixed_in
-            assert back.fixed_out == prob.fixed_out
-            if prob.cell_weight is None:
-                assert back.cell_weight is None
-            else:
-                assert np.array_equal(back.cell_weight, prob.cell_weight)
-            if prob.active_region is None:
-                assert back.active_region is None
-            else:
-                assert back.active_region == prob.active_region
-            assert (solve(back).energy_quanta == solve(prob).energy_quanta)
-
     def test_result_document(self, rng):
         prob = random_small_problem(rng)
         res = solve(prob)
