@@ -107,11 +107,11 @@ def run_spectra(args):
 # -------------------------------------------------------------- plateau2d
 
 def run_plateau2d(args):
-    def job(lam):
-        return threshold_experiment(args.radius, args.resolution, [lam])[0]
-
+    # One job: the sweep is sequential, each lambda solved from the
+    # minimizer of the one below it.
     with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        rows = list(pool.map(job, args.lambdas))
+        rows = pool.submit(threshold_experiment, args.radius,
+                           args.resolution, args.lambdas).result()
 
     table = [{
         "lambda": row.lam,

@@ -95,7 +95,8 @@ class GridGeometry:
             raise UsageError(f"grid {dims} has more cells than the budget "
                              f"of {_MAX_CELLS}")
         if not (self.h > 0 and np.isfinite(self.h)):
-            raise UsageError(f"cell size must be positive, got {self.h}")
+            raise UsageError(
+                f"cell size must be positive and finite, got {self.h}")
         origin = self.origin
         if origin is None:
             origin = (0.0,) * len(dims)

@@ -320,7 +320,24 @@ def threshold_experiment(r, resolution, lam_list):
     contact_excess is the face-length of the smallest minimizer's boundary
     lying within one cell of the obstacle circle but away from the equator
     band (2h half-width).  `largest` is the largest minimizer itself.
+    Rows come back in the order of lam_list.
+
+    Every lambda is checked finite before the first solve.  The lambdas are
+    then solved in ascending order, each with the previous solve's largest
+    minimizer fixed in on top of the half-plane data.  This is exact: the
+    cell weights are all 1, so every cell's quantized gain is
+    g = rint(lambda * h * 2^20).  If g1 < g2 and E1, E2 minimize at g1, g2,
+    submodularity of the perimeter and |E1| + |E2| = |E1 & E2| + |E1 | E2|
+    give (g2 - g1) |E1 \\ E2| <= 0, so every minimizer at g2 contains every
+    minimizer at g1.  Fixing one of them in therefore removes no minimizer,
+    and set_min, set_max and the energy, priced over the whole grid, are
+    those of the unrestricted solve.  A lambda whose gain equals the
+    previous one poses the same quantized problem, so its result is reused.
     """
+    lams = [float(lam) for lam in lam_list]
+    for lam in lams:
+        if not np.isfinite(lam):
+            raise UsageError(f"lambda must be finite, got {lam}")
     if not r >= 8:
         raise UsageError(f"disk radius must be at least 8 cells, got {r}")
     grid = GridGeometry((int(resolution),) * 2, h=1.0, stencil="cc")
@@ -337,13 +354,19 @@ def threshold_experiment(r, resolution, lam_list):
     ball_set = CellSet(grid, ball)
     circumference = perimeter(ball_set, RegionMask.whole(grid))
 
-    rows = []
-    for lam in lam_list:
-        res = solve(MinCutProblem(grid, lam, fixed_in, fixed_out))
-        filled = bool(np.all(res.set_max.bits[upper]))
-        rows.append(ThresholdRow(float(lam), filled,
-                                 _contact_excess(res.set_min, c, r),
-                                 circumference, res.set_max))
+    rows = [None] * len(lams)
+    gain = res = None
+    for i in sorted(range(len(lams)), key=lams.__getitem__):
+        g = np.rint(lams[i] * grid.h * 2**QUANT_BITS)
+        if g != gain:
+            known_in = fixed_in if res is None else RegionMask(
+                grid, res.set_max.bits)
+            res = solve(MinCutProblem(grid, lams[i], known_in, fixed_out))
+            gain = g
+            filled = bool(np.all(res.set_max.bits[upper]))
+            excess = _contact_excess(res.set_min, c, r)
+        rows[i] = ThresholdRow(lams[i], filled, excess, circumference,
+                               res.set_max)
     return rows
 
 

@@ -4,14 +4,16 @@ The perimeter recount walks cells in plain Python, and the link
 eigenvalues come from a one-dimensional Sturm-Liouville discretization per
 sphere factor instead of the separable closed form; neither shares an
 arithmetic path with the package.  The approximation steps are re-solved
-without the band restriction, over the whole obstacle ball.
+without the band restriction, over the whole obstacle ball, and the lambdas
+of a threshold sweep one at a time, each on the whole free disk.
 """
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.ndimage import distance_transform_edt
 
-from cmclab import CellSet, stencil_levels, weighted_minimize
+from cmclab import (CellSet, stencil_levels, threshold_experiment,
+                    weighted_minimize)
 from cmclab.equivariant import _annulus_profile
 
 
@@ -90,3 +92,9 @@ def unrestricted_steps(p, q, lam, report):
                           CellSet(grid, E.bits & (depth > t * profile)),
                           report.obstacle_radius).set_max
         for t in report.t_list)
+
+
+def independent_thresholds(r, resolution, lams):
+    """The rows of a threshold sweep, each lambda solved in a sweep of its
+    own, so no solve starts from another lambda's minimizer."""
+    return [threshold_experiment(r, resolution, [lam])[0] for lam in lams]

@@ -573,8 +573,11 @@ class TestMalformedInput:
     # Taylor start or left it non-finite.  The last four give p or q past
     # 2**53, which a float cannot hold exactly.  The three cell sets after
     # them hold a d, an ext entry or a run length of 5000 digits, past the
-    # digit limit of Python's int().  Each row lists its input files (None:
-    # a directory) and its argv, where {d} is the test directory.
+    # digit limit of Python's int().  The last two sweeps hold a non-finite
+    # lambda, refused before any lambda is solved: before, the 1e300 solve
+    # ran first and overflowed the coefficient budget (exit 3).  Each row
+    # lists its input files (None: a directory) and its argv, where {d} is
+    # the test directory.
     @pytest.mark.parametrize("files,argv", [
         outdir_row(["equivariant", "--p", "3", "--q", "3",
                     "--grid-n", "2000000", "--lambda", "0.0"],
@@ -659,6 +662,12 @@ class TestMalformedInput:
                  + b" h=1 stencil=cc\n40\n", id="huge-digit-ext"),
         plot_row("run.csl", b"cmcgrid v1 d=2 ext=2,2 h=1 stencil=cc\n"
                  + b"1" * 5000 + b"0\n", id="huge-digit-run-length"),
+        outdir_row(["plateau2d", "--radius", "8", "--resolution", "20",
+                    "--lambda", "1e300", "--lambda", "nan"],
+                   id="nan-lambda-after-overflowing-one"),
+        outdir_row(["plateau2d", "--radius", "8", "--resolution", "20",
+                    "--lambda", "0.1", "--lambda", "inf"],
+                   id="inf-lambda-after-finite-one"),
     ])
     def test_is_config_error(self, tmp_path, capsys, files, argv):
         for name, data in files.items():
@@ -676,6 +685,16 @@ class TestMalformedInput:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
         for name, data in files.items():
             assert (tmp_path / name).is_dir() == (data is None)
+
+    def test_huge_digit_cell_size_is_named_not_finite(self, tmp_path,
+                                                      capsys):
+        # 5000 digits read as a float are inf, which is positive.
+        path = tmp_path / "h.csl"
+        path.write_bytes(b"cmcgrid v1 d=2 ext=2,2 h=" + b"1" * 5000
+                         + b" stencil=cc\n40\n")
+        assert run_cli("plot", "--input", str(path),
+                       "--output", str(tmp_path / "x.svg")) == 2
+        assert "finite" in one_config_error_line(capsys)
 
 
 def one_config_error_line(capsys):

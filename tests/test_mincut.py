@@ -10,6 +10,7 @@ from cmclab import (
     MinCutProblem, quantum, evaluate, evaluate_quanta, solve, brute_force,
     threshold_experiment, result_to_json,
 )
+from oracles import independent_thresholds
 from support import random_small_problem
 
 
@@ -171,6 +172,36 @@ class TestSolve:
                 assert got.set_max == want.set_max
                 assert got.energy_quanta == want.energy_quanta
 
+    def test_lambda_sweep_restriction_is_exact(self, rng):
+        # At strictly larger rounded gains every minimizer contains the
+        # smaller lambda's largest minimizer, so fixing it in changes
+        # neither extremal minimizer, the energy nor uniqueness: the lemma
+        # that lets a threshold sweep solve each lambda from the last.
+        for _ in range(20):
+            base = random_small_problem(rng)
+            prev = prev_gains = None
+            for lam in sorted(rng.uniform(-2.0, 6.0, size=4)):
+                prob = MinCutProblem(base.grid, float(lam),
+                                     fixed_in=base.fixed_in,
+                                     fixed_out=base.fixed_out,
+                                     cell_weight=base.cell_weight)
+                gains = cmclab.mincut._coefficients(prob)[3]
+                if prev is None:
+                    got = solve(prob)
+                else:
+                    assert np.all(gains > prev_gains)
+                    got = solve(MinCutProblem(
+                        base.grid, float(lam),
+                        fixed_in=RegionMask(base.grid, prev.set_max.bits),
+                        fixed_out=base.fixed_out,
+                        cell_weight=base.cell_weight))
+                for want in (solve(prob), brute_force(prob)):
+                    assert got.set_min == want.set_min
+                    assert got.set_max == want.set_max
+                    assert got.energy_quanta == want.energy_quanta
+                    assert got.unique == want.unique
+                prev, prev_gains = got, gains
+
     def test_energy_recheck_catches_a_wrong_flow_value(self, rng,
                                                        monkeypatch):
         real = cmclab.mincut.maximum_flow
@@ -289,6 +320,42 @@ class TestThreshold:
         assert np.array_equal(rows[0].largest.bits, Y < (24 - 1) / 2.0)
         assert rows[0].filled is False
         assert rows[0].contact_excess == 0.0
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        calls = []
+        real = cmclab.mincut.solve
+
+        def counted(problem):
+            calls.append(problem.lam)
+            return real(problem)
+
+        monkeypatch.setattr(cmclab.mincut, "solve", counted)
+        return calls
+
+    def test_non_finite_lambda_is_refused_before_any_solve(self,
+                                                           monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        with pytest.raises(UsageError, match="finite"):
+            threshold_experiment(8, 24, [0.1, float("nan")])
+        assert calls == []
+
+    def test_sweep_matches_independent_solves(self, rng, monkeypatch):
+        # Negative lambdas, a duplicate, and 0.1 and 0.1 + 2^-24, which
+        # round to the same gain of 104858 quanta, in shuffled order.
+        lams = [-0.3, -0.05, 0.0, 0.1, 0.1 + 2**-24, 0.15, 0.25, 0.25, 0.6]
+        lams = [lams[i] for i in rng.permutation(len(lams))]
+        want = independent_thresholds(8, 24, lams)
+        calls = self.count_solves(monkeypatch)
+        got = threshold_experiment(8, 24, lams)
+        assert len(calls) == len({np.rint(lam * 2**20) for lam in lams}) == 7
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.lam == w.lam
+            assert g.filled == w.filled
+            assert g.contact_excess == w.contact_excess
+            assert g.obstacle_circumference == w.obstacle_circumference
+            assert g.largest == w.largest
 
 
 class TestSerialization:
