@@ -29,6 +29,9 @@ from .equivariant import (shoot_leaf, mean_curvature_values, quadrant_grid,
                           approximation_sequence)
 
 SCHEMA_VERSION = 1
+# Rows of a CSV or points of an SVG path formatted at once: one format or
+# map per block, so no per-value list spans a whole 98,851-row leaf.
+_BLOCK = 4096
 
 
 def thread_count():
@@ -145,11 +148,14 @@ def run_equivariant(args):
 
 def run_leaf(args):
     leaf = shoot_leaf(args.p, args.q, args.s0, r_max=args.rmax)
-    resid = np.abs(mean_curvature_values(leaf))
-    lines = ["s,x,y,curvature_residual"]
-    lines += [f"{s!r},{x!r},{y!r},{r!r}" for s, x, y, r in zip(
-        leaf.s.tolist(), leaf.x.tolist(), leaf.y.tolist(), resid.tolist())]
-    atomic_write(args.csv, "\n".join(lines) + "\n")
+    rows = np.column_stack([leaf.s, leaf.x, leaf.y,
+                            np.abs(mean_curvature_values(leaf))])
+    blocks = ["s,x,y,curvature_residual\n"]
+    for i in range(0, len(rows), _BLOCK):
+        block = rows[i:i + _BLOCK]
+        blocks.append(("%r,%r,%r,%r\n" * len(block))
+                      % tuple(block.ravel().tolist()))
+    atomic_write(args.csv, "".join(blocks))
     return 0
 
 
@@ -251,10 +257,26 @@ _PLOT_LIMIT = 1e300
 # this wide: its corners then stay apart by a thousand steps of 1e-9 and
 # its stroke width h/4 keeps two significant digits.
 _PLOT_MIN_CELL = 1e-6
+# A plotted curve spans at least this much in x or y: its stroke width
+# 0.004 * span is then at least 1e-8, ten steps of 1e-9, so it too keeps
+# two significant digits.
+_PLOT_MIN_EXTENT = 2.5e-6
 
 
-def _fmt(v):
-    return repr(round(float(v), 9))
+def _dec9(v):
+    """repr(round(v, 9)) of a float v, the SVG's one number format.
+
+    For 1e-4 <= |v| < 1e6 it is "%.9f" % v without trailing zeros but one
+    after the point: round and %.9f take the same 9 decimals from one
+    correctly rounded conversion, which has at most 15 significant digits
+    there, so the rounded double's shortest repr is those digits, written
+    positionally.  Below 1e-4 repr switches to exponent form, and from 1e6
+    up the digits can pass 15, so those values go through repr(round()).
+    """
+    if 1e-4 <= abs(v) < 1e6:
+        s = ("%.9f" % v).rstrip("0")
+        return s + "0" if s[-1] == "." else s
+    return repr(round(v, 9))
 
 
 def _interface_segments(D):
@@ -330,20 +352,29 @@ def _chain_segments(keys):
     return [at[c] for c in chains]
 
 
+def _path_points(line, flip):
+    """The points of a (k, 2) polyline as "x y" strings joined by " L ",
+    with y flipped to flip - y."""
+    pts = np.column_stack([line[:, 0], flip - line[:, 1]])
+    blocks = []
+    for i in range(0, len(pts), _BLOCK):
+        v = list(map(_dec9, pts[i:i + _BLOCK].ravel().tolist()))
+        blocks.append(" L ".join(map(" ".join, zip(v[::2], v[1::2]))))
+    return " L ".join(blocks)
+
+
 def _svg_document(polylines, bbox, stroke_width):
     """SVG of polylines, each a (k, 2) array, with y flipped in bbox."""
-    x0, y0, x1, y1 = bbox
-    flip = float(y0 + y1)
+    x0, y0, x1, y1 = map(float, bbox)
+    stroke_width = float(stroke_width)
+    flip = y0 + y1
     pad = 0.05 * max(x1 - x0, y1 - y0, stroke_width)
-    vb = " ".join(map(_fmt, (x0 - pad, y0 - pad,
-                             x1 - x0 + 2 * pad, y1 - y0 + 2 * pad)))
+    vb = " ".join(map(_dec9, (x0 - pad, y0 - pad,
+                              x1 - x0 + 2 * pad, y1 - y0 + 2 * pad)))
     tail = (f'" fill="none" stroke="black" '
-            f'stroke-width="{_fmt(stroke_width)}"/>')
-    body = "\n".join(
-        '  <path d="M ' + " L ".join(
-            f"{round(x, 9)!r} {round(flip - y, 9)!r}"
-            for x, y in line.tolist()) + tail
-        for line in polylines)
+            f'stroke-width="{_dec9(stroke_width)}"/>')
+    body = "\n".join('  <path d="M ' + _path_points(line, flip) + tail
+                      for line in polylines)
     return (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{vb}">\n'
             f"{body}\n</svg>\n")
 
@@ -380,8 +411,10 @@ def run_plot(args):
                              f"{_PLOT_LIMIT:g} in magnitude")
         (x0, y0), (x1, y1) = xy.min(axis=0), xy.max(axis=0)
         span = max(x1 - x0, y1 - y0)
-        if span == 0:
-            raise UsageError("curve has zero extent")
+        if not span >= _PLOT_MIN_EXTENT:
+            raise UsageError(f"curve extent {span:g} is below "
+                             f"{_PLOT_MIN_EXTENT:g}, which the SVG cannot "
+                             f"resolve")
         text = _svg_document([xy], (x0, y0, x1, y1), 0.004 * span)
     else:
         raise UsageError("input is neither a cell-set file nor a curve CSV")

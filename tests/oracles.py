@@ -5,7 +5,9 @@ eigenvalues come from a one-dimensional Sturm-Liouville discretization per
 sphere factor instead of the separable closed form; neither shares an
 arithmetic path with the package.  The approximation steps are re-solved
 without the band restriction, over the whole obstacle ball, and the lambdas
-of a threshold sweep one at a time, each on the whole free disk.
+of a threshold sweep one at a time, each on the whole free disk.  The leaf
+CSV and the SVG are written one f-string per row and per point, with
+repr(round(v, 9)) for every SVG number.
 """
 
 import numpy as np
@@ -98,3 +100,33 @@ def independent_thresholds(r, resolution, lams):
     """The rows of a threshold sweep, each lambda solved in a sweep of its
     own, so no solve starts from another lambda's minimizer."""
     return [threshold_experiment(r, resolution, [lam])[0] for lam in lams]
+
+
+def leaf_csv(s, x, y, resid):
+    """The text of a leaf CSV, one f-string per row."""
+    lines = ["s,x,y,curvature_residual"]
+    lines += [f"{a!r},{b!r},{c!r},{d!r}" for a, b, c, d in zip(
+        s.tolist(), x.tolist(), y.tolist(), resid.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def svg_document(polylines, bbox, stroke_width):
+    """The text of an SVG of polylines, each a (k, 2) array, with y flipped
+    in bbox, one f-string per point."""
+    def fmt(v):
+        return repr(round(float(v), 9))
+
+    x0, y0, x1, y1 = bbox
+    flip = float(y0 + y1)
+    pad = 0.05 * max(x1 - x0, y1 - y0, stroke_width)
+    vb = " ".join(map(fmt, (x0 - pad, y0 - pad,
+                            x1 - x0 + 2 * pad, y1 - y0 + 2 * pad)))
+    tail = (f'" fill="none" stroke="black" '
+            f'stroke-width="{fmt(stroke_width)}"/>')
+    body = "\n".join(
+        '  <path d="M ' + " L ".join(
+            f"{round(x, 9)!r} {round(flip - y, 9)!r}"
+            for x, y in line.tolist()) + tail
+        for line in polylines)
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{vb}">\n'
+            f"{body}\n</svg>\n")

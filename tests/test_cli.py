@@ -17,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from cmclab import (CellSet, GridGeometry, boundary_faces, cellset_to_text,
                     mean_curvature_values, read_cellset, shoot_leaf)
-from cmclab.cli import _echoed, build_parser, main
+from cmclab import cli
+from cmclab.cli import _BLOCK, _dec9, _echoed, build_parser, main
+from oracles import leaf_csv, svg_document
 
 
 def read_text(path):
@@ -27,6 +29,38 @@ def read_text(path):
 
 def run_cli(*args):
     return main(list(args))
+
+
+def leaf_oracle(p, q, s0, r_max=None):
+    """The leaf CSV text the per-row oracle writes, and its row count."""
+    leaf = shoot_leaf(p, q, s0, r_max=r_max)
+    resid = np.abs(mean_curvature_values(leaf))
+    return leaf_csv(leaf.s, leaf.x, leaf.y, resid), len(leaf.s)
+
+
+def plot_with_oracle(monkeypatch, src, svg):
+    """Plot src to svg; returns the SVG's bytes and the per-point oracle's,
+    formatted from the polylines, box and stroke width the CLI drew."""
+    drawn = []
+    real = cli._svg_document
+
+    def spy(*args):
+        drawn.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_svg_document", spy)
+    assert run_cli("plot", "--input", str(src), "--output", str(svg)) == 0
+    (args,) = drawn
+    return svg.read_bytes(), svg_document(*args).encode()
+
+
+@pytest.fixture(scope="module")
+def default_leaf(tmp_path_factory):
+    """The CSV of the (3,3) leaf from s0 = 1 to the default exit radius."""
+    csv = tmp_path_factory.mktemp("leaf") / "leaf.csv"
+    assert run_cli("leaf", "--p", "3", "--q", "3", "--s0", "1.0",
+                   "--csv", str(csv)) == 0
+    return csv
 
 
 class TestSpectra:
@@ -205,6 +239,28 @@ class TestLeaf:
         assert np.array_equal(got[~nan].view(np.int64),
                               want[~nan].view(np.int64))
 
+    # exit radii giving one row less than a formatting block, a block, and
+    # one row more
+    @pytest.mark.parametrize("rmax,rows", [
+        ("2.6267", _BLOCK - 1), ("2.6272", _BLOCK), ("2.6277", _BLOCK + 1)])
+    def test_csv_matches_per_row_oracle_at_block_edges(self, tmp_path, rmax,
+                                                        rows):
+        csv = tmp_path / "leaf.csv"
+        assert run_cli("leaf", "--p", "3", "--q", "3", "--s0", "1.0",
+                       "--rmax", rmax, "--csv", str(csv)) == 0
+        want, n = leaf_oracle(3, 3, 1.0, r_max=float(rmax))
+        assert n == rows
+        assert csv.read_bytes() == want.encode()
+
+    def test_default_leaf_and_svg_match_oracles(self, default_leaf, tmp_path,
+                                                monkeypatch):
+        want, n = leaf_oracle(3, 3, 1.0)
+        assert n == 98851
+        assert default_leaf.read_bytes() == want.encode()
+        got, want = plot_with_oracle(monkeypatch, default_leaf,
+                                     tmp_path / "leaf.svg")
+        assert got == want
+
     def test_exit_radius_over_sample_budget_is_config_error(self, tmp_path,
                                                             capsys):
         # the budget check runs before any integration or allocation
@@ -329,6 +385,34 @@ class TestPlot:
         assert run_cli("plot", "--input", csv, "--output", svg) == 0
         assert read_text(svg).count("<path ") == 1
 
+    def test_cellset_svg_matches_per_point_oracle(self, tmp_path,
+                                                  monkeypatch):
+        rng = np.random.default_rng(1)
+        D = CellSet(GridGeometry((40, 40), h=0.1),
+                    rng.random((40, 40)) < 0.5)
+        src = tmp_path / "d.csl"
+        src.write_text(cellset_to_text(D), encoding="utf-8")
+        got, want = plot_with_oracle(monkeypatch, src, tmp_path / "d.svg")
+        assert got == want
+
+    def test_curve_svg_outside_the_positional_range_matches_oracle(
+            self, tmp_path, monkeypatch):
+        # x and the stroke width outside [1e-4, 1e6); flip - y below 1e-4
+        src = tmp_path / "c.csv"
+        src.write_text("s,x,y,curvature_residual\n0,0.0,1e-7,0\n"
+                       "1,-0.0,-3e-5,0\n2,1e-7,-0.0,0\n3,-3e-5,0.0,0\n"
+                       "4,2e6,1e-7,0\n5,1e12,-3e-5,0\n", encoding="utf-8")
+        got, want = plot_with_oracle(monkeypatch, src, tmp_path / "c.svg")
+        assert got == want
+        assert b"M 0.0 " in got and b" L -0.0 " in got
+        assert b" L 1000000000000.0 " in got
+
+    def test_default_leaf_plots_within_budget(self, default_leaf, tmp_path):
+        start = time.perf_counter()
+        assert run_cli("plot", "--input", str(default_leaf),
+                       "--output", str(tmp_path / "leaf.svg")) == 0
+        assert time.perf_counter() - start < 3.0
+
     def test_unknown_format(self, tmp_path, capsys):
         junk = tmp_path / "junk.txt"
         junk.write_text("hello\n", encoding="utf-8")
@@ -353,6 +437,46 @@ class TestPlot:
         err = capsys.readouterr().err
         assert err.startswith("config error: bad cell set header")
         assert err.count("\n") == 1
+
+
+# Edges of _dec9's positional range and of the float range, and decimals
+# half-way between two steps of 1e-9 at every decade up to 1e6.
+_DEC9_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+    2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+    *(sign * v for sign in (1.0, -1.0) for edge in (1e-4, 1e6)
+      for below in (math.nextafter(edge, 0.0),)
+      for above in (math.nextafter(edge, math.inf),)
+      for v in (math.nextafter(below, 0.0), below, edge, above,
+                math.nextafter(above, math.inf))),
+    *(sign * (k + 0.5) / 1e9 for sign in (1.0, -1.0) for e in range(16)
+      for k in (10**e - 1, 10**e, 10**e + 1, 5 * 10**e)),
+]
+
+
+class TestDec9:
+    def test_edge_values(self):
+        assert [v for v in _DEC9_EDGES if _dec9(v) != repr(round(v, 9))] == []
+
+    def test_log_uniform_magnitudes(self, rng):
+        # dense enough to meet the floats from 2**23 up, where %.9f has more
+        # digits than the rounded double's repr
+        values = (rng.choice([-1.0, 1.0], 100000)
+                  * 10.0 ** rng.uniform(-12, 12, 100000)).tolist()
+        assert [v for v in values if _dec9(v) != repr(round(v, 9))] == []
+
+    @settings(max_examples=1000, deadline=None, derandomize=True,
+              database=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_is_repr_of_round_for_every_finite_float(self, v):
+        assert _dec9(v) == repr(round(v, 9))
+
+    @settings(max_examples=1000, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(-10**15, 10**15))
+    def test_half_way_decimals(self, k):
+        v = (k + 0.5) / 1e9
+        assert _dec9(v) == repr(round(v, 9))
 
 
 def svg_paths(text):
@@ -564,7 +688,7 @@ class TestMalformedInput:
     # The two giant grids are refused by the cell budget before any
     # per-cell allocation (4e12 and 1e15 cells); the non-UTF-8 cell sets
     # fail in the header read and, past the first read chunk, in the body.
-    # A curve needs two rows of finite x and y with a nonzero extent, and a
+    # A curve needs two rows of finite x and y spanning 2.5e-6 or more, and a
     # plotted cell set a cell size the SVG resolves.  The four rows from
     # non-utf8-approx-config name a path that cannot be read or written;
     # the argument parser refuses the next four, and shoot_leaf the next
@@ -609,6 +733,10 @@ class TestMalformedInput:
         plot_row("huge.csl",
                  b"cmcgrid v1 d=2 ext=3,3 h=1e308 stencil=cc\n40 51\n",
                  id="overflowing-cellset"),
+        plot_row("tiny.csv", b"s,x,y,curvature_residual\n0,0,0,0\n"
+                 b"1,1e-12,2e-12,0\n2,3e-12,1e-12,0\n", id="unresolved-curve"),
+        plot_row("subnormal.csv", b"s,x,y,curvature_residual\n0,0,0,0\n"
+                 b"1,5e-324,0,0\n", id="subnormal-curve"),
         outdir_row(["plateau2d", "--radius", "nan", "--resolution", "20",
                     "--lambda", "0"], id="nan-radius"),
         plot_row("tiny.csl",
