@@ -58,7 +58,14 @@ _DIAG_LEVELS = {
 
 
 def stencil_levels(d, stencil):
-    """Weight levels for a stencil: tuple of (unit_weight, offsets)."""
+    """Weight levels for a stencil: tuple of (unit_weight, offsets).
+
+    Every level, its offsets taken up to sign, maps onto itself under each
+    axis flip and each swap of two axes.  So a grid reflection that leaves
+    the per-cell data of a problem unchanged leaves its energy unchanged,
+    which is what lets mincut.solve merge mirror-image cells after checking
+    only those per-cell arrays.
+    """
     if stencil == STENCIL_FACE:
         return ((1.0, _FACE_OFFSETS[d]),)
     if stencil == STENCIL_CC:

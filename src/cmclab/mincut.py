@@ -10,7 +10,10 @@ about the quantized energy.
 
 Extremal minimizers come from residual reachability: cells reachable from the
 source form the smallest minimizer, cells not reaching the sink form the
-largest.  Uniqueness is their coincidence.
+largest.  Uniqueness is their coincidence.  A problem unchanged by a grid
+reflection is solved on the orbit graph of that reflection, each free cell
+merged with its mirror image; both extremal minimizers are invariant, so they
+are the full problem's.
 
 The max-flow backend works on int32 capacities and wraps silently past 2^31,
 so capacities and both terminal totals are guarded first.  Before that, the
@@ -18,7 +21,9 @@ coefficients are refused unless their total magnitude stays below 2^62
 quanta, so no int64 energy sum can wrap.
 """
 
+import operator
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -209,13 +214,66 @@ def _minimizer(problem, lin, q, x_min, x_max, stats):
                            stats)
 
 
-def solve(problem):
-    """Global minimizer pair by max-flow.
+def _mirrors(d):
+    """The grid reflections a problem may be invariant under, in a fixed
+    order: each axis flip, then each swap of two axes.  Each maps a
+    cell-shaped array to its mirror image; a swap of two axes of unequal
+    extent changes the shape, so no array equals its image under it."""
+    for k in range(d):
+        yield lambda a, k=k: np.flip(a, k)
+    for i, j in combinations(range(d), 2):
+        yield lambda a, i=i, j=j: np.swapaxes(a, i, j)
 
-    Returns the inclusion-smallest and inclusion-largest minimizers, the
-    minimum energy (quantized), and whether the minimizer is unique.
+
+def _mirror_merged(problem, lin):
+    """lin on the orbit graph of the first reflection that leaves the
+    problem unchanged, or None when none does.
+
+    A reflection sigma leaves the energy unchanged when it maps fixed_in,
+    fixed_out and the cell weights onto themselves; every stencil maps
+    onto itself under sigma (see stencil_levels), so the arc capacities
+    and gains follow.  sigma then maps the largest minimizer to a
+    minimizer, which lies inside the largest one, so both extremal
+    minimizers are sigma-invariant.  On sigma-invariant labels the energy
+    is a cut of the orbit graph: each free cell and its mirror image are
+    one node, unary terms add over the orbit, arcs between two orbits add
+    up, and arcs inside one orbit are never cut, so they are dropped.
+    node maps every cell to its orbit, so _minimizer unfolds the labels
+    and re-checks the energy on the full coefficients.
     """
-    lin = _linearized(problem)
+    arrays = [problem.fixed_in.bits, problem.fixed_out.bits]
+    if problem.cell_weight is not None:
+        arrays.append(problem.cell_weight)
+    for mirror in _mirrors(problem.grid.d):
+        if all(np.array_equal(a, mirror(a)) for a in arrays):
+            break
+    else:
+        return None
+    m = lin.theta.shape[1]
+    flat = np.arange(problem.grid.ncells).reshape(problem.grid.dims)
+    image = lin.node[mirror(flat).ravel()[lin.node < m]]
+    rep = np.minimum(np.arange(m), image)
+    first = rep == np.arange(m)
+    orbit = (np.cumsum(first) - 1)[rep]
+    reps = np.flatnonzero(first)
+    k = len(reps)
+    # An orbit is a free cell and its image, or a cell the mirror fixes.
+    theta = lin.theta[:, reps]
+    pair = image[reps] != reps
+    theta[:, pair] += lin.theta[:, image[reps[pair]]]
+    oi, oj = orbit[lin.ei], orbit[lin.ej]
+    apart = oi != oj
+    node = np.concatenate([orbit, [k, k + 1]])[lin.node]
+    return _Linearized(theta, oi[apart], oj[apart], lin.ew[apart], lin.const,
+                       node, lin.coeffs)
+
+
+def _flow_solve(problem, lin):
+    """solve on the flow graph of lin, as it stands.
+
+    Arcs that join the same two nodes are summed into one.  The summed
+    capacities and both terminal totals are guarded before max-flow runs.
+    """
     m = lin.theta.shape[1]
     if m == 0:
         x = np.zeros(0, dtype=bool)
@@ -229,17 +287,18 @@ def solve(problem):
     cols = np.concatenate([lin.ej, lin.ei, src, np.full(len(snk), t)])
     vals = np.concatenate([lin.ew, lin.ew, lin.theta[0, src],
                            lin.theta[1, snk]])
+    graph = csr_matrix((vals, (rows, cols)), shape=(m + 2, m + 2),
+                       dtype=np.int64)
 
     src_total, snk_total = (int(v) for v in lin.theta.sum(axis=1))
-    max_cap = int(vals.max()) if len(vals) else 0
+    max_cap = int(graph.data.max()) if graph.nnz else 0
     if max_cap > _INT32_MAX or min(src_total, snk_total) > _INT32_MAX:
         raise CapacityOverflowError(
             f"arc capacities out of range for the flow backend: "
             f"largest arc {max_cap} quanta, terminal totals "
             f"{src_total}/{snk_total}; shrink the grid or rescale lambda")
 
-    graph = csr_matrix((vals, (rows, cols)), shape=(m + 2, m + 2),
-                       dtype=np.int64).astype(np.int32)
+    graph = graph.astype(np.int32)
     res = maximum_flow(graph, s, t)
 
     # Every stored entry of the residual is a positive capacity: flow stays
@@ -260,6 +319,31 @@ def solve(problem):
              "nodes": m + 2, "arcs": int(graph.nnz)}
     return _minimizer(problem, lin, lin.const + int(res.flow_value),
                       x_min, x_max, stats)
+
+
+def solve(problem):
+    """Global minimizer pair by max-flow.
+
+    Returns the inclusion-smallest and inclusion-largest minimizers, the
+    minimum energy (quantized), and whether the minimizer is unique.  A
+    problem unchanged by a grid reflection is solved on its orbit graph,
+    each free cell merged with its mirror image (_mirror_merged), unless a
+    summed capacity of that graph fails the int32 guard; the unmerged
+    graph, whose guard then decides, is solved otherwise.  flow_stats
+    "nodes" and "arcs" count the graph that max-flow ran on.
+    """
+    lin = _linearized(problem)
+    merged = _mirror_merged(problem, lin)
+    if merged is None:
+        return _flow_solve(problem, lin)
+    # The unmerged arcs are freed before max-flow runs on the orbit graph;
+    # the rare overflow fallback builds them again.
+    del lin
+    try:
+        return _flow_solve(problem, merged)
+    except CapacityOverflowError:
+        pass
+    return _flow_solve(problem, _linearized(problem))
 
 
 def brute_force(problem):
@@ -333,6 +417,11 @@ def threshold_experiment(r, resolution, lam_list):
     and set_min, set_max and the energy, priced over the whole grid, are
     those of the unrestricted solve.  A lambda whose gain equals the
     previous one poses the same quantized problem, so its result is reused.
+
+    The resolution is an integer n; anything else is refused.  The disk is
+    centred at ((n - 1) / 2, (n - 1) / 2), so every solve's data, the fixed
+    minimizer included, are unchanged by the mirror x -> n - 1 - x in cell
+    index, and solve runs max-flow on the orbit graph of that mirror.
     """
     lams = [float(lam) for lam in lam_list]
     for lam in lams:
@@ -340,10 +429,15 @@ def threshold_experiment(r, resolution, lam_list):
             raise UsageError(f"lambda must be finite, got {lam}")
     if not r >= 8:
         raise UsageError(f"disk radius must be at least 8 cells, got {r}")
-    grid = GridGeometry((int(resolution),) * 2, h=1.0, stencil="cc")
-    c = ((resolution - 1) / 2.0,) * 2
+    try:
+        n = operator.index(resolution)
+    except TypeError:
+        raise UsageError(f"resolution must be an integer, got "
+                         f"{resolution!r}") from None
+    grid = GridGeometry((n, n), h=1.0, stencil="cc")
+    c = ((n - 1) / 2.0,) * 2
     for k in range(2):
-        if c[k] - r < -0.5 or c[k] + r > resolution - 0.5:
+        if c[k] - r < -0.5 or c[k] + r > n - 0.5:
             raise UsageError("obstacle does not fit inside the grid")
     X, Y = grid.center_mesh()
     ball = RegionMask.ball(grid, c, r).bits
@@ -382,6 +476,9 @@ def _contact_excess(D, center, r, band=2.0):
 
 
 def result_to_json(result):
+    """The result's JSON document.  flow_stats "nodes" and "arcs" count the
+    graph max-flow ran on: the orbit graph when solve merged mirror-image
+    cells, arcs between the same two nodes counted once."""
     return {
         "schema_version": 1,
         "energy": result.energy,

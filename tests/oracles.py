@@ -5,7 +5,9 @@ eigenvalues come from a one-dimensional Sturm-Liouville discretization per
 sphere factor instead of the separable closed form; neither shares an
 arithmetic path with the package.  The approximation steps are re-solved
 without the band restriction, over the whole obstacle ball, and the lambdas
-of a threshold sweep one at a time, each on the whole free disk.  The leaf
+of a threshold sweep one at a time, each on the whole free disk.  A
+mirror-symmetric problem is solved with one flow node per free cell, no
+cell merged with its mirror image.  The leaf
 CSV and the SVG are written one f-string per row and per point, with
 repr(round(v, 9)) for every SVG number.
 """
@@ -16,6 +18,7 @@ from scipy.ndimage import distance_transform_edt
 
 from cmclab import (CellSet, stencil_levels, threshold_experiment,
                     weighted_minimize)
+from cmclab import mincut
 from cmclab.equivariant import _annulus_profile
 
 
@@ -94,6 +97,12 @@ def unrestricted_steps(p, q, lam, report):
                           CellSet(grid, E.bits & (depth > t * profile)),
                           report.obstacle_radius).set_max
         for t in report.t_list)
+
+
+def unmerged_solve(problem):
+    """solve's result from max-flow on the unmerged graph, one node per
+    free cell, whatever reflection leaves the problem unchanged."""
+    return mincut._flow_solve(problem, mincut._linearized(problem))
 
 
 def independent_thresholds(r, resolution, lams):

@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmclab import (CellSet, GridGeometry, boundary_faces, cellset_to_text,
-                    mean_curvature_values, read_cellset, shoot_leaf)
+import cmclab.mincut
+from cmclab import (CapacityOverflowError, CellSet, GridGeometry,
+                    boundary_faces, cellset_to_text, mean_curvature_values,
+                    read_cellset, shoot_leaf)
 from cmclab import cli
 from cmclab.cli import _BLOCK, _dec9, _echoed, build_parser, main
 from oracles import leaf_csv, svg_document
@@ -140,6 +142,37 @@ class TestPlateau2d:
         monkeypatch.setenv("CMC_LAB_THREADS", "3")
         assert run_cli(*args) == 0
         assert read_text(os.path.join(out, "plateau2d.json")) == single
+
+    @pytest.mark.parametrize("lam", ["1500", "-1500", "2000"])
+    def test_merged_arcs_past_int32_solve_the_unmerged_graph(
+            self, tmp_path, monkeypatch, lam):
+        # Summed over each mirror pair the largest arc is 3148539776 quanta
+        # or more, past int32; each arc of the unmerged graph fits, so the
+        # run succeeds with the bytes the unmerged solve writes.
+        argv = ("plateau2d", "--radius", "8", "--resolution", "24",
+                "--lambda", lam)
+        refused = []
+        real = cmclab.mincut._flow_solve
+
+        def spy(problem, lin):
+            try:
+                return real(problem, lin)
+            except CapacityOverflowError as e:
+                refused.append(str(e))
+                raise
+
+        def artifacts(name):
+            out = tmp_path / name
+            assert run_cli(*argv, "--outdir", str(out)) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        monkeypatch.setattr(cmclab.mincut, "_flow_solve", spy)
+        merged = artifacts("merged")
+        assert len(refused) == 1 and "largest arc" in refused[0]
+        monkeypatch.setattr(cmclab.mincut, "_mirror_merged",
+                            lambda problem, lin: None)
+        assert artifacts("unmerged") == merged
+        assert len(refused) == 1
 
     def test_bad_thread_env_is_config_error(self, tmp_path, monkeypatch,
                                             capsys):

@@ -65,6 +65,30 @@ class TestGridGeometry:
         with pytest.raises(UsageError):
             stencil_levels(2, "nope")
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("stencil", [STENCIL_FACE, STENCIL_CC])
+    def test_stencil_levels_map_onto_themselves_under_reflections(
+            self, d, stencil):
+        # What lets mincut.solve merge mirror-image cells after checking
+        # only the per-cell arrays: every axis flip and every axis swap
+        # maps each weight level's undirected offsets onto themselves.
+        def reflections():
+            for k in range(d):
+                yield lambda v, k=k: v[:k] + (-v[k],) + v[k + 1:]
+            for i in range(d):
+                for j in range(i + 1, d):
+                    def swap(v, i=i, j=j):
+                        v = list(v)
+                        v[i], v[j] = v[j], v[i]
+                        return tuple(v)
+                    yield swap
+
+        for _w, offsets in stencil_levels(d, stencil):
+            level = ({tuple(o) for o in offsets}
+                     | {tuple(-c for c in o) for o in offsets})
+            for sigma in reflections():
+                assert {sigma(o) for o in level} == level
+
 
 class TestCellSet:
     def test_constructors(self):

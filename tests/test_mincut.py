@@ -10,7 +10,7 @@ from cmclab import (
     MinCutProblem, quantum, evaluate, evaluate_quanta, solve, brute_force,
     threshold_experiment, result_to_json,
 )
-from oracles import independent_thresholds
+from oracles import independent_thresholds, unmerged_solve
 from support import random_small_problem
 
 
@@ -286,6 +286,155 @@ class TestSolve:
             brute_force(MinCutProblem(g, 0.0, fixed_in=none, fixed_out=none))
 
 
+def reflections(dims):
+    """Every axis flip and every swap of two equal-extent axes, by name."""
+    for k in range(len(dims)):
+        yield f"flip{k}", lambda a, k=k: np.flip(a, k)
+    for i in range(len(dims)):
+        for j in range(i + 1, len(dims)):
+            if dims[i] == dims[j]:
+                yield f"swap{i}{j}", lambda a, i=i, j=j: np.swapaxes(a, i, j)
+
+
+def invariant_under(prob):
+    """Names of the reflections that map fixed_in, fixed_out and the cell
+    weights onto themselves."""
+    arrays = [prob.fixed_in.bits, prob.fixed_out.bits]
+    if prob.cell_weight is not None:
+        arrays.append(prob.cell_weight)
+    return [name for name, mirror in reflections(prob.grid.dims)
+            if all(np.array_equal(a, mirror(a)) for a in arrays)]
+
+
+def symmetrized(prob, mirror):
+    """prob made invariant under mirror: fixed_in grows by its image,
+    fixed_out shrinks to the cells whose image it also holds, and the
+    weights add their image."""
+    fin, fout = prob.fixed_in.bits, prob.fixed_out.bits
+    w = prob.cell_weight
+    return MinCutProblem(
+        prob.grid, prob.lam,
+        fixed_in=RegionMask(prob.grid, fin | mirror(fin)),
+        fixed_out=RegionMask(prob.grid, fout & mirror(fout)),
+        cell_weight=None if w is None else w + mirror(w))
+
+
+class TestMirrorMerge:
+    # Each case: dimension, reflection, and the parity the reflected axis
+    # extent must have; odd extents leave a fixed-point line of cells.
+    CASES = [
+        pytest.param(2, "flip0", 0, id="2d-flip0-even"),
+        pytest.param(2, "flip0", 1, id="2d-flip0-odd"),
+        pytest.param(2, "flip1", 0, id="2d-flip1-even"),
+        pytest.param(2, "flip1", 1, id="2d-flip1-odd"),
+        pytest.param(2, "swap01", None, id="2d-transpose"),
+        pytest.param(3, "flip2", 1, id="3d-flip2-odd"),
+        pytest.param(3, "swap02", None, id="3d-swap02"),
+    ]
+
+    @staticmethod
+    def draw(rng, d, name, parity):
+        """A random problem invariant under the named reflection and under
+        no other, so the merge must take that one, with a free cell that
+        the reflection moves."""
+        while True:
+            prob = random_small_problem(rng, d=d, max_free=12)
+            dims = prob.grid.dims
+            mirrors = dict(reflections(dims))
+            if name not in mirrors:
+                continue
+            if parity is not None and dims[int(name[-1])] % 2 != parity:
+                continue
+            prob = symmetrized(prob, mirrors[name])
+            flat = np.arange(prob.grid.ncells).reshape(dims)
+            moved = prob.free.bits & (mirrors[name](flat) != flat)
+            if invariant_under(prob) == [name] and moved.any():
+                return prob, mirrors[name]
+
+    @pytest.mark.parametrize("d,name,parity", CASES)
+    def test_matches_unmerged_and_brute_force(self, rng, d, name, parity):
+        for _ in range(12):
+            prob, mirror = self.draw(rng, d, name, parity)
+            got = solve(prob)
+            for want in (unmerged_solve(prob), brute_force(prob)):
+                assert got.set_min == want.set_min
+                assert got.set_max == want.set_max
+                assert got.energy_quanta == want.energy_quanta
+                assert got.unique == want.unique
+            # One flow node per orbit of free cells, plus the terminals.
+            flat = np.arange(prob.grid.ncells).reshape(prob.grid.dims)
+            orbits = np.count_nonzero(prob.free.bits & (flat <= mirror(flat)))
+            assert got.flow_stats["nodes"] == orbits + 2
+
+    def test_tie_across_the_mirror_detected(self):
+        # Two adjacent free cells swapped by the x flip, unit face stencil
+        # with h = 1: one alone pays 4 - lambda, both 6 - 2 lambda, so at
+        # lambda = 3 the empty set and the pair tie and one alone loses.
+        g = GridGeometry((4, 3), h=1.0, stencil="face")
+        free = np.zeros((4, 3), dtype=bool)
+        free[1:3, 1] = True
+        prob = MinCutProblem(g, 3.0, fixed_in=RegionMask(g, np.zeros_like(free)),
+                             fixed_out=RegionMask(g, ~free))
+        res = solve(prob)
+        # One node for the pair; the arc inside it is dropped, and each
+        # label costs the pair the same, so no arc is left.
+        assert res.flow_stats["nodes"] == 3
+        assert res.flow_stats["arcs"] == 0
+        assert not res.unique
+        assert res.set_min.count() == 0
+        assert np.array_equal(res.set_max.bits, free)
+        assert res.energy_quanta == 0
+
+    def test_summed_arcs_past_int32_solve_the_unmerged_graph(self):
+        # Weight 1500 on the free cells of the two middle columns, which
+        # the x flip swaps, and flow from the fixed-in cells below them:
+        # each vertical arc there carries 1500 * 2^20 quanta, inside int32,
+        # but the two arcs between a pair of orbits sum past it, while
+        # every arc to a fixed cell, summed over its pair, stays inside.
+        g = GridGeometry((6, 5), h=1.0, stencil="face")
+        ring = np.ones((6, 5), dtype=bool)
+        ring[1:-1, 1:-1] = False
+        w = np.ones((6, 5))
+        w[2:4, 1:-1] = 1500.0
+        fin = np.zeros((6, 5), dtype=bool)
+        fin[2:4, 0] = True
+        prob = MinCutProblem(g, 0.0, fixed_in=RegionMask(g, fin),
+                             fixed_out=RegionMask(g, ring & ~fin),
+                             cell_weight=w)
+        got = solve(prob)
+        assert got.flow_stats["nodes"] == 12 + 2
+        want = brute_force(prob)
+        assert got.set_min == want.set_min
+        assert got.set_max == want.set_max
+        assert got.energy_quanta == want.energy_quanta
+
+    def test_mirror_labels_with_asymmetric_weights_are_not_merged(self,
+                                                                  rng):
+        # Fixed labels alone do not make the energy symmetric: merging on
+        # them would restrict the minimizers to symmetric sets.
+        for _ in range(12):
+            prob, _mirror = self.draw(rng, 2, "flip0", None)
+            prob = MinCutProblem(prob.grid, prob.lam, prob.fixed_in,
+                                 prob.fixed_out,
+                                 cell_weight=rng.uniform(0.2, 3.0,
+                                                         prob.grid.dims))
+            got = solve(prob)
+            m = int(np.count_nonzero(prob.free.bits))
+            assert got.flow_stats["nodes"] == m + 2
+            want = brute_force(prob)
+            assert got.set_min == want.set_min
+            assert got.set_max == want.set_max
+            assert got.energy_quanta == want.energy_quanta
+
+    def test_asymmetric_problem_is_not_merged(self, rng):
+        for _ in range(20):
+            prob = random_small_problem(rng)
+            if invariant_under(prob):
+                continue
+            m = int(np.count_nonzero(prob.free.bits))
+            assert solve(prob).flow_stats["nodes"] == m + 2
+
+
 class TestThreshold:
     def test_radius_gate(self):
         with pytest.raises(UsageError):
@@ -294,6 +443,17 @@ class TestThreshold:
     def test_obstacle_must_fit(self):
         with pytest.raises(UsageError):
             threshold_experiment(16, 20, [0.1])
+
+    def test_resolution_must_be_an_integer(self):
+        # A float resolution once centred the disk off the grid's middle,
+        # a string one raised TypeError.
+        for resolution in (24.9, 24.0, "24", None):
+            with pytest.raises(UsageError, match="resolution"):
+                threshold_experiment(9.7, resolution, [0.05])
+        got, = threshold_experiment(9.7, np.int64(24), [0.05])
+        want, = threshold_experiment(9.7, 24, [0.05])
+        assert got.largest == want.largest
+        assert got.contact_excess == want.contact_excess
 
     def test_keep_sets(self):
         rows = threshold_experiment(8, 24, [0.0, 0.25])
