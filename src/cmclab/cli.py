@@ -223,6 +223,12 @@ def _load_approx_config(path):
             annulus)
 
 
+def _nulled(distances):
+    """The distances as a JSON list, with null for the inf that a step
+    set without an interface gives; JSON has no Infinity."""
+    return [None if math.isinf(v) else v for v in distances]
+
+
 def run_approx(args):
     p, q, lam, n, box, t_list, annulus = _load_approx_config(args.config)
     grid = quadrant_grid(n, box)
@@ -237,8 +243,8 @@ def run_approx(args):
         "inclusion_ok": list(report.inclusion_ok),
         "chain_ok": list(report.chain_ok),
         "sym_diff_volume": list(report.sym_diff_volume),
-        "hausdorff_to_limit": list(report.hausdorff_to_E),
-        "min_origin_distance": list(report.min_origin_distance),
+        "hausdorff_to_limit": _nulled(report.hausdorff_to_E),
+        "min_origin_distance": _nulled(report.min_origin_distance),
         "singular_proxy_flag": list(report.singular_proxy_flag),
         "step_free_cells": list(report.step_free_cells),
         "obstacle_radius": report.obstacle_radius,

@@ -478,6 +478,11 @@ def weighted_minimize(p, q, grid, lam, boundary, r):
     """Minimize the weighted functional on the quadrant: boundary labels are
     fixed outside the obstacle ball of radius r around the origin corner.
 
+    Max-flow is warm-started from the band of ball cells within r/4 of the
+    boundary data's interface (solve's band): the terminals lie only on
+    the ball's rim, so a cold start sweeps the whole ball once per cell of
+    radius.  The band decides only the speed, not the result.
+
     Returns the plain MinimizerResult; interpret member cells as the
     equivariant set in R^(p+q+2).
     """
@@ -488,11 +493,16 @@ def weighted_minimize(p, q, grid, lam, boundary, r):
         raise UsageError("quadrant grid must exclude the axes by half a cell")
     if not boundary.grid.compatible(grid):
         raise UsageError("boundary data lives on a different grid")
-    ball = RegionMask.ball(grid, (0.0, 0.0), _obstacle_radius(r)).bits
+    r = _obstacle_radius(r)
+    ball = RegionMask.ball(grid, (0.0, 0.0), r).bits
     fixed_in = RegionMask(grid, boundary.bits & ~ball)
     fixed_out = RegionMask(grid, ~boundary.bits & ~ball)
+    # Distance to the nearest cell of the other label; one term is zero.
+    depth = grid.h * (distance_transform_edt(boundary.bits)
+                      + distance_transform_edt(~boundary.bits))
     return solve(MinCutProblem(grid, lam, fixed_in, fixed_out,
-                               cell_weight=cell_weights(grid, p, q)))
+                               cell_weight=cell_weights(grid, p, q)),
+                 band=RegionMask(grid, ball & (depth <= r / 4)))
 
 
 def _obstacle_radius(r):

@@ -15,12 +15,23 @@ reflection is solved on the orbit graph of that reflection, each free cell
 merged with its mirror image; both extremal minimizers are invariant, so they
 are the full problem's.
 
+Given a band of cells, max-flow runs in two stages: first on the sub-graph
+of the band's free nodes and the two terminals, then on the residual of the
+full graph under that flow.  This is exact for every band.  A flow on a
+sub-graph with the same terminals is feasible on the full graph, a maximum
+flow on the residual of a feasible flow completes it to a maximum flow, and
+the residual of every maximum flow has the same source-reachable and
+sink-reaching sets; so the band decides only the speed.
+
 The max-flow backend works on int32 capacities and wraps silently past 2^31,
-so capacities and both terminal totals are guarded first.  Before that, the
-coefficients are refused unless their total magnitude stays below 2^62
-quanta, so no int64 energy sum can wrap.
+so capacities and both terminal totals are guarded first.  A residual arc
+can carry c(u, v) + c(v, u), so the two-stage path is taken only when every
+such pair sum passes that guard too; the graph is solved in one stage
+otherwise.  Before all that, the coefficients are refused unless their total
+magnitude stays below 2^62 quanta, so no int64 energy sum can wrap.
 """
 
+import numbers
 import operator
 from dataclasses import dataclass
 from itertools import combinations
@@ -155,6 +166,7 @@ class _Linearized:
     const: int
     node: np.ndarray
     coeffs: tuple
+    band: np.ndarray = None     # flow nodes of the first stage, or None
 
 
 def _linearized(problem):
@@ -268,11 +280,39 @@ def _mirror_merged(problem, lin):
                        node, lin.coeffs)
 
 
+def _banded(lin, band):
+    """lin with its band set to the free nodes that hold a cell of the
+    region band, or left unset when band is None; returns lin."""
+    if band is not None:
+        m = lin.theta.shape[1]
+        nodes = lin.node[band.bits.ravel()]
+        lin.band = np.zeros(m, dtype=bool)
+        lin.band[nodes[nodes < m]] = True
+    return lin
+
+
+def _band_residual(graph, band):
+    """The residual of graph under a maximum flow of its sub-graph on the
+    free nodes in band and the two terminals (the last two nodes), and
+    that flow's value.  The sub-graph and its flow are freed on return."""
+    keep = np.flatnonzero(np.append(band, [True, True]))
+    k = len(keep)
+    res = maximum_flow(graph[keep][:, keep], k - 2, k - 1)
+    f = res.flow.tocoo()
+    lifted = csr_matrix((f.data, (keep[f.row], keep[f.col])),
+                        shape=graph.shape)
+    return graph - lifted, res.flow_value
+
+
 def _flow_solve(problem, lin):
     """solve on the flow graph of lin, as it stands.
 
     Arcs that join the same two nodes are summed into one.  The summed
     capacities and both terminal totals are guarded before max-flow runs.
+    When lin has a band that holds a free node and every arc plus its
+    reverse passes int32, max-flow runs first on the band's sub-graph, then
+    on the full graph's residual under that flow (see the module
+    docstring); otherwise it runs once on the full graph.
     """
     m = lin.theta.shape[1]
     if m == 0:
@@ -298,14 +338,20 @@ def _flow_solve(problem, lin):
             f"largest arc {max_cap} quanta, terminal totals "
             f"{src_total}/{snk_total}; shrink the grid or rescale lambda")
 
+    warm = (lin.band is not None and lin.band.any()
+            and (graph + graph.T).max() <= _INT32_MAX)
     graph = graph.astype(np.int32)
-    res = maximum_flow(graph, s, t)
+    residual, flow_value = (_band_residual(graph, lin.band) if warm
+                            else (graph, 0))
+    res = maximum_flow(residual, s, t)
+    flow_value += res.flow_value
 
-    # Every stored entry of the residual is a positive capacity: flow stays
-    # within each arc's capacity and is antisymmetric, so graph - flow is
-    # never negative, and scipy's sparse subtraction stores no zeros.  The
-    # stored entries are therefore exactly the residual arcs.
-    residual = graph - res.flow
+    # Every stored entry of the residual is a positive capacity: the flow
+    # of both stages stays within each arc's capacity and is antisymmetric,
+    # so graph - flow is never negative, and scipy's sparse subtraction
+    # stores no zeros.  The stored entries are therefore exactly the
+    # residual arcs.
+    residual = residual - res.flow
     order = breadth_first_order(residual, s, directed=True,
                                 return_predecessors=False)
     x_min = np.zeros(m, dtype=bool)
@@ -315,13 +361,13 @@ def _flow_solve(problem, lin):
     x_max = np.ones(m, dtype=bool)
     x_max[order_t[order_t < m]] = False
 
-    stats = {"backend": "scipy.maximum_flow", "flow_value": int(res.flow_value),
+    stats = {"backend": "scipy.maximum_flow", "flow_value": int(flow_value),
              "nodes": m + 2, "arcs": int(graph.nnz)}
-    return _minimizer(problem, lin, lin.const + int(res.flow_value),
+    return _minimizer(problem, lin, lin.const + int(flow_value),
                       x_min, x_max, stats)
 
 
-def solve(problem):
+def solve(problem, band=None):
     """Global minimizer pair by max-flow.
 
     Returns the inclusion-smallest and inclusion-largest minimizers, the
@@ -330,20 +376,30 @@ def solve(problem):
     each free cell merged with its mirror image (_mirror_merged), unless a
     summed capacity of that graph fails the int32 guard; the unmerged
     graph, whose guard then decides, is solved otherwise.  flow_stats
-    "nodes" and "arcs" count the graph that max-flow ran on.
+    "nodes" and "arcs" count the whole graph that max-flow ran on.
+
+    band, a RegionMask, warm-starts max-flow: it runs first on the free
+    nodes holding a band cell, then on the residual of the whole graph,
+    and the two flow values add up.  Every result field, flow_stats
+    included, is that of the solve without a band, whatever cells the band
+    holds.  The warm start is taken only when every arc plus its reverse
+    passes int32, since a residual arc can carry that much; max-flow runs
+    in one stage otherwise.
     """
+    if band is not None and not band.grid.compatible(problem.grid):
+        raise UsageError("band lives on a different grid")
     lin = _linearized(problem)
     merged = _mirror_merged(problem, lin)
     if merged is None:
-        return _flow_solve(problem, lin)
+        return _flow_solve(problem, _banded(lin, band))
     # The unmerged arcs are freed before max-flow runs on the orbit graph;
     # the rare overflow fallback builds them again.
     del lin
     try:
-        return _flow_solve(problem, merged)
+        return _flow_solve(problem, _banded(merged, band))
     except CapacityOverflowError:
         pass
-    return _flow_solve(problem, _linearized(problem))
+    return _flow_solve(problem, _banded(_linearized(problem), band))
 
 
 def brute_force(problem):
@@ -427,6 +483,8 @@ def threshold_experiment(r, resolution, lam_list):
     for lam in lams:
         if not np.isfinite(lam):
             raise UsageError(f"lambda must be finite, got {lam}")
+    if not isinstance(r, numbers.Real):
+        raise UsageError(f"disk radius must be a real number, got {r!r}")
     if not r >= 8:
         raise UsageError(f"disk radius must be at least 8 cells, got {r}")
     try:
@@ -477,8 +535,9 @@ def _contact_excess(D, center, r, band=2.0):
 
 def result_to_json(result):
     """The result's JSON document.  flow_stats "nodes" and "arcs" count the
-    graph max-flow ran on: the orbit graph when solve merged mirror-image
-    cells, arcs between the same two nodes counted once."""
+    whole graph max-flow ran on, never a warm start's band sub-graph: the
+    orbit graph when solve merged mirror-image cells, arcs between the
+    same two nodes counted once."""
     return {
         "schema_version": 1,
         "energy": result.energy,

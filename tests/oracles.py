@@ -7,7 +7,8 @@ arithmetic path with the package.  The approximation steps are re-solved
 without the band restriction, over the whole obstacle ball, and the lambdas
 of a threshold sweep one at a time, each on the whole free disk.  A
 mirror-symmetric problem is solved with one flow node per free cell, no
-cell merged with its mirror image.  The leaf
+cell merged with its mirror image, and the weighted base problem with
+max-flow in one stage, from no band.  The leaf
 CSV and the SVG are written one f-string per row and per point, with
 repr(round(v, 9)) for every SVG number.
 """
@@ -16,8 +17,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.ndimage import distance_transform_edt
 
-from cmclab import (CellSet, stencil_levels, threshold_experiment,
-                    weighted_minimize)
+from cmclab import (CellSet, MinCutProblem, RegionMask, cell_weights,
+                    stencil_levels, threshold_experiment, weighted_minimize)
 from cmclab import mincut
 from cmclab.equivariant import _annulus_profile
 
@@ -103,6 +104,18 @@ def unmerged_solve(problem):
     """solve's result from max-flow on the unmerged graph, one node per
     free cell, whatever reflection leaves the problem unchanged."""
     return mincut._flow_solve(problem, mincut._linearized(problem))
+
+
+def cold_solve(p, q, grid, lam, boundary, r):
+    """weighted_minimize's result from max-flow run once on the whole
+    graph, with no band: the boundary labels fixed outside the ball of
+    radius r around the origin corner, the weights x^p y^q."""
+    X, Y = grid.center_mesh()
+    ball = X ** 2 + Y ** 2 <= r * r
+    return mincut.solve(MinCutProblem(
+        grid, lam, RegionMask(grid, boundary.bits & ~ball),
+        RegionMask(grid, ~boundary.bits & ~ball),
+        cell_weight=cell_weights(grid, p, q)))
 
 
 def independent_thresholds(r, resolution, lams):

@@ -1,8 +1,22 @@
-"""Shared builders for randomized solver instances."""
+"""Shared builders for randomized solver instances, and a max-flow spy."""
 
 import numpy as np
 
+import cmclab.mincut
 from cmclab import GridGeometry, RegionMask, MinCutProblem
+
+
+def count_flows(monkeypatch):
+    """The node counts of the graphs max-flow runs on, call by call."""
+    calls = []
+    real = cmclab.mincut.maximum_flow
+
+    def counted(graph, s, t):
+        calls.append(graph.shape[0])
+        return real(graph, s, t)
+
+    monkeypatch.setattr(cmclab.mincut, "maximum_flow", counted)
+    return calls
 
 
 def random_small_problem(rng, d=None, max_free=16):

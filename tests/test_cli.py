@@ -914,29 +914,35 @@ class TestParser:
 
 
 class TestDeterminism:
+    # Every subcommand, run in a working directory that holds run.json.
+    RUNS = [
+        ("spectra", "--p", "2", "--q", "4", "--kmax", "10"),
+        ("plateau2d", "--radius", "8", "--resolution", "20",
+         "--lambda", "0.0", "--lambda", "0.5"),
+        ("equivariant", "--p", "3", "--q", "3", "--grid-n", "32",
+         "--lambda", "0.0"),
+        ("approx", "--config", "run.json"),
+        ("leaf", "--p", "3", "--q", "3", "--s0", "1.0", "--rmax", "12",
+         "--csv", "leaf.csv"),
+        ("plot", "--input", "leaf.csv", "--output", "leaf.svg"),
+        ("plot", "--input", "approx_limit.csl",
+         "--output", "approx_limit.svg"),
+    ]
+
+    @staticmethod
+    def write_config(cwd):
+        h = 1.0 / 32
+        (cwd / "run.json").write_text(json.dumps(
+            {"p": 3, "q": 3, "lambda": 0.0, "grid": {"n": 32, "box": 1.0},
+             "t_list": [8 * h, 4 * h, 2 * h]}), encoding="utf-8")
+
     def test_every_subcommand_reruns_byte_identical(self, tmp_path,
                                                     monkeypatch):
         monkeypatch.chdir(tmp_path)
-        h = 1.0 / 32
-        (tmp_path / "run.json").write_text(json.dumps(
-            {"p": 3, "q": 3, "lambda": 0.0, "grid": {"n": 32, "box": 1.0},
-             "t_list": [8 * h, 4 * h, 2 * h]}), encoding="utf-8")
-        runs = [
-            ("spectra", "--p", "2", "--q", "4", "--kmax", "10"),
-            ("plateau2d", "--radius", "8", "--resolution", "20",
-             "--lambda", "0.0", "--lambda", "0.5"),
-            ("equivariant", "--p", "3", "--q", "3", "--grid-n", "32",
-             "--lambda", "0.0"),
-            ("approx", "--config", "run.json"),
-            ("leaf", "--p", "3", "--q", "3", "--s0", "1.0", "--rmax", "12",
-             "--csv", "leaf.csv"),
-            ("plot", "--input", "leaf.csv", "--output", "leaf.svg"),
-            ("plot", "--input", "approx_limit.csl",
-             "--output", "approx_limit.svg"),
-        ]
+        self.write_config(tmp_path)
 
         def artifacts():
-            for args in runs:
+            for args in self.RUNS:
                 assert run_cli(*args) == 0, args
             return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
@@ -947,6 +953,32 @@ class TestDeterminism:
                 "approx_limit.svg"} <= set(first)
         assert sorted(second) == sorted(first)
         assert [name for name in first if second[name] != first[name]] == []
+
+    def test_every_json_artifact_is_strict_json(self, tmp_path,
+                                                monkeypatch):
+        # JSON has no NaN or Infinity.  A step set with no interface, as
+        # the whole-box annulus at a huge t gives, writes null distances.
+        monkeypatch.chdir(tmp_path)
+        self.write_config(tmp_path)
+        (tmp_path / "degenerate.json").write_text(json.dumps(
+            {"p": 3, "q": 3, "lambda": 0.0, "grid": {"n": 16, "box": 1.0},
+             "t_list": [100.0], "annulus": [0.0, 100.0]}), encoding="utf-8")
+        for args in self.RUNS + [("approx", "--config", "degenerate.json",
+                                  "--outdir", "degenerate")]:
+            assert run_cli(*args) == 0, args
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        docs = {str(path.relative_to(tmp_path)): json.loads(
+                    read_text(path), parse_constant=refuse)
+                for path in tmp_path.rglob("*.json")}
+        assert {"spectra_p2_q4.json", "plateau2d.json", "equivariant.json",
+                "approx.json", os.path.join("degenerate", "approx.json")
+                } <= set(docs)
+        degenerate = docs[os.path.join("degenerate", "approx.json")]
+        assert degenerate["hausdorff_to_limit"] == [None]
+        assert degenerate["min_origin_distance"] == [None]
 
     def test_json_does_not_depend_on_the_working_directory(self, tmp_path,
                                                            monkeypatch):

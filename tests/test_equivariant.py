@@ -15,7 +15,8 @@ from cmclab import (
     quadrant_grid, shoot_leaf, solve, weighted_minimize,
 )
 from cmclab import equivariant
-from oracles import unrestricted_steps
+from oracles import cold_solve, unrestricted_steps
+from support import count_flows
 
 
 def arc_curve(p, q, center, rho, theta0, theta1, n):
@@ -523,6 +524,25 @@ class TestQuadrantReduction:
         near_diag = np.abs(X - Y) / math.sqrt(2.0) <= 2.5 * g.h
         inside = np.hypot(X, Y) <= 0.5 + 2 * g.h
         assert not np.any(mism & ~near_diag & ~inside)
+
+    @pytest.mark.parametrize("n", [64, 96])
+    @pytest.mark.parametrize("lam", [0.0, 0.4, -0.3])
+    @pytest.mark.parametrize("p,q", [(3, 3), (2, 4), (1, 5)])
+    def test_warm_start_matches_cold_solve(self, monkeypatch, p, q, lam, n):
+        # The band around the wedge's interface decides only the speed;
+        # two max-flow calls show that the warm start was taken.
+        g = quadrant_grid(n)
+        wedge = diagonal_wedge(g, p, q)
+        calls = count_flows(monkeypatch)
+        got = weighted_minimize(p, q, g, lam, wedge, 0.5)
+        assert len(calls) == 2 and calls[0] < calls[1]
+        want = cold_solve(p, q, g, lam, wedge, 0.5)
+        assert len(calls) == 3
+        assert got.set_min == want.set_min
+        assert got.set_max == want.set_max
+        assert got.energy_quanta == want.energy_quanta
+        assert got.unique == want.unique
+        assert got.flow_stats == want.flow_stats
 
 
 class TestPinchDetector:

@@ -11,7 +11,7 @@ from cmclab import (
     threshold_experiment, result_to_json,
 )
 from oracles import independent_thresholds, unmerged_solve
-from support import random_small_problem
+from support import count_flows, random_small_problem
 
 
 def half_plane_disk_problem(resolution, r, lam, h=1.0, stencil="cc"):
@@ -435,10 +435,98 @@ class TestMirrorMerge:
             assert solve(prob).flow_stats["nodes"] == m + 2
 
 
+class TestBand:
+    # Each kind maps (rng, problem) to the cells of the band.
+    KINDS = {
+        "empty": lambda rng, prob: np.zeros(prob.grid.dims, dtype=bool),
+        "full": lambda rng, prob: np.ones(prob.grid.dims, dtype=bool),
+        "random": lambda rng, prob: rng.random(prob.grid.dims) < 0.5,
+        "fixed-only": lambda rng, prob: ~prob.free.bits,
+        "random-and-fixed": lambda rng, prob: (
+            ~prob.free.bits | (rng.random(prob.grid.dims) < 0.3)),
+    }
+
+    def check(self, monkeypatch, prob, bits):
+        """solve from the band equals solve without it and brute_force,
+        and runs max-flow twice exactly when the band holds a free cell."""
+        want = solve(prob)
+        calls = count_flows(monkeypatch)
+        got = solve(prob, band=RegionMask(prob.grid, bits))
+        monkeypatch.undo()
+        assert len(calls) == (2 if (bits & prob.free.bits).any() else 1)
+        assert got.flow_stats == want.flow_stats
+        for w in (want, brute_force(prob)):
+            assert got.set_min == w.set_min
+            assert got.set_max == w.set_max
+            assert got.energy_quanta == w.energy_quanta
+            assert got.unique == w.unique
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_band_decides_nothing_on_random_problems(self, rng, monkeypatch,
+                                                     kind):
+        for _ in range(25):
+            prob = random_small_problem(rng)
+            self.check(monkeypatch, prob, self.KINDS[kind](rng, prob))
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    @pytest.mark.parametrize("d,name,parity", [
+        pytest.param(2, "flip0", 1, id="2d-flip0-odd"),
+        pytest.param(2, "swap01", None, id="2d-transpose"),
+        pytest.param(3, "swap02", None, id="3d-swap02"),
+    ])
+    def test_band_decides_nothing_on_the_orbit_graph(self, rng, monkeypatch,
+                                                     kind, d, name, parity):
+        for _ in range(8):
+            prob, _mirror = TestMirrorMerge.draw(rng, d, name, parity)
+            self.check(monkeypatch, prob, self.KINDS[kind](rng, prob))
+
+    def test_paired_arcs_past_int32_solve_in_one_stage(self, monkeypatch):
+        # Weight 1500 on two adjacent free cells: the arc between them is
+        # 1500 * 2^20 quanta, inside int32, but it and its reverse sum past
+        # it, so a residual arc could too.  The band goes unused, max-flow
+        # runs once, and the result is the one-stage solve's.
+        g = GridGeometry((5, 3), h=1.0, stencil="face")
+        free = np.zeros((5, 3), dtype=bool)
+        free[1:3, 1] = True
+        fin = np.zeros((5, 3), dtype=bool)
+        fin[1:3, 0] = True
+        w = np.ones((5, 3))
+        w[free] = 1500.0
+        prob = MinCutProblem(g, 0.0, fixed_in=RegionMask(g, fin),
+                             fixed_out=RegionMask(g, ~free & ~fin),
+                             cell_weight=w)
+        calls = count_flows(monkeypatch)
+        got = solve(prob, band=RegionMask(g, free))
+        assert calls == [4]
+        monkeypatch.undo()
+        cold = solve(prob)
+        assert got.flow_stats == cold.flow_stats
+        for want in (cold, unmerged_solve(prob), brute_force(prob)):
+            assert got.set_min == want.set_min
+            assert got.set_max == want.set_max
+            assert got.energy_quanta == want.energy_quanta
+            assert got.unique == want.unique
+
+    def test_band_on_another_grid_is_refused(self, rng):
+        prob = random_small_problem(rng)
+        other = GridGeometry(prob.grid.dims, h=3 * prob.grid.h)
+        with pytest.raises(UsageError, match="band"):
+            solve(prob, band=RegionMask.whole(other))
+
+
 class TestThreshold:
     def test_radius_gate(self):
         with pytest.raises(UsageError):
             threshold_experiment(4, 32, [0.1])
+
+    def test_radius_must_be_a_real_number(self):
+        # A string or None once raised TypeError from the r >= 8 check.
+        for r in ("9", None, [9], 9 + 0j):
+            with pytest.raises(UsageError, match="radius"):
+                threshold_experiment(r, 24, [0.0])
+        got, = threshold_experiment(np.float64(9.0), 24, [0.0])
+        want, = threshold_experiment(9, 24, [0.0])
+        assert got.largest == want.largest
 
     def test_obstacle_must_fit(self):
         with pytest.raises(UsageError):
