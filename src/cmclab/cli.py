@@ -47,15 +47,16 @@ def thread_count():
 
 
 def atomic_write(path, text):
-    """Write text to path via a same-directory temp file and rename; the
-    temp file is removed if either step fails."""
+    """Write text, a str or an iterable of str chunks written in turn, to
+    path via a same-directory temp file and rename; the temp file is
+    removed if either step fails, a chunk that raises included."""
     path = os.path.abspath(path)
     d = os.path.dirname(path)
     os.makedirs(d, exist_ok=True)
     tmp = os.path.join(d, f".{os.path.basename(path)}.tmp.{os.getpid()}")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -146,16 +147,30 @@ def run_equivariant(args):
 
 # ------------------------------------------------------------------- leaf
 
+class _Chunks(list):
+    """Text kept as its list of str chunks, never joined: atomic_write
+    writes them in turn.  encode() is str.encode of the joined text, so a
+    caller that measures atomic_write's text by its bytes, as clibench's
+    tracer does, still can."""
+
+    def encode(self, encoding="utf-8"):
+        return "".join(self).encode(encoding)
+
+
+def _leaf_csv(rows):
+    """The leaf CSV's header, then its rows formatted _BLOCK at a time."""
+    yield "s,x,y,curvature_residual\n"
+    for i in range(0, len(rows), _BLOCK):
+        block = rows[i:i + _BLOCK]
+        yield (("%r,%r,%r,%r\n" * len(block))
+               % tuple(block.ravel().tolist()))
+
+
 def run_leaf(args):
     leaf = shoot_leaf(args.p, args.q, args.s0, r_max=args.rmax)
     rows = np.column_stack([leaf.s, leaf.x, leaf.y,
                             np.abs(mean_curvature_values(leaf))])
-    blocks = ["s,x,y,curvature_residual\n"]
-    for i in range(0, len(rows), _BLOCK):
-        block = rows[i:i + _BLOCK]
-        blocks.append(("%r,%r,%r,%r\n" * len(block))
-                      % tuple(block.ravel().tolist()))
-    atomic_write(args.csv, "".join(blocks))
+    atomic_write(args.csv, _Chunks(_leaf_csv(rows)))
     return 0
 
 

@@ -474,18 +474,11 @@ def diagonal_wedge(grid, p, q):
     return CellSet(grid, a * Y < b * X)
 
 
-def weighted_minimize(p, q, grid, lam, boundary, r):
-    """Minimize the weighted functional on the quadrant: boundary labels are
-    fixed outside the obstacle ball of radius r around the origin corner.
-
-    Max-flow is warm-started from the band of ball cells within r/4 of the
-    boundary data's interface (solve's band): the terminals lie only on
-    the ball's rim, so a cold start sweeps the whole ball once per cell of
-    radius.  The band decides only the speed, not the result.
-
-    Returns the plain MinimizerResult; interpret member cells as the
-    equivariant set in R^(p+q+2).
-    """
+def _base_problem(p, q, grid, lam, boundary, r):
+    """weighted_minimize's problem and its warm-start band, each argument
+    checked first: the labels of boundary fixed outside the obstacle ball of
+    radius r, the weights x^p y^q, and the ball cells within r/4 of the
+    boundary data's interface."""
     _sphere_dimensions(p, q, 0)
     if grid.d != 2:
         raise UsageError("the reduction lives on 2-D grids")
@@ -500,9 +493,25 @@ def weighted_minimize(p, q, grid, lam, boundary, r):
     # Distance to the nearest cell of the other label; one term is zero.
     depth = grid.h * (distance_transform_edt(boundary.bits)
                       + distance_transform_edt(~boundary.bits))
-    return solve(MinCutProblem(grid, lam, fixed_in, fixed_out,
-                               cell_weight=cell_weights(grid, p, q)),
-                 band=RegionMask(grid, ball & (depth <= r / 4)))
+    return (MinCutProblem(grid, lam, fixed_in, fixed_out,
+                          cell_weight=cell_weights(grid, p, q)),
+            RegionMask(grid, ball & (depth <= r / 4)))
+
+
+def weighted_minimize(p, q, grid, lam, boundary, r):
+    """Minimize the weighted functional on the quadrant: boundary labels are
+    fixed outside the obstacle ball of radius r around the origin corner.
+
+    Max-flow is warm-started from the band of ball cells within r/4 of the
+    boundary data's interface (solve's band): the terminals lie only on
+    the ball's rim, so a cold start sweeps the whole ball once per cell of
+    radius.  The band decides only the speed, not the result.
+
+    Returns the plain MinimizerResult; interpret member cells as the
+    equivariant set in R^(p+q+2).
+    """
+    problem, band = _base_problem(p, q, grid, lam, boundary, r)
+    return solve(problem, band=band)
 
 
 def _obstacle_radius(r):
@@ -568,8 +577,10 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
     """Re-minimize under inward boundary perturbations of shrinking size.
 
     t_list, the obstacle radius and the annulus are checked first.  The
-    base problem fixes the labels of `boundary` outside the obstacle ball
-    and is solved once; its largest minimizer E is the limit set.  The
+    base problem, weighted_minimize's, fixes the labels of `boundary`
+    outside the obstacle ball and is solved once; its largest minimizer E
+    is the limit set.  Every step problem is relabeled from it, so the
+    arcs are built once per run.  The
     annulus profile is 0 off (r_lo, r_hi), 1 on its middle half and linear
     on the quarter-width ramps between.  For each t in t_list the step data
     is E less the cells whose depth in E is at most t times the profile,
@@ -615,9 +626,10 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
     with np.errstate(over="ignore"):    # past the float range: inf, clipped
         profile = _annulus_profile(np.hypot(*grid.center_mesh()), r_lo, r_hi)
 
-    E = weighted_minimize(p, q, grid, lam, boundary, r_obs).set_max
+    base, warm = _base_problem(p, q, grid, lam, boundary, r_obs)
+    E = solve(base, band=warm).set_max
     depth = grid.h * distance_transform_edt(E.bits)
-    weights = cell_weights(grid, p, q)
+    weights = base.cell_weight
     ball = RegionMask.ball(grid, (0.0, 0.0), r_obs).bits
     E_mids = boundary_faces(E)[0]
     prev = np.zeros(grid.dims, dtype=bool)
@@ -626,9 +638,9 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
         data = E.bits & (depth > t * profile)
         band = E.bits & ball & ~prev
         fixed_in = prev | (data & ~ball)
-        Ej = solve(MinCutProblem(grid, lam, RegionMask(grid, fixed_in),
-                                 RegionMask(grid, ~(band | fixed_in)),
-                                 cell_weight=weights)).set_max
+        Ej = solve(base.relabeled(RegionMask(grid, fixed_in),
+                                  RegionMask(grid, ~(band | fixed_in)))
+                   ).set_max
         mids = boundary_faces(Ej)[0]
         rows.append((bool(np.all(prev <= Ej.bits)),
                      float(weights[Ej.bits != E.bits].sum() * grid.h ** 2),

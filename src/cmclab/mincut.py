@@ -8,6 +8,14 @@ cut arc costs at least one quantum, volume coefficients round to nearest.
 All exactness statements (solver vs. brute force, lattice identities) are
 about the quantized energy.
 
+The arcs and their capacities depend only on the grid and the cell weights,
+so a problem builds them once and shares them with every problem derived
+from it by MinCutProblem.relabeled: one arc build per run of solves that
+differ only in fixed labels or lambda.  Each solve prices its own volume
+gains and folds into unary terms only the arcs that touch a free cell, so
+its set-up work scales with the free cells; the energy re-check of the
+minimizers stays on the full coefficients.
+
 Extremal minimizers come from residual reachability: cells reachable from the
 source form the smallest minimizer, cells not reaching the sink form the
 largest.  Uniqueness is their coincidence.  A problem unchanged by a grid
@@ -31,9 +39,11 @@ otherwise.  Before all that, the coefficients are refused unless their total
 magnitude stays below 2^62 quanta, so no int64 energy sum can wrap.
 """
 
+import math
 import numbers
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -57,10 +67,27 @@ def quantum(grid):
     return grid.h ** (grid.d - 1) / 2**QUANT_BITS
 
 
+def _finite_lambda(lam):
+    """lam as a float; UsageError unless it is a finite real number."""
+    if not isinstance(lam, numbers.Real):
+        raise UsageError(f"lambda must be a real number, got {lam!r}")
+    try:
+        value = float(lam)
+    except OverflowError:    # an integer past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise UsageError(f"lambda must be finite, got {value}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class MinCutProblem:
     """A discrete instance: fixed labels outside the free window, lambda,
-    and optional positive cell weights."""
+    and optional positive cell weights.
+
+    The arcs depend only on the grid and the cell weights; they are built
+    on first use and shared with every problem derived by relabeled.
+    """
 
     grid: GridGeometry
     lam: float
@@ -69,21 +96,45 @@ class MinCutProblem:
     cell_weight: np.ndarray = None
 
     def __post_init__(self):
-        if not np.isfinite(self.lam):
-            raise UsageError(f"lambda must be finite, got {self.lam}")
-        for mask in (self.fixed_in, self.fixed_out):
-            if not mask.grid.compatible(self.grid):
-                raise UsageError("fixed-label masks live on a different grid")
-        if np.any(self.fixed_in.bits & self.fixed_out.bits):
-            raise UsageError("fixed_in and fixed_out overlap")
+        object.__setattr__(self, "lam", _finite_lambda(self.lam))
+        self._check_labels()
         if self.cell_weight is not None:
-            w = np.asarray(self.cell_weight, dtype=float).reshape(self.grid.dims)
+            w = np.asarray(self.cell_weight, dtype=float)
+            if w.size != self.grid.ncells:
+                raise UsageError(
+                    f"cell weights hold {w.size} values, the grid has "
+                    f"{self.grid.ncells} cells")
+            w = w.reshape(self.grid.dims)
             if not (np.all(np.isfinite(w)) and np.all(w > 0)):
                 raise UsageError("cell weights must be positive and finite")
             w = w.copy()
             w.setflags(write=False)
             object.__setattr__(self, "cell_weight", w)
-        object.__setattr__(self, "lam", float(self.lam))
+
+    def _check_labels(self):
+        for mask in (self.fixed_in, self.fixed_out):
+            if not mask.grid.compatible(self.grid):
+                raise UsageError("fixed-label masks live on a different grid")
+        if np.any(self.fixed_in.bits & self.fixed_out.bits):
+            raise UsageError("fixed_in and fixed_out overlap")
+
+    @cached_property
+    def _arcs(self):
+        return _arc_table(self.grid, self.cell_weight)
+
+    def relabeled(self, fixed_in, fixed_out, lam=None):
+        """This problem with new fixed labels and, if given, a new lambda,
+        each checked as the constructor checks it.  The grid, the checked
+        cell weights and the arcs are this problem's, shared, not built
+        again."""
+        fields = dict(vars(self), fixed_in=fixed_in, fixed_out=fixed_out,
+                      _arcs=self._arcs)
+        if lam is not None:
+            fields["lam"] = _finite_lambda(lam)
+        derived = object.__new__(type(self))
+        vars(derived).update(fields)
+        derived._check_labels()
+        return derived
 
     @property
     def free(self):
@@ -102,46 +153,78 @@ class MinimizerResult:
     flow_stats: dict
 
 
-def _coefficients(problem):
-    """Integer arc capacities per stencil edge and volume gains per cell.
+def _arc_slices(grid):
+    """Each stencil offset's weight and its (tail, head) cell slices, in
+    arc order: the arcs of one offset join a[tail] to a[head] elementwise
+    for any cell-shaped array a."""
+    for w, offsets in grid.levels():
+        for off in offsets:
+            yield w, _offset_slices(grid.dims, off)
+
+
+def _across(grid, op, a):
+    """op(tail value, head value) of the cell-shaped array a over every
+    arc, in arc order, by slices rather than index gathers."""
+    return np.concatenate([op(a[sa], a[sb]).ravel()
+                           for _w, (sa, sb) in _arc_slices(grid)])
+
+
+def _arc_table(grid, cell_weight):
+    """The stencil arcs of grid under cell_weight (None for unit weights):
+    end cells ai, bi as flat indices, int64 capacities, and the float total
+    of the capacities.
 
     Each arc costs ceil(weight * 2^20 * mean incident cell weight) quanta,
-    so no cut arc is ever free.  Gains are round(lambda * h * 2^20 * cell
-    weight).  Both are built in floats; CapacityOverflowError unless their
-    magnitudes, summed, stay below 2^62 quanta, so every energy sum fits
-    int64.
+    so no cut arc is ever free.  The capacities are None when their total
+    is not below 2^62, so no cast wraps; _coefficients refuses them.
     """
-    grid = problem.grid
-    cw = (np.ones(grid.dims) if problem.cell_weight is None
-          else problem.cell_weight)
+    cw = np.ones(grid.dims) if cell_weight is None else cell_weight
     flat = np.arange(grid.ncells).reshape(grid.dims)
     ai, bi, caps = [], [], []
     with np.errstate(over="ignore"):
-        for w, offsets in grid.levels():
-            scale = w * 2**QUANT_BITS
-            for off in offsets:
-                sa, sb = _offset_slices(grid.dims, off)
-                ai.append(flat[sa].ravel())
-                bi.append(flat[sb].ravel())
-                mw = 0.5 * (cw[sa] + cw[sb])
-                caps.append(np.ceil(scale * mw).ravel())
+        for w, (sa, sb) in _arc_slices(grid):
+            ai.append(flat[sa].ravel())
+            bi.append(flat[sb].ravel())
+            mw = 0.5 * (cw[sa] + cw[sb])
+            caps.append(np.ceil(w * 2**QUANT_BITS * mw).ravel())
         caps = np.concatenate(caps)
-        gains = np.rint(problem.lam * grid.h * 2**QUANT_BITS * cw)
-        total = caps.sum() + np.abs(gains).sum()
+        total = caps.sum()
+    return (np.concatenate(ai), np.concatenate(bi),
+            caps.astype(np.int64) if total < 2.0**62 else None, total)
+
+
+def _gains(lam, grid, cell_weight):
+    """Volume gains in quanta, rint(lambda * h * 2^20 * cell weight), as
+    floats: the one place a gain is rounded."""
+    with np.errstate(over="ignore"):
+        return np.rint(lam * grid.h * 2**QUANT_BITS * cell_weight)
+
+
+def _coefficients(problem):
+    """The problem's arcs (ai, bi, caps) and its int64 volume gain per cell.
+
+    CapacityOverflowError unless the capacities and the gain magnitudes,
+    summed in floats, stay below 2^62 quanta, so every energy sum fits
+    int64.
+    """
+    grid = problem.grid
+    ai, bi, caps, caps_total = problem._arcs
+    gains = _gains(problem.lam, grid, np.ones(grid.dims)
+                   if problem.cell_weight is None else problem.cell_weight)
+    with np.errstate(over="ignore"):
+        total = caps_total + np.abs(gains).sum()
     if not total < 2.0**62:
         raise CapacityOverflowError(
             f"energy coefficients total {total:.3g} quanta, over the int64 "
             f"budget of 2^62; shrink the grid or rescale lambda")
-    return (np.concatenate(ai), np.concatenate(bi), caps.astype(np.int64),
-            gains.astype(np.int64).ravel())
+    return ai, bi, caps, gains.astype(np.int64).ravel()
 
 
 def _quanta(coeffs, D):
     """Quantized energy of D under coefficients built by _coefficients."""
-    ai, bi, caps, gains = coeffs
-    bits = D.bits.ravel()
-    cut = bits[ai] != bits[bi]
-    return int(caps[cut].sum()) - int(gains[bits].sum())
+    _ai, _bi, caps, gains = coeffs
+    cut = _across(D.grid, np.not_equal, D.bits)
+    return int(caps[cut].sum()) - int(gains[D.bits.ravel()].sum())
 
 
 def evaluate_quanta(problem, D):
@@ -179,40 +262,51 @@ def _linearized(problem):
     less its gain when x = 1.  Arcs between free cells stay as (ei, ej, ew).
     The energy of free labels x is const + theta[x, arange(m)].sum() plus
     ew over the arcs whose ends differ, and theta.min(axis=0) is zero.
+
+    Only the arcs that touch a free cell are folded.  Of the others, those
+    joining a fixed-in to a fixed-out cell are found by one boolean pass
+    and go into the constant.
     """
     coeffs = _coefficients(problem)
     ai, bi, caps, gains = coeffs
     fixed_in = problem.fixed_in.bits.ravel()
-    free_flat = np.flatnonzero(problem.free.bits)
+    free = ~(fixed_in | problem.fixed_out.bits.ravel())
+    free_flat = np.flatnonzero(free)
     m = len(free_flat)
     node = np.where(fixed_in, m, m + 1)
     node[free_flat] = np.arange(m)
-    na, nb = node[ai], node[bi]
+    # Cell codes: 1 fixed in, 0 fixed out, 2 free.
+    code = (fixed_in.view(np.uint8)
+            | (free.view(np.uint8) << 1)).reshape(problem.grid.dims)
+    touch = np.flatnonzero(_across(problem.grid,
+                                   lambda a, b: (a | b) & 2, code))
+    cross = _across(problem.grid, np.bitwise_xor, code) == 1
+    na, nb, c = node[ai[touch]], node[bi[touch]], caps[touch]
 
     theta = np.zeros((2, m), dtype=np.int64)
     theta[1] = -gains[free_flat]
     # Row node - m of a fixed end is the label that differs from it.
-    sel = (na < m) & (nb >= m)
-    np.add.at(theta, (nb[sel] - m, na[sel]), caps[sel])
-    sel = (nb < m) & (na >= m)
-    np.add.at(theta, (na[sel] - m, nb[sel]), caps[sel])
+    sel = nb >= m
+    np.add.at(theta, (nb[sel] - m, na[sel]), c[sel])
+    sel = na >= m
+    np.add.at(theta, (na[sel] - m, nb[sel]), c[sel])
     both = (na < m) & (nb < m)
-    cross = (na >= m) & (nb >= m) & (na != nb)
     shift = theta.min(axis=0)
     theta -= shift
     const = (int(caps[cross].sum()) - int(gains[fixed_in].sum())
              + int(shift.sum()))
-    return _Linearized(theta, na[both], nb[both], caps[both], const, node,
+    return _Linearized(theta, na[both], nb[both], c[both], const, node,
                        coeffs)
 
 
 def _minimizer(problem, lin, q, x_min, x_max, stats):
     """The result for the extremal free labels x_min and x_max of energy q
-    quanta; both sets are re-evaluated from the coefficients, and a
-    NumericalError raised unless each gives q."""
+    quanta; each distinct set is re-evaluated from the full coefficients,
+    and a NumericalError raised unless it gives q."""
     grid = problem.grid
+    unique = bool(np.array_equal(x_min, x_max))
     sets = []
-    for x in (x_min, x_max):
+    for x in (x_min,) if unique else (x_min, x_max):
         bits = np.concatenate([x, [True, False]])[lin.node]
         D = CellSet(grid, bits.reshape(grid.dims))
         got = _quanta(lin.coeffs, D)
@@ -221,9 +315,8 @@ def _minimizer(problem, lin, q, x_min, x_max, stats):
                 f"energy bookkeeping broke: cut gives {q} quanta, "
                 f"re-evaluation gives {got}")
         sets.append(D)
-    return MinimizerResult(sets[0], sets[1], q * quantum(grid), q,
-                           quantum(grid), bool(np.array_equal(x_min, x_max)),
-                           stats)
+    return MinimizerResult(sets[0], sets[-1], q * quantum(grid), q,
+                           quantum(grid), unique, stats)
 
 
 def _mirrors(d):
@@ -462,16 +555,18 @@ def threshold_experiment(r, resolution, lam_list):
     band (2h half-width).  `largest` is the largest minimizer itself.
     Rows come back in the order of lam_list.
 
-    Every lambda is checked finite before the first solve.  The lambdas are
-    then solved in ascending order, each with the previous solve's largest
-    minimizer fixed in on top of the half-plane data.  This is exact: the
-    cell weights are all 1, so every cell's quantized gain is
-    g = rint(lambda * h * 2^20).  If g1 < g2 and E1, E2 minimize at g1, g2,
-    submodularity of the perimeter and |E1| + |E2| = |E1 & E2| + |E1 | E2|
-    give (g2 - g1) |E1 \\ E2| <= 0, so every minimizer at g2 contains every
-    minimizer at g1.  Fixing one of them in therefore removes no minimizer,
-    and set_min, set_max and the energy, priced over the whole grid, are
-    those of the unrestricted solve.  A lambda whose gain equals the
+    Every lambda is checked a finite real number before the first solve.
+    The lambdas are then solved in ascending order, each with the previous
+    solve's largest minimizer fixed in on top of the half-plane data, on a
+    problem relabeled from the previous one, so the arcs are built once per
+    sweep.  This is exact: the cell weights are all 1, so every cell's
+    quantized gain is g = rint(lambda * h * 2^20) (_gains).  If g1 < g2
+    and E1, E2 minimize at g1, g2, submodularity of the perimeter and
+    |E1| + |E2| = |E1 & E2| + |E1 | E2| give (g2 - g1) |E1 \\ E2| <= 0, so
+    every minimizer at g2 contains every minimizer at g1.  Fixing one of
+    them in therefore removes no minimizer, and set_min, set_max and the
+    energy, priced over the whole grid, are those of the unrestricted
+    solve.  A lambda whose gain equals the
     previous one poses the same quantized problem, so its result is reused.
 
     The resolution is an integer n; anything else is refused.  The disk is
@@ -479,10 +574,7 @@ def threshold_experiment(r, resolution, lam_list):
     minimizer included, are unchanged by the mirror x -> n - 1 - x in cell
     index, and solve runs max-flow on the orbit graph of that mirror.
     """
-    lams = [float(lam) for lam in lam_list]
-    for lam in lams:
-        if not np.isfinite(lam):
-            raise UsageError(f"lambda must be finite, got {lam}")
+    lams = [_finite_lambda(lam) for lam in lam_list]
     if not isinstance(r, numbers.Real):
         raise UsageError(f"disk radius must be a real number, got {r!r}")
     if not r >= 8:
@@ -509,11 +601,13 @@ def threshold_experiment(r, resolution, lam_list):
     rows = [None] * len(lams)
     gain = res = None
     for i in sorted(range(len(lams)), key=lams.__getitem__):
-        g = np.rint(lams[i] * grid.h * 2**QUANT_BITS)
+        g = _gains(lams[i], grid, 1.0)
         if g != gain:
-            known_in = fixed_in if res is None else RegionMask(
-                grid, res.set_max.bits)
-            res = solve(MinCutProblem(grid, lams[i], known_in, fixed_out))
+            problem = (MinCutProblem(grid, lams[i], fixed_in, fixed_out)
+                       if res is None else problem.relabeled(
+                           RegionMask(grid, res.set_max.bits), fixed_out,
+                           lam=lams[i]))
+            res = solve(problem)
             gain = g
             filled = bool(np.all(res.set_max.bits[upper]))
             excess = _contact_excess(res.set_min, c, r)

@@ -1,4 +1,5 @@
-"""Shared builders for randomized solver instances, and a max-flow spy."""
+"""Shared builders for randomized solver instances, and spies on max-flow
+and on the arc build."""
 
 import numpy as np
 
@@ -16,6 +17,19 @@ def count_flows(monkeypatch):
         return real(graph, s, t)
 
     monkeypatch.setattr(cmclab.mincut, "maximum_flow", counted)
+    return calls
+
+
+def count_arc_builds(monkeypatch):
+    """The grid dims of the arc tables built, build by build."""
+    calls = []
+    real = cmclab.mincut._arc_table
+
+    def counted(grid, cell_weight):
+        calls.append(grid.dims)
+        return real(grid, cell_weight)
+
+    monkeypatch.setattr(cmclab.mincut, "_arc_table", counted)
     return calls
 
 

@@ -22,6 +22,7 @@ from cmclab import (CapacityOverflowError, CellSet, GridGeometry,
 from cmclab import cli
 from cmclab.cli import _BLOCK, _dec9, _echoed, build_parser, main
 from oracles import leaf_csv, svg_document
+from support import count_arc_builds
 
 
 def read_text(path):
@@ -174,6 +175,16 @@ class TestPlateau2d:
         assert artifacts("unmerged") == merged
         assert len(refused) == 1
 
+    def test_sweep_builds_the_arcs_once(self, tmp_path, monkeypatch):
+        # Every lambda's problem is relabeled from the first one's.
+        builds = count_arc_builds(monkeypatch)
+        argv = ["plateau2d", "--radius", "8", "--resolution", "24",
+                "--outdir", str(tmp_path)]
+        for k in range(8):
+            argv += ["--lambda", repr(0.05 * k)]
+        assert run_cli(*argv) == 0
+        assert builds == [(24, 24)]
+
     def test_bad_thread_env_is_config_error(self, tmp_path, monkeypatch,
                                             capsys):
         monkeypatch.setenv("CMC_LAB_THREADS", "zero")
@@ -302,6 +313,30 @@ class TestLeaf:
                        str(tmp_path / "leaf.csv")) == 2
         assert "budget" in capsys.readouterr().err
         assert not (tmp_path / "leaf.csv").exists()
+
+
+class TestAtomicWrite:
+    def test_chunks_are_written_in_turn(self, tmp_path):
+        path = tmp_path / "out.txt"
+        cli.atomic_write(str(path), iter(["a,b\n", "", "1,2\n"]))
+        assert path.read_text(encoding="utf-8") == "a,b\n1,2\n"
+        cli.atomic_write(str(path), "whole\n")
+        assert path.read_text(encoding="utf-8") == "whole\n"
+
+    def test_a_chunk_that_raises_leaves_no_file(self, tmp_path):
+        def chunks():
+            yield "a,b\n"
+            raise RuntimeError("formatting failed")
+
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            cli.atomic_write(str(tmp_path / "out.txt"), chunks())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_leaf_chunks_encode_as_their_text(self):
+        rows = np.arange(4 * (_BLOCK + 1), dtype=float).reshape(-1, 4) / 7
+        chunks = cli._Chunks(cli._leaf_csv(rows))
+        assert len(chunks) == 3
+        assert chunks.encode("utf-8") == "".join(chunks).encode("utf-8")
 
 
 class TestApprox:

@@ -16,7 +16,7 @@ from cmclab import (
 )
 from cmclab import equivariant
 from oracles import cold_solve, unrestricted_steps
-from support import count_flows
+from support import count_arc_builds, count_flows
 
 
 def arc_curve(p, q, center, rho, theta0, theta1, n):
@@ -597,11 +597,20 @@ class TestApproximationSequence:
         # a nan radius is named as such, not as the nan annulus it implies.
         g, wedge = self.wedge_setup(16)
         calls = []
-        monkeypatch.setattr(equivariant, "weighted_minimize",
-                            lambda *args: calls.append(args))
+        monkeypatch.setattr(equivariant, "solve",
+                            lambda *args, **kwargs: calls.append(args))
         with pytest.raises(UsageError, match=needle):
             approximation_sequence(3, 3, 0.0, wedge, [0.1], radius, annulus)
         assert calls == []
+
+    def test_run_builds_the_arcs_once(self, monkeypatch):
+        # The base problem and its four step problems share one arc table.
+        g = quadrant_grid(64)
+        builds = count_arc_builds(monkeypatch)
+        rep = approximation_sequence(3, 3, 0.0, diagonal_wedge(g, 3, 3),
+                                     [8 * g.h, 4 * g.h, 2 * g.h, g.h], 0.5)
+        assert len(rep.sets) == 4
+        assert builds == [(64, 64)]
 
     def test_annulus_profile(self):
         # Quarter-width ramps: on (1, 2) the profile rises over [1, 1.25],

@@ -11,7 +11,7 @@ from cmclab import (
     threshold_experiment, result_to_json,
 )
 from oracles import independent_thresholds, unmerged_solve
-from support import count_flows, random_small_problem
+from support import count_arc_builds, count_flows, random_small_problem
 
 
 def half_plane_disk_problem(resolution, r, lam, h=1.0, stencil="cc"):
@@ -52,6 +52,29 @@ class TestProblemValidation:
         with pytest.raises(UsageError):
             MinCutProblem(g, 0.0, fixed_in=none, fixed_out=none,
                           cell_weight=np.full((3, 3), np.nan))
+
+    @pytest.mark.parametrize("lam", ["0.5", None, 1 + 2j, [0.5]],
+                             ids=["str", "None", "complex", "list"])
+    def test_rejects_a_lambda_that_is_not_real(self, lam):
+        # These once raised TypeError from np.isfinite or float().
+        g = GridGeometry((3, 3))
+        none = RegionMask.whole(g).invert()
+        with pytest.raises(UsageError, match="real number"):
+            MinCutProblem(g, lam, fixed_in=none, fixed_out=none)
+
+    def test_rejects_an_integer_past_the_float_range(self):
+        g = GridGeometry((3, 3))
+        none = RegionMask.whole(g).invert()
+        with pytest.raises(UsageError, match="finite, got inf"):
+            MinCutProblem(g, 10**400, fixed_in=none, fixed_out=none)
+
+    def test_rejects_weights_of_another_size(self):
+        # A 3x3 array once raised ValueError from reshape on a 4x4 grid.
+        g = GridGeometry((4, 4))
+        none = RegionMask.whole(g).invert()
+        with pytest.raises(UsageError, match="9 values, the grid has 16"):
+            MinCutProblem(g, 0.0, fixed_in=none, fixed_out=none,
+                          cell_weight=np.ones((3, 3)))
 
     def test_rejects_incompatible_masks(self):
         g = GridGeometry((3, 3))
@@ -215,6 +238,32 @@ class TestSolve:
         with pytest.raises(NumericalError, match="energy bookkeeping"):
             solve(random_small_problem(rng))
 
+    def test_energy_recheck_covers_the_largest_minimizer(self, rng,
+                                                         monkeypatch):
+        # A sink-side search that reaches no free cell puts every free cell
+        # in the largest minimizer; the re-check refuses that set whenever
+        # it is not a minimizer, though the smallest one is right.
+        real = cmclab.mincut.breadth_first_order
+
+        def sink_blind(graph, start, **kwargs):
+            order = real(graph, start, **kwargs)
+            return order[:1] if start == graph.shape[0] - 1 else order
+
+        checked = 0
+        for _ in range(20):
+            prob = random_small_problem(rng)
+            all_in = CellSet(prob.grid, ~prob.fixed_out.bits)
+            best = brute_force(prob).energy_quanta
+            if evaluate_quanta(prob, all_in) == best:
+                continue
+            monkeypatch.setattr(cmclab.mincut, "breadth_first_order",
+                                sink_blind)
+            with pytest.raises(NumericalError, match="energy bookkeeping"):
+                solve(prob)
+            monkeypatch.undo()
+            checked += 1
+        assert checked
+
     @pytest.mark.parametrize("run", [solve, brute_force],
                              ids=["solve", "brute_force"])
     @pytest.mark.parametrize("all_fixed", [True, False],
@@ -241,21 +290,36 @@ class TestSolve:
 
     def test_fold_prices_every_labeling(self, rng):
         # The folded energy equals the energy of the assembled set for any
-        # labels of the free cells, not only for the minimizers.
+        # labels of the free cells, not only for the minimizers: with the
+        # free cells drawn at random, on the grid's hull only, none of them
+        # and all of them.
         for _ in range(30):
             prob = random_small_problem(rng)
-            lin = cmclab.mincut._linearized(prob)
-            m = lin.theta.shape[1]
-            assert np.all(lin.theta.min(axis=0) == 0)
-            for _ in range(8):
-                x = rng.random(m) < 0.5
-                bits = prob.fixed_in.bits.copy()
-                bits[prob.free.bits] = x
-                folded = (lin.const
-                          + int(lin.theta[x.astype(int), np.arange(m)].sum())
-                          + int(lin.ew[x[lin.ei] != x[lin.ej]].sum()))
-                assert folded == evaluate_quanta(prob, CellSet(prob.grid,
-                                                               bits))
+            g = prob.grid
+            hull = np.ones(g.dims, dtype=bool)
+            hull[(slice(1, -1),) * g.d] = False
+            for free in (None, hull, np.zeros(g.dims, dtype=bool),
+                         np.ones(g.dims, dtype=bool)):
+                if free is not None:
+                    up = rng.random(g.dims) < 0.5
+                    prob = prob.relabeled(RegionMask(g, ~free & up),
+                                          RegionMask(g, ~free & ~up))
+                self.check_fold(rng, prob)
+
+    @staticmethod
+    def check_fold(rng, prob):
+        lin = cmclab.mincut._linearized(prob)
+        m = lin.theta.shape[1]
+        assert m == np.count_nonzero(prob.free.bits)
+        assert np.all(lin.theta.min(axis=0) == 0)
+        for _ in range(8):
+            x = rng.random(m) < 0.5
+            bits = prob.fixed_in.bits.copy()
+            bits[prob.free.bits] = x
+            folded = (lin.const
+                      + int(lin.theta[x.astype(int), np.arange(m)].sum())
+                      + int(lin.ew[x[lin.ei] != x[lin.ej]].sum()))
+            assert folded == evaluate_quanta(prob, CellSet(prob.grid, bits))
 
     def test_capacity_overflow_guard(self):
         g = GridGeometry((32, 32))
@@ -433,6 +497,82 @@ class TestMirrorMerge:
                 continue
             m = int(np.count_nonzero(prob.free.bits))
             assert solve(prob).flow_stats["nodes"] == m + 2
+
+
+class TestRelabeled:
+    """A problem derived by relabeled shares its parent's arcs and solves
+    exactly like the same problem built afresh."""
+
+    def check(self, monkeypatch, parent, fixed_in, fixed_out, lam):
+        builds = count_arc_builds(monkeypatch)
+        solve(parent)
+        derived = parent.relabeled(RegionMask(parent.grid, fixed_in),
+                                   RegionMask(parent.grid, fixed_out),
+                                   lam=lam)
+        got = solve(derived)
+        assert len(builds) == 1
+        monkeypatch.undo()
+        fresh = MinCutProblem(parent.grid,
+                              parent.lam if lam is None else lam,
+                              RegionMask(parent.grid, fixed_in),
+                              RegionMask(parent.grid, fixed_out),
+                              cell_weight=parent.cell_weight)
+        want = solve(fresh)
+        assert got.flow_stats == want.flow_stats
+        for w in (want, brute_force(derived), brute_force(fresh)):
+            assert got.set_min == w.set_min
+            assert got.set_max == w.set_max
+            assert got.energy_quanta == w.energy_quanta
+            assert got.unique == w.unique
+
+    @staticmethod
+    def new_lambda(rng, new_lam):
+        return float(rng.uniform(-2.0, 6.0)) if new_lam else None
+
+    @pytest.mark.parametrize("new_lam", [False, True],
+                             ids=["same-lambda", "new-lambda"])
+    def test_matches_fresh_and_brute_force(self, rng, monkeypatch, new_lam):
+        for _ in range(25):
+            prob = random_small_problem(rng)
+            g = prob.grid
+            k = int(rng.integers(0, min(16, g.ncells) + 1))
+            free = (rng.permutation(g.ncells) < k).reshape(g.dims)
+            up = rng.random(g.dims) < 0.5
+            self.check(monkeypatch, prob, ~free & up, ~free & ~up,
+                       self.new_lambda(rng, new_lam))
+
+    @pytest.mark.parametrize("new_lam", [False, True],
+                             ids=["same-lambda", "new-lambda"])
+    @pytest.mark.parametrize("d,name,parity", TestMirrorMerge.CASES)
+    def test_matches_on_the_orbit_graph(self, rng, monkeypatch, d, name,
+                                        parity, new_lam):
+        # Free cells fixed in mirror pairs keep the problem invariant, so
+        # the derived problem is solved on the orbit graph too.
+        for _ in range(6):
+            prob, mirror = TestMirrorMerge.draw(rng, d, name, parity)
+            dims = prob.grid.dims
+            pick = prob.free.bits & (rng.random(dims) < 0.4)
+            pick |= mirror(pick)
+            r = rng.random(dims)
+            up = r + mirror(r) < 1.0
+            self.check(monkeypatch, prob, prob.fixed_in.bits | (pick & up),
+                       prob.fixed_out.bits | (pick & ~up),
+                       self.new_lambda(rng, new_lam))
+
+    def test_bad_labels_and_lambdas_are_refused(self, rng):
+        prob = random_small_problem(rng)
+        g = prob.grid
+        whole, none = RegionMask.whole(g), RegionMask.whole(g).invert()
+        elsewhere = RegionMask.whole(GridGeometry(g.dims, h=3 * g.h)).invert()
+        with pytest.raises(UsageError, match="overlap"):
+            prob.relabeled(whole, whole)
+        with pytest.raises(UsageError, match="different grid"):
+            prob.relabeled(elsewhere, none)
+        with pytest.raises(UsageError, match="different grid"):
+            prob.relabeled(none, elsewhere)
+        for lam in ("0.5", 1 + 2j, float("nan"), 10**400):
+            with pytest.raises(UsageError, match="lambda"):
+                prob.relabeled(none, none, lam=lam)
 
 
 class TestBand:
