@@ -24,11 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 from scipy.ndimage import distance_transform_edt
 from scipy.spatial import cKDTree
 
+from ._rk45 import solve_ivp
 from .cones import (RadialFunction, _jacobi_operator, _radial_derivatives,
                     _sphere_dimensions, gamma_pm, make_cone, stability)
 from .grid import (CellSet, GridGeometry, NumericalError, RegionMask,
@@ -238,8 +237,8 @@ def shoot_leaf(p, q, s0, side="below", r_max=None):
             f"exit radius {r_max:g} needs at least {(r_max - s0) / ds:.3g} "
             f"samples, over the budget of {_MAX_LEAF_SAMPLES}")
 
-    # Shot at unit scale, every absolute tolerance, scipy's event location
-    # among them, meets the same numbers at every s0.
+    # Shot at unit scale, every absolute tolerance, the stepper's event
+    # location among them, meets the same numbers at every s0.
     r_exit = r_max / s0
     a, b = cone.a, cone.b
     # Taylor start: alpha = pi/2 + c s + c3 s^3 with the axis balance
@@ -261,8 +260,7 @@ def shoot_leaf(p, q, s0, side="below", r_max=None):
     hit_exit.terminal = True
 
     sol = solve_ivp(_profile_rhs(p, q, 0.0), (eps, 4.0 * r_exit), start,
-                    method="RK45", rtol=1e-10, atol=1e-12,
-                    dense_output=True, events=(hit_ray, hit_exit))
+                    rtol=1e-10, atol=1e-12, events=(hit_ray, hit_exit))
     if len(sol.t_events[0]):
         st = sol.sol(sol.t_events[0][0])
         raise IntegrationFailure(
@@ -327,6 +325,8 @@ def fit_decay_exponent(leaf, cone):
 
 def leaf_to_radial_graph(leaf, cone, r_min, r_max, n):
     """Resample the leaf as a radial graph over the cone on a log grid."""
+    # Imported here, so importing the package leaves scipy.interpolate out.
+    from scipy.interpolate import CubicSpline
     rr, uu = _graph_coordinates(leaf, cone)
     inc = np.flatnonzero(np.diff(rr) <= 0)
     start = inc[-1] + 1 if len(inc) else 0

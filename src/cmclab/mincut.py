@@ -99,7 +99,15 @@ class MinCutProblem:
         object.__setattr__(self, "lam", _finite_lambda(self.lam))
         self._check_labels()
         if self.cell_weight is not None:
-            w = np.asarray(self.cell_weight, dtype=float)
+            try:
+                w = np.asarray(self.cell_weight)
+            except ValueError:    # a ragged nesting of sequences
+                raise UsageError(
+                    "cell weights must be a rectangular array") from None
+            if w.dtype.kind not in "biuf":
+                raise UsageError(
+                    f"cell weights must be real numbers, got dtype {w.dtype}")
+            w = w.astype(float)
             if w.size != self.grid.ncells:
                 raise UsageError(
                     f"cell weights hold {w.size} values, the grid has "
@@ -107,7 +115,6 @@ class MinCutProblem:
             w = w.reshape(self.grid.dims)
             if not (np.all(np.isfinite(w)) and np.all(w > 0)):
                 raise UsageError("cell weights must be positive and finite")
-            w = w.copy()
             w.setflags(write=False)
             object.__setattr__(self, "cell_weight", w)
 

@@ -10,12 +10,18 @@ mirror-symmetric problem is solved with one flow node per free cell, no
 cell merged with its mirror image, and the weighted base problem with
 max-flow in one stage, from no band.  The leaf
 CSV and the SVG are written one f-string per row and per point, with
-repr(round(v, 9)) for every SVG number.
+repr(round(v, 9)) for every SVG number.  Leaves are integrated by scipy's
+own solve_ivp (RK45 with dense output), whose event location is scipy's
+brentq, in place of the package's port of both.
 """
 
+import sys
+
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 from scipy.ndimage import distance_transform_edt
+from scipy.optimize import brentq
 
 from cmclab import (CellSet, MinCutProblem, RegionMask, cell_weights,
                     stencil_levels, threshold_experiment, weighted_minimize)
@@ -152,3 +158,16 @@ def svg_document(polylines, bbox, stroke_width):
         for line in polylines)
     return (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{vb}">\n'
             f"{body}\n</svg>\n")
+
+
+def scipy_solve_ivp(fun, t_span, y0, rtol, atol, events=()):
+    """shoot_leaf's integration, in the package stepper's signature, by
+    scipy's solve_ivp with method RK45 and dense output."""
+    return solve_ivp(fun, t_span, y0, method="RK45", rtol=rtol, atol=atol,
+                     dense_output=True, events=events)
+
+
+def scipy_brentq(f, a, b):
+    """scipy's brentq at solve_ivp's event tolerances, xtol = rtol = 4 eps."""
+    eps = sys.float_info.epsilon
+    return brentq(f, a, b, xtol=4 * eps, rtol=4 * eps)

@@ -12,10 +12,11 @@ from cmclab import (
     cell_weights, cmc_graph_residual, curve_from_samples, diagonal_wedge,
     evaluate_quanta, fit_decay_exponent, gamma_pm, has_interface_pinch,
     leaf_to_radial_graph, linearization_check, make_cone, mean_curvature_values,
-    quadrant_grid, shoot_leaf, solve, weighted_minimize,
+    quadrant_grid, shoot_leaf, solve, stability, weighted_minimize,
 )
-from cmclab import equivariant
-from oracles import cold_solve, unrestricted_steps
+from cmclab import _rk45, equivariant
+from oracles import (cold_solve, scipy_brentq, scipy_solve_ivp,
+                     unrestricted_steps)
 from support import count_arc_builds, count_flows
 
 
@@ -242,7 +243,7 @@ class TestShootLeaf:
     def test_ends_at_the_exit_radius_at_every_scale(self, leaf33, s0):
         # The last sample lies within one spacing inside the exit radius,
         # with the sample count of the unit leaf, also at s0 <= 1e-14,
-        # where scipy's absolute event tolerance exceeds a spacing.
+        # where the stepper's absolute event tolerance exceeds a spacing.
         assert abs(leaf33.n_nodes - 98851) <= 1
         leaf = shoot_leaf(3, 3, s0)
         r_max, ds = 50.0 * s0, 5e-4 * s0
@@ -274,6 +275,74 @@ class TestShootLeaf:
         rel = np.abs(scaled.x[:m] - alpha * leaf33.x[:m]) / (
             alpha * np.hypot(leaf33.x[:m], leaf33.y[:m]))
         assert rel.max() < 1e-8
+
+
+class TestStepperMatchesScipy:
+    """The package's RK45 port gives scipy's results bit for bit."""
+
+    STABLE = [(p, q) for p in range(1, 7) for q in range(1, 7)
+              if stability(make_cone(p, q))]
+
+    @staticmethod
+    def outcome(*args):
+        try:
+            leaf = shoot_leaf(*args)
+        except Exception as exc:    # compared with scipy's, not handled
+            return type(exc), str(exc)
+        return tuple(getattr(leaf, n).tobytes()
+                     for n in ("s", "x", "y", "tx", "ty"))
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_shoot_leaf_is_bit_identical(self, monkeypatch, side):
+        # Every stable cone, at three scales; C(5,1) below and C(1,5)
+        # above cross the cone ray, so the failure text is compared too.
+        cases = [(p, q, s0, side, 12 * s0) for p, q in self.STABLE
+                 for s0 in (1.0, 1e-14, 1e80)] + [(3, 3, 1.0, side)]
+        ours = [self.outcome(*c) for c in cases]
+        monkeypatch.setattr(equivariant, "solve_ivp", scipy_solve_ivp)
+        theirs = [self.outcome(*c) for c in cases]
+        assert [o[0] for o in ours if len(o) == 2] == [IntegrationFailure] * 3
+        assert ours == theirs
+
+    def test_step_size_underflow_fails_as_scipy_does(self):
+        # y' = y^2 from y(0) = 1 blows up at t = 1; non-terminal events
+        # record every zero and do not stop the run.
+        def fun(_t, y):
+            return y * y
+
+        def event(t, _y):
+            return math.sin(20.0 * t)
+
+        ours = _rk45.solve_ivp(fun, (0.0, 2.0), [1.0], 1e-10, 1e-12,
+                               events=(event,))
+        theirs = scipy_solve_ivp(fun, (0.0, 2.0), [1.0], 1e-10, 1e-12,
+                                 events=(event,))
+        assert (ours.status, ours.message) == (-1, theirs.message)
+        assert theirs.status == -1
+        assert len(ours.t_events[0]) == 7
+        assert np.array_equal(ours.t_events[0], theirs.t_events[0])
+        t = np.linspace(0.0, 0.999, 1000)
+        assert np.array_equal(ours.sol(t), theirs.sol(t))
+
+    def test_brentq_takes_scipys_steps(self):
+        # Same root and the same evaluation points on random brackets of
+        # smooth, steep, flat and numpy-valued functions with one root.
+        rng = np.random.default_rng(7)
+        for k in range(1200):
+            c, r = rng.normal(), rng.normal()
+            f = [lambda x: c * c * (x - r) + (x - r) ** 3,
+                 lambda x: math.tanh(c * (x - r)),
+                 lambda x: (x - r) * abs(x - r) ** 0.3,
+                 lambda x: np.float64(x - r) * (1 + math.exp(c * x))][k % 4]
+            a, b = r + rng.uniform(-3, 0), r + rng.uniform(0, 3)
+            if rng.random() < 0.5:
+                a, b = b, a
+            calls = [], []
+            roots = [root(lambda x, log=log: log.append(x) or f(x), a, b)
+                     for root, log in zip((_rk45._brentq, scipy_brentq),
+                                          calls)]
+            assert roots[0] == roots[1] and type(roots[0]) is float
+            assert calls[0] == calls[1]
 
 
 class TestDecayFit:

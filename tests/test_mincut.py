@@ -76,6 +76,20 @@ class TestProblemValidation:
             MinCutProblem(g, 0.0, fixed_in=none, fixed_out=none,
                           cell_weight=np.ones((3, 3)))
 
+    @pytest.mark.parametrize("weights,match", [
+        (np.ones((3, 3)) * (1 + 1j), "real numbers, got dtype complex128"),
+        (np.full((3, 3), "a"), "real numbers, got dtype <U1"),
+        ([[1, 2, 3], [4, 5]], "rectangular array"),
+    ], ids=["complex", "str", "ragged"])
+    def test_rejects_weights_that_are_not_real_numbers(self, weights, match):
+        # Complex weights once lost their imaginary part with only a
+        # ComplexWarning; str and ragged ones raised a bare ValueError.
+        g = GridGeometry((3, 3))
+        none = RegionMask.whole(g).invert()
+        with pytest.raises(UsageError, match=match):
+            MinCutProblem(g, 0.0, fixed_in=none, fixed_out=none,
+                          cell_weight=weights)
+
     def test_rejects_incompatible_masks(self):
         g = GridGeometry((3, 3))
         other = GridGeometry((3, 3), h=2.0)

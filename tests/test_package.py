@@ -1,8 +1,14 @@
-"""The package surface: what `cmclab` exports is what it defines."""
+"""The package surface: what `cmclab` exports is what it defines, and what
+importing the CLI loads."""
 
+import os
+import subprocess
+import sys
 import types
 
 import cmclab
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_all_is_the_public_surface():
@@ -12,3 +18,22 @@ def test_all_is_the_public_surface():
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)]
     assert sorted(cmclab.__all__) == sorted(public)
+
+
+def test_cli_import_leaves_scipy_integrate_optimize_interpolate_unloaded():
+    # Leaves are shot by the package's own RK45, and CubicSpline is
+    # imported inside leaf_to_radial_graph, which still works afterwards.
+    code = (
+        "import sys, cmclab.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in\n"
+        "      (['scipy', 'integrate'], ['scipy', 'optimize'],\n"
+        "       ['scipy', 'interpolate'])))\n"
+        "from cmclab import leaf_to_radial_graph, make_cone, shoot_leaf\n"
+        "u = leaf_to_radial_graph(shoot_leaf(3, 3, 1.0, r_max=12.0),\n"
+        "                         make_cone(3, 3), 2.0, 10.0, 64)\n"
+        "print(u.n_nodes)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "64"]
