@@ -21,18 +21,17 @@ weight terms that cancel near the cone.
 """
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
-from scipy.spatial import cKDTree
 
 from ._rk45 import solve_ivp
 from .cones import (RadialFunction, _jacobi_operator, _radial_derivatives,
                     _sphere_dimensions, gamma_pm, make_cone, stability)
 from .grid import (CellSet, GridGeometry, NumericalError, RegionMask,
                    UsageError, boundary_faces)
-from .mincut import MinCutProblem, solve
+from .mincut import MinCutProblem, _real, solve
 
 # Fraction of min(a, b) allowed for |u|/r + |u'| before a graph over the cone
 # stops being reliably embedded; also the radial-decay gate.  At 0.4 every
@@ -48,6 +47,9 @@ _MAX_LEAF_SAMPLES = 10**7
 _LEAF_S0_RANGE = (1e-100, 1e100)
 # Arclength spacing of shoot_leaf's samples, in units of s0.
 _LEAF_DS = 5e-4
+# Point pairs _hausdorff squares in one block: two float64 buffers of
+# 512 KB each.
+_HAUSDORFF_PAIRS = 2**16
 
 
 class IntegrationFailure(NumericalError):
@@ -474,11 +476,73 @@ def diagonal_wedge(grid, p, q):
     return CellSet(grid, a * Y < b * X)
 
 
+def _depth_bound(length, grid):
+    """floor(length / h) + 1 cells, past every distance up to length; capped
+    at the sum of the grid's extents, past every center distance on it."""
+    cells = length / grid.h
+    cap = sum(grid.dims)
+    return math.floor(cells) + 1 if cells < cap else cap
+
+
+def _depth2(bits, K, near):
+    """Squared center distance, in cells, from each cell of the 2-D bool
+    array bits to the nearest False cell, at the cells of near: 0 on False
+    cells, exact where it is at most K*K, inf where it is more or where no
+    False cell exists.  inf off near.
+
+    The separable distance transform of Felzenszwalb and Huttenlocher
+    (2012), bounded by K.  Pass 1 gives each cell the distance f to the
+    nearest False cell in its column, from running max and min index
+    scans, capped at K + 1.  Pass 2 takes along each row the minimum over
+    |o| <= K of o^2 + f^2 at the cell o columns over.  The true value is
+    that minimum over all o with f uncapped.  Where it is at most K*K, its
+    best o has |o| <= K and an f of at most K, which the cap leaves alone,
+    and every other term only adds; where it is more, every term exceeds
+    K*K.  So the two passes are exact up to K*K, and they run only over
+    the box of near grown by K cells, which holds every False cell within
+    K of near.  Every sum is an integer below 2^53, so its float and its
+    sqrt are those of scipy's exact Euclidean distance transform to the
+    bit.
+    """
+    out = np.full(bits.shape, np.inf)
+    rows, cols = (np.flatnonzero(near.any(axis=1 - k)) for k in (0, 1))
+    if not len(rows):
+        return out
+    box = tuple(slice(max(0, ix[0] - K), ix[-1] + 1 + K)
+                for ix in (rows, cols))
+    sub = bits[box]
+    n, m = sub.shape
+    cap = K + 1
+    # A pass-2 sum stays below 2 cap^2: int32 holds it for K < 2^15 - 1.
+    dtype = np.int32 if K < 2**15 - 1 else np.int64
+    idx = np.arange(n, dtype=dtype)[:, None]
+    above = np.where(sub, dtype(-cap), idx)
+    np.maximum.accumulate(above, axis=0, out=above)
+    below = np.where(sub, dtype(n + cap), idx)[::-1]
+    np.minimum.accumulate(below, axis=0, out=below)
+    f = np.minimum(np.minimum(idx - above, below[::-1] - idx), cap)
+    g = f * f
+    d = g.copy()
+    for o in range(1, min(K, m - 1) + 1):
+        np.minimum(d[:, :-o], g[:, o:] + o * o, out=d[:, :-o])
+        np.minimum(d[:, o:], g[:, :-o] + o * o, out=d[:, o:])
+    d2 = d.astype(float)
+    d2[(d > K * K) | ~near[box]] = np.inf
+    out[box] = d2
+    return out
+
+
 def _base_problem(p, q, grid, lam, boundary, r):
     """weighted_minimize's problem and its warm-start band, each argument
     checked first: the labels of boundary fixed outside the obstacle ball of
     radius r, the weights x^p y^q, and the ball cells within r/4 of the
-    boundary data's interface."""
+    boundary data's interface.
+
+    The band's test is h sqrt(d2) <= r/4 on the squared cell distance d2 to
+    the nearest cell of the other label, computed only to K = floor(r/(4h))
+    + 1 cells: any farther cell lies more than r/4 away, and where the
+    boundary data has one label only, no cell is within r/4 of another.
+    """
     _sphere_dimensions(p, q, 0)
     if grid.d != 2:
         raise UsageError("the reduction lives on 2-D grids")
@@ -490,12 +554,14 @@ def _base_problem(p, q, grid, lam, boundary, r):
     ball = RegionMask.ball(grid, (0.0, 0.0), r).bits
     fixed_in = RegionMask(grid, boundary.bits & ~ball)
     fixed_out = RegionMask(grid, ~boundary.bits & ~ball)
-    # Distance to the nearest cell of the other label; one term is zero.
-    depth = grid.h * (distance_transform_edt(boundary.bits)
-                      + distance_transform_edt(~boundary.bits))
+    # Distance to the nearest cell of the other label; one term is zero,
+    # and both are inf off the ball.
+    K = _depth_bound(r / 4, grid)
+    d2 = (_depth2(boundary.bits, K, ball)
+          + _depth2(~boundary.bits, K, ball))
     return (MinCutProblem(grid, lam, fixed_in, fixed_out,
                           cell_weight=cell_weights(grid, p, q)),
-            RegionMask(grid, ball & (depth <= r / 4)))
+            RegionMask(grid, grid.h * np.sqrt(d2) <= r / 4))
 
 
 def weighted_minimize(p, q, grid, lam, boundary, r):
@@ -515,9 +581,10 @@ def weighted_minimize(p, q, grid, lam, boundary, r):
 
 
 def _obstacle_radius(r):
-    if not (r > 0 and np.isfinite(r)):
+    r = _real(r, "obstacle radius")
+    if not (r > 0 and math.isfinite(r)):
         raise UsageError(f"obstacle radius must be positive, got {r}")
-    return float(r)
+    return r
 
 
 def _annulus_profile(radius, r_lo, r_hi):
@@ -533,11 +600,34 @@ def _annulus_profile(radius, r_lo, r_hi):
 
 
 def _hausdorff(a, b):
-    """Hausdorff distance of point sets; 0 if both are empty, inf if one is."""
+    """Hausdorff distance of planar point sets, each an (n, 2) array; 0 if
+    both are empty, inf if one is.
+
+    Every pair's squared distance is summed as dx*dx + dy*dy, as scipy's
+    k-d tree sums it, in blocks of _HAUSDORFF_PAIRS pairs (one row of a at
+    least).  A block gives its rows' minima and folds its columns' into a
+    running minimum, so one pass over the pairs serves both directions.
+    sqrt is monotone, so the sqrt of the largest minimum is the k-d tree's
+    largest nearest-point distance to the bit.
+    """
     if len(a) == 0 or len(b) == 0:
         return float("inf") if len(a) or len(b) else 0.0
-    return float(max(cKDTree(a).query(b)[0].max(),
-                     cKDTree(b).query(a)[0].max()))
+    rows = max(1, _HAUSDORFF_PAIRS // len(b))
+    sq = np.empty((min(rows, len(a)), len(b)))
+    dy = np.empty_like(sq)
+    col_min = np.full(len(b), np.inf)
+    row_max = 0.0
+    for i in range(0, len(a), rows):
+        block = a[i:i + rows]
+        s, t = sq[:len(block)], dy[:len(block)]
+        np.subtract(block[:, :1], b[:, 0], out=s)
+        s *= s
+        np.subtract(block[:, 1:], b[:, 1], out=t)
+        t *= t
+        s += t
+        row_max = max(row_max, s.min(axis=1).max())
+        np.minimum(col_min, s.min(axis=0), out=col_min)
+    return float(np.sqrt(max(row_max, col_min.max())))
 
 
 @dataclass(frozen=True)
@@ -584,7 +674,9 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
     annulus profile is 0 off (r_lo, r_hi), 1 on its middle half and linear
     on the quarter-width ramps between.  For each t in t_list the step data
     is E less the cells whose depth in E is at most t times the profile,
-    and the largest minimizer of that data is the step set.
+    and the largest minimizer of that data is the step set.  A cell's depth
+    is its center distance to the nearest cell outside E, infinite when E
+    fills the grid; then every step's data is E.
 
     Each step solves only the band between the previous step set and E
     inside the obstacle ball: the previous step set is fixed in and the
@@ -613,7 +705,10 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
         free-cell count of each step's solve.
     """
     grid = boundary.grid
-    t_arr = [float(t) for t in t_list]
+    if not isinstance(t_list, Iterable):
+        raise UsageError(f"t_list must be a sequence of perturbation "
+                         f"magnitudes, got {t_list!r}")
+    t_arr = [_real(t, f"t_list[{i}]") for i, t in enumerate(t_list)]
     if not t_arr:
         raise UsageError("t_list is empty")
     if any(not np.isfinite(t) or t < 0 for t in t_arr):
@@ -621,14 +716,24 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
     if any(b >= a for a, b in zip(t_arr, t_arr[1:])):
         raise UsageError("t_list must be strictly decreasing")
     r_obs = _obstacle_radius(obstacle_radius)
-    r_lo, r_hi = ((0.75 * r_obs, 1.6 * r_obs) if annulus is None
-                  else (float(annulus[0]), float(annulus[1])))
+    if annulus is None:
+        r_lo, r_hi = 0.75 * r_obs, 1.6 * r_obs
+    else:
+        pair = tuple(annulus) if isinstance(annulus, Iterable) else ()
+        if len(pair) != 2:
+            raise UsageError(f"annulus must be a pair of radii, got "
+                             f"{annulus!r}")
+        r_lo, r_hi = (_real(a, f"annulus[{i}]") for i, a in enumerate(pair))
     with np.errstate(over="ignore"):    # past the float range: inf, clipped
         profile = _annulus_profile(np.hypot(*grid.center_mesh()), r_lo, r_hi)
 
     base, warm = _base_problem(p, q, grid, lam, boundary, r_obs)
     E = solve(base, band=warm).set_max
-    depth = grid.h * distance_transform_edt(E.bits)
+    # A cell of E deeper than K cells lies deeper than every t * profile,
+    # and one where the profile is 0 passes at every depth, so neither
+    # needs its depth.
+    depth = grid.h * np.sqrt(_depth2(E.bits, _depth_bound(t_arr[0], grid),
+                                     E.bits & (profile > 0)))
     weights = base.cell_weight
     ball = RegionMask.ball(grid, (0.0, 0.0), r_obs).bits
     E_mids = boundary_faces(E)[0]

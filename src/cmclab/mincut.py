@@ -67,14 +67,20 @@ def quantum(grid):
     return grid.h ** (grid.d - 1) / 2**QUANT_BITS
 
 
+def _real(value, name):
+    """value as a float, +-inf past the float range; UsageError, naming
+    it, unless it is a real number."""
+    if not isinstance(value, numbers.Real):
+        raise UsageError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:    # an integer past the float range
+        return math.inf if value > 0 else -math.inf
+
+
 def _finite_lambda(lam):
     """lam as a float; UsageError unless it is a finite real number."""
-    if not isinstance(lam, numbers.Real):
-        raise UsageError(f"lambda must be a real number, got {lam!r}")
-    try:
-        value = float(lam)
-    except OverflowError:    # an integer past the float range
-        value = math.inf
+    value = _real(lam, "lambda")
     if not math.isfinite(value):
         raise UsageError(f"lambda must be finite, got {value}")
     return value

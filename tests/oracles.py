@@ -12,7 +12,9 @@ max-flow in one stage, from no band.  The leaf
 CSV and the SVG are written one f-string per row and per point, with
 repr(round(v, 9)) for every SVG number.  Leaves are integrated by scipy's
 own solve_ivp (RK45 with dense output), whose event location is scipy's
-brentq, in place of the package's port of both.
+brentq, in place of the package's port of both.  Depths in a cell set come
+from scipy's distance_transform_edt and Hausdorff distances from cKDTree
+queries, in place of the package's bounded transform and pairwise blocks.
 """
 
 import sys
@@ -22,6 +24,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 from scipy.ndimage import distance_transform_edt
 from scipy.optimize import brentq
+from scipy.spatial import cKDTree
 
 from cmclab import (CellSet, MinCutProblem, RegionMask, cell_weights,
                     stencil_levels, threshold_experiment, weighted_minimize)
@@ -97,13 +100,37 @@ def unrestricted_steps(p, q, lam, report):
     """
     E = report.limit_set
     grid = E.grid
-    depth = grid.h * distance_transform_edt(E.bits)
+    # With no cell outside E, scipy measures to a cell past the grid.
+    depth = (np.full(grid.dims, np.inf) if E.bits.all()
+             else grid.h * distance_transform_edt(E.bits))
     profile = _annulus_profile(np.hypot(*grid.center_mesh()), *report.annulus)
     return tuple(
         weighted_minimize(p, q, grid, lam,
                           CellSet(grid, E.bits & (depth > t * profile)),
                           report.obstacle_radius).set_max
         for t in report.t_list)
+
+
+def scipy_depth(bits):
+    """Center distance, in cells, from each cell of bits to the nearest
+    False cell, by scipy's distance_transform_edt."""
+    return distance_transform_edt(bits)
+
+
+def scipy_band(grid, boundary, r):
+    """weighted_minimize's warm-start band by scipy's distance transform:
+    the cells of the ball of radius r around the origin corner whose
+    distance to the nearest cell of the other label is at most r/4."""
+    ball = RegionMask.ball(grid, (0.0, 0.0), r).bits
+    depth = grid.h * (distance_transform_edt(boundary.bits)
+                      + distance_transform_edt(~boundary.bits))
+    return RegionMask(grid, ball & (depth <= r / 4))
+
+
+def kdtree_hausdorff(a, b):
+    """Hausdorff distance of two non-empty point sets by cKDTree queries."""
+    return float(max(cKDTree(a).query(b)[0].max(),
+                     cKDTree(b).query(a)[0].max()))
 
 
 def unmerged_solve(problem):

@@ -367,6 +367,22 @@ class TestApprox:
                 assert np.all(prev.bits <= D.bits)
             prev = D
 
+    def test_a_limit_set_filling_the_grid(self, tmp_path):
+        # One cell, in the limit set: no cell lies outside it, so its depth
+        # is infinite and every step keeps it.  scipy's transform measured
+        # to a cell past the grid, and step 0 came out empty.
+        out = str(tmp_path)
+        cfg = self.write_config(tmp_path, {
+            "p": 1, "q": 5, "lambda": 0.0, "grid": {"n": 1, "box": 1.0},
+            "t_list": [2.0, 1.0, 0.5]})
+        assert run_cli("approx", "--config", cfg, "--outdir", out) == 0
+        doc = json.loads(read_text(os.path.join(out, "approx.json")))
+        limit = read_cellset(os.path.join(out, doc["limit"]))
+        assert limit.bits.all()
+        assert [read_cellset(os.path.join(out, name))
+                for name in doc["steps"]] == [limit] * 3
+        assert doc["sym_diff_volume"] == [0.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("mangle,needle", [
         (lambda d: d.pop("q"), "'q'"),
         (lambda d: d.update(foo=1), "'foo'"),

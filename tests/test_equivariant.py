@@ -15,8 +15,8 @@ from cmclab import (
     quadrant_grid, shoot_leaf, solve, stability, weighted_minimize,
 )
 from cmclab import _rk45, equivariant
-from oracles import (cold_solve, scipy_brentq, scipy_solve_ivp,
-                     unrestricted_steps)
+from oracles import (cold_solve, kdtree_hausdorff, scipy_band, scipy_brentq,
+                     scipy_depth, scipy_solve_ivp, unrestricted_steps)
 from support import count_arc_builds, count_flows
 
 
@@ -345,6 +345,102 @@ class TestStepperMatchesScipy:
             assert calls[0] == calls[1]
 
 
+class TestDepthAndHausdorffMatchScipy:
+    """The bounded depth transform and the pairwise Hausdorff distance give
+    scipy's distance_transform_edt and cKDTree results bit for bit."""
+
+    def test_depth_is_exact_up_to_the_bound(self):
+        # Random masks, every fifth with a single False cell: the sqrt of
+        # each value up to K^2 is scipy's distance, every other is inf,
+        # and near only turns the values off it to inf.
+        rng = np.random.default_rng(19)
+        for k in range(240):
+            shape = tuple(rng.integers(1, 41, size=2))
+            K = int(rng.integers(1, 51))
+            if k % 5 == 0:
+                bits = np.ones(shape, dtype=bool)
+                bits[tuple(rng.integers(0, n) for n in shape)] = False
+            else:
+                bits = rng.random(shape) < rng.uniform(0.5, 1.0)
+            got = equivariant._depth2(bits, K, np.ones(shape, dtype=bool))
+            if bits.all():
+                assert np.all(got == math.inf)
+                continue
+            want = scipy_depth(bits)
+            within = want <= K
+            assert np.array_equal(np.sqrt(got[within]), want[within])
+            assert np.all(got[~within] == math.inf)
+            near = rng.random(shape) < 0.3
+            part = equivariant._depth2(bits, K, near)
+            assert np.array_equal(part[near], got[near])
+            assert np.all(part[~near] == math.inf)
+
+    def test_depth_of_a_mask_with_no_false_cell_is_infinite(self):
+        # scipy measures to a cell past the array: 1, sqrt 2, sqrt 5, ...
+        bits = np.ones((3, 4), dtype=bool)
+        assert scipy_depth(bits)[0, 0] == 1.0
+        assert np.all(equivariant._depth2(bits, 50, bits) == math.inf)
+
+    @pytest.mark.parametrize("n", [128, 256])
+    @pytest.mark.parametrize("p,q", [(3, 3), (2, 4), (1, 5)])
+    def test_wedge_band_is_scipys(self, p, q, n):
+        g = quadrant_grid(n)
+        wedge = diagonal_wedge(g, p, q)
+        band = equivariant._base_problem(p, q, g, 0.0, wedge, 0.5)[1]
+        assert band == scipy_band(g, wedge, 0.5)
+        assert band.bits.any()
+
+    def test_random_band_is_scipys(self):
+        # Blobs of random disks on random grids, with radii from a few
+        # cells to past the grid's diagonal, where K takes its cap.
+        rng = np.random.default_rng(5)
+        for k in range(40):
+            g = quadrant_grid(int(rng.integers(8, 97)),
+                              box=float(rng.uniform(0.5, 2.0)))
+            X, Y = g.center_mesh()
+            bits = np.zeros(g.dims, dtype=bool)
+            for _ in range(int(rng.integers(1, 6))):
+                cx, cy = rng.uniform(0, g.h * g.dims[0], size=2)
+                bits |= np.hypot(X - cx, Y - cy) < rng.uniform(0.05, 0.6)
+            if bits.all() or not bits.any():
+                continue
+            r = float(g.h * g.dims[0] * rng.choice([0.1, 0.5, 1.0, 9.0]))
+            boundary = CellSet(g, bits)
+            band = equivariant._base_problem(3, 3, g, 0.0, boundary, r)[1]
+            assert band == scipy_band(g, boundary, r)
+
+    def test_band_of_one_label_is_empty(self):
+        g = quadrant_grid(16)
+        band = equivariant._base_problem(3, 3, g, 0.0, CellSet.full(g),
+                                         0.5)[1]
+        assert not band.bits.any()
+
+    def test_hausdorff_is_cKDTrees(self):
+        # Half-lattice points, as interface midpoints are, and floats; both
+        # argument orders; sizes past one block of pairs.
+        rng = np.random.default_rng(11)
+        for k in range(120):
+            na, nb = rng.integers(1, 900, size=2)
+            if k % 2:
+                a = rng.integers(0, 512, size=(na, 2)) / 2.0 / 256
+                b = rng.integers(0, 512, size=(nb, 2)) / 2.0 / 256
+            else:
+                a = rng.normal(size=(na, 2)) * 10.0 ** rng.uniform(-3, 3)
+                b = rng.normal(size=(nb, 2)) + rng.normal(size=2)
+            want = kdtree_hausdorff(a, b)
+            assert equivariant._hausdorff(a, b) == want
+            assert equivariant._hausdorff(b, a) == want
+        a, b = rng.random((3, 2)), rng.random((70000, 2))
+        assert equivariant._hausdorff(a, b) == kdtree_hausdorff(a, b)
+
+    def test_hausdorff_of_empty_sets(self):
+        empty = np.zeros((0, 2))
+        pts = np.array([[0.5, 0.25]])
+        assert equivariant._hausdorff(empty, empty) == 0.0
+        assert equivariant._hausdorff(empty, pts) == math.inf
+        assert equivariant._hausdorff(pts, empty) == math.inf
+
+
 class TestDecayFit:
     def synthetic(self, cone, coef, power, r0=1.0, r1=120.0, n=500):
         r = np.geomspace(r0, r1, n)
@@ -569,6 +665,13 @@ class TestQuadrantReduction:
         with pytest.raises(UsageError, match="radius"):
             weighted_minimize(3, 3, g, 0.0, wedge, -1.0)
 
+    @pytest.mark.parametrize("r", ["0.5", None], ids=["str", "None"])
+    def test_weighted_minimize_refuses_a_radius_that_is_not_real(self, r):
+        # These once raised TypeError from the comparison with 0.
+        g = quadrant_grid(8)
+        with pytest.raises(UsageError, match="radius must be a real number"):
+            weighted_minimize(3, 3, g, 0.0, diagonal_wedge(g, 3, 3), r)
+
     def test_trivial_weight_matches_plain_solver(self):
         # p = q = 0 carries unit weights, so the reduction must agree with
         # the unweighted minimizer cell for cell.
@@ -671,6 +774,37 @@ class TestApproximationSequence:
         with pytest.raises(UsageError, match=needle):
             approximation_sequence(3, 3, 0.0, wedge, [0.1], radius, annulus)
         assert calls == []
+
+    @pytest.mark.parametrize("t_list,annulus,needle", [
+        ([0.1, None], None, r"t_list\[1\] must be a real number"),
+        (["0.1"], None, r"t_list\[0\] must be a real number"),
+        (0.1, None, "t_list must be a sequence"),
+        ([0.1], ("a", 1), r"annulus\[0\] must be a real number"),
+        ([0.1], (0.1,), "annulus must be a pair of radii"),
+    ], ids=["None-t", "str-t", "bare-t", "str-annulus", "short-annulus"])
+    def test_refuses_inputs_that_are_not_real_numbers(self, monkeypatch,
+                                                      t_list, annulus,
+                                                      needle):
+        # These once raised TypeError, ValueError or IndexError, or, for a
+        # str t, ran on its float.
+        g, wedge = self.wedge_setup(16)
+        calls = []
+        monkeypatch.setattr(equivariant, "solve",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(UsageError, match=needle):
+            approximation_sequence(3, 3, 0.0, wedge, t_list, 0.5, annulus)
+        assert calls == []
+
+    def test_a_limit_set_filling_the_grid_is_every_steps_data(self):
+        # No cell lies outside E, so every depth is infinite and no t
+        # removes a cell; scipy once measured to a cell past the grid.
+        g = quadrant_grid(4)
+        rep = approximation_sequence(3, 3, 0.0, CellSet.full(g),
+                                     [2.0, 1.0, 0.5], 0.5)
+        assert rep.limit_set == CellSet.full(g)
+        assert rep.sets == (rep.limit_set,) * 3
+        assert rep.sym_diff_volume == (0.0,) * 3
+        assert rep.sets == unrestricted_steps(3, 3, 0.0, rep)
 
     def test_run_builds_the_arcs_once(self, monkeypatch):
         # The base problem and its four step problems share one arc table.

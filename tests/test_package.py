@@ -20,14 +20,16 @@ def test_all_is_the_public_surface():
     assert sorted(cmclab.__all__) == sorted(public)
 
 
-def test_cli_import_leaves_scipy_integrate_optimize_interpolate_unloaded():
-    # Leaves are shot by the package's own RK45, and CubicSpline is
-    # imported inside leaf_to_radial_graph, which still works afterwards.
+def test_cli_import_leaves_unused_scipy_subpackages_unloaded():
+    # Leaves are shot by the package's own RK45, depths and Hausdorff
+    # distances come from its own kernels, and CubicSpline is imported
+    # inside leaf_to_radial_graph, which still works afterwards.
     code = (
         "import sys, cmclab.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[:2] in\n"
         "      (['scipy', 'integrate'], ['scipy', 'optimize'],\n"
-        "       ['scipy', 'interpolate'])))\n"
+        "       ['scipy', 'interpolate'], ['scipy', 'ndimage'],\n"
+        "       ['scipy', 'spatial'], ['scipy', 'special'])))\n"
         "from cmclab import leaf_to_radial_graph, make_cone, shoot_leaf\n"
         "u = leaf_to_radial_graph(shoot_leaf(3, 3, 1.0, r_max=12.0),\n"
         "                         make_cone(3, 3), 2.0, 10.0, 64)\n"
