@@ -47,8 +47,8 @@ _MAX_LEAF_SAMPLES = 10**7
 _LEAF_S0_RANGE = (1e-100, 1e100)
 # Arclength spacing of shoot_leaf's samples, in units of s0.
 _LEAF_DS = 5e-4
-# Point pairs _hausdorff squares in one block: two float64 buffers of
-# 512 KB each.
+# Point pairs _farthest_nearest sums in one block: a few arrays of 512 KB
+# each at most.
 _HAUSDORFF_PAIRS = 2**16
 
 
@@ -278,11 +278,14 @@ def shoot_leaf(p, q, s0, side="below", r_max=None):
     xs, ys, alphas = sol.sol(k[1:] * _LEAF_DS)
     if np.any(b * xs - a * ys <= 0):
         raise IntegrationFailure("leaf touched the cone ray between steps")
-    curve = ProfileCurve(p, q, k * ds,
-                         np.concatenate([[1.0], xs]) * s0,
-                         np.concatenate([[0.0], ys]) * s0,
-                         np.concatenate([[0.0], np.cos(alphas)]),
-                         np.concatenate([[1.0], np.sin(alphas)]))
+    arrays = (k * ds, np.concatenate([[1.0], xs]) * s0,
+              np.concatenate([[0.0], ys]) * s0,
+              np.concatenate([[0.0], np.cos(alphas)]),
+              np.concatenate([[1.0], np.sin(alphas)]))
+    # Freed before ProfileCurve copies the arrays, so the dense samples,
+    # the arrays and their copies are never all held at once.
+    del k, xs, ys, alphas
+    curve = ProfileCurve(p, q, *arrays)
     if not curve.is_simple():
         raise IntegrationFailure("leaf self-intersected")
     return curve
@@ -603,31 +606,65 @@ def _hausdorff(a, b):
     """Hausdorff distance of planar point sets, each an (n, 2) array; 0 if
     both are empty, inf if one is.
 
-    Every pair's squared distance is summed as dx*dx + dy*dy, as scipy's
-    k-d tree sums it, in blocks of _HAUSDORFF_PAIRS pairs (one row of a at
-    least).  A block gives its rows' minima and folds its columns' into a
-    running minimum, so one pass over the pairs serves both directions.
-    sqrt is monotone, so the sqrt of the largest minimum is the k-d tree's
+    The largest squared nearest-point distance of each set to the other
+    (_farthest_nearest), the second pass starting from the first's, so
+    sqrt is taken once.  sqrt is monotone, so that is the k-d tree's
     largest nearest-point distance to the bit.
     """
     if len(a) == 0 or len(b) == 0:
         return float("inf") if len(a) or len(b) else 0.0
-    rows = max(1, _HAUSDORFF_PAIRS // len(b))
-    sq = np.empty((min(rows, len(a)), len(b)))
-    dy = np.empty_like(sq)
-    col_min = np.full(len(b), np.inf)
-    row_max = 0.0
-    for i in range(0, len(a), rows):
-        block = a[i:i + rows]
-        s, t = sq[:len(block)], dy[:len(block)]
-        np.subtract(block[:, :1], b[:, 0], out=s)
-        s *= s
-        np.subtract(block[:, 1:], b[:, 1], out=t)
-        t *= t
-        s += t
-        row_max = max(row_max, s.min(axis=1).max())
-        np.minimum(col_min, s.min(axis=0), out=col_min)
-    return float(np.sqrt(max(row_max, col_min.max())))
+    return float(np.sqrt(_farthest_nearest(b, a, _farthest_nearest(a, b,
+                                                                  0.0))))
+
+
+def _farthest_nearest(p, q, floor):
+    """The largest of floor and the squared distances from each point of p
+    to its nearest point of q, both non-empty (n, 2) arrays.
+
+    Every pair's squared distance is summed as dx*dx + dy*dy, as scipy's
+    k-d tree sums it, but not every pair is summed.  q is sorted along x.
+    Each point of p first gets a bound, its squared distance to the nearer
+    of the two points of q on either side of it in x; its nearest point
+    lies within the bound's square root of it in x, so only the points of
+    q inside that x window (found by binary search, padded past rounding)
+    are summed.  The points of p
+    run in descending bound, _HAUSDORFF_PAIRS pairs at a time (one point
+    at least), and the running maximum ends the pass at the first point
+    whose bound does not exceed it: no point after it can raise it.
+    """
+    q = q[np.argsort(q[:, 0], kind="stable")]
+    qx, qy = q[:, 0].copy(), q[:, 1].copy()
+    px, py = p[:, 0], p[:, 1]
+    j = np.searchsorted(qx, px)
+    bound = np.full(len(p), np.inf)
+    for k in (np.maximum(j - 1, 0), np.minimum(j, len(q) - 1)):
+        dx, dy = px - qx[k], py - qy[k]
+        np.minimum(bound, dx * dx + dy * dy, out=bound)
+    order = np.argsort(-bound, kind="stable")
+    bound = bound[order]
+    px, py = px[order], py[order]
+    w = np.sqrt(bound) * (1 + 2.0**-40) + 2.0**-40 * np.abs(px)
+    lo = np.searchsorted(qx, px - w, side="left")
+    ends = np.cumsum(np.searchsorted(qx, px + w, side="right") - lo)
+    start = 0
+    stop = np.searchsorted(-bound, -floor, side="left")
+    while start < stop:
+        done = ends[start - 1] if start else 0
+        end = min(stop, max(start + 1, np.searchsorted(
+            ends, done + _HAUSDORFF_PAIRS, side="right")))
+        counts = np.diff(ends[start:end], prepend=done)
+        heads = ends[start:end] - counts - done
+        cols = np.arange(ends[end - 1] - done) + np.repeat(lo[start:end]
+                                                           - heads, counts)
+        sq = np.repeat(px[start:end], counts) - qx[cols]
+        sq *= sq
+        dy = np.repeat(py[start:end], counts) - qy[cols]
+        dy *= dy
+        sq += dy
+        floor = max(floor, np.minimum.reduceat(sq, heads).max())
+        start = end
+        stop = np.searchsorted(-bound, -floor, side="left")
+    return floor
 
 
 @dataclass(frozen=True)

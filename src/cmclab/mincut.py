@@ -16,6 +16,12 @@ gains and folds into unary terms only the arcs that touch a free cell, so
 its set-up work scales with the free cells; the energy re-check of the
 minimizers stays on the full coefficients.
 
+The free cells are numbered as flow nodes in raster order, backwards along
+the one axis on which the fixed-out cells lie farthest past the fixed-in
+cells, if they lie toward its far end (_reversed_axis).  Every reader of a
+result maps cells through that numbering, so it decides no result, only the
+speed of the max-flow backend, whose searches take arcs in index order.
+
 Extremal minimizers come from residual reachability: cells reachable from the
 source form the smallest minimizer, cells not reaching the sink form the
 largest.  Uniqueness is their coincidence.  A problem unchanged by a grid
@@ -265,6 +271,33 @@ class _Linearized:
     band: np.ndarray = None     # flow nodes of the first stage, or None
 
 
+def _reversed_axis(fixed_in, fixed_out):
+    """The axis along which _linearized numbers the free cells backwards,
+    or None: the axis on which the mean index of the fixed-out cells lies
+    farthest from that of the fixed-in cells, the lowest such axis on a
+    tie, when fixed-out lies toward its far end.  None when either label
+    set is empty.
+
+    The mean gap on axis k is D_k / (N_in N_out), with the integer
+    D_k = N_in S_out,k - N_out S_in,k over the cell counts N and index sums
+    S; the denominator is common to every axis, so the integers D_k decide,
+    ties included, exactly.  Each S comes from the label counts along one
+    axis, so no grid-sized index array is built.
+    """
+    n_in, n_out = int(fixed_in.sum()), int(fixed_out.sum())
+    if n_in == 0 or n_out == 0:
+        return None
+    gaps = []
+    for k, n in enumerate(fixed_in.shape):
+        rest = tuple(j for j in range(fixed_in.ndim) if j != k)
+        index = np.arange(n)
+        s_in = int(fixed_in.sum(axis=rest) @ index)
+        s_out = int(fixed_out.sum(axis=rest) @ index)
+        gaps.append(n_in * s_out - n_out * s_in)
+    k = max(range(len(gaps)), key=lambda j: abs(gaps[j]))
+    return k if gaps[k] > 0 else None
+
+
 def _linearized(problem):
     """Fold fixed labels into unary terms over free cells plus a constant.
 
@@ -276,28 +309,41 @@ def _linearized(problem):
     The energy of free labels x is const + theta[x, arange(m)].sum() plus
     ew over the arcs whose ends differ, and theta.min(axis=0) is zero.
 
+    The free cells are numbered in raster order, except backwards along
+    the axis _reversed_axis names, so the free cells nearest the fixed-out
+    cells come first.  The numbering decides no result: every reader of
+    the nodes (the band, the orbit merge, the read-out of the minimizers)
+    goes through node.  It decides the speed of scipy's Dinic max-flow,
+    whose searches take each node's arcs in index order: the same 8-lambda
+    half-plane sweep ran max-flow 2.5 to 3 times slower, at disk radii 64
+    to 128 cells, with its fixed-out cells numbered last than first.
+
     Only the arcs that touch a free cell are folded.  Of the others, those
     joining a fixed-in to a fixed-out cell are found by one boolean pass
     and go into the constant.
     """
     coeffs = _coefficients(problem)
     ai, bi, caps, gains = coeffs
+    dims = problem.grid.dims
     fixed_in = problem.fixed_in.bits.ravel()
     free = ~(fixed_in | problem.fixed_out.bits.ravel())
-    free_flat = np.flatnonzero(free)
-    m = len(free_flat)
+    m = int(np.count_nonzero(free))
     node = np.where(fixed_in, m, m + 1)
-    node[free_flat] = np.arange(m)
+    # Raster order of a view reversed along one axis is the node order.
+    k = _reversed_axis(problem.fixed_in.bits, problem.fixed_out.bits)
+    view = (lambda a: a.reshape(dims)) if k is None else (
+        lambda a: np.flip(a.reshape(dims), k))
+    view(node)[view(free)] = np.arange(m)
     # Cell codes: 1 fixed in, 0 fixed out, 2 free.
     code = (fixed_in.view(np.uint8)
-            | (free.view(np.uint8) << 1)).reshape(problem.grid.dims)
+            | (free.view(np.uint8) << 1)).reshape(dims)
     touch = np.flatnonzero(_across(problem.grid,
                                    lambda a, b: (a | b) & 2, code))
     cross = _across(problem.grid, np.bitwise_xor, code) == 1
     na, nb, c = node[ai[touch]], node[bi[touch]], caps[touch]
 
     theta = np.zeros((2, m), dtype=np.int64)
-    theta[1] = -gains[free_flat]
+    theta[1] = -view(gains)[view(free)]
     # Row node - m of a fixed end is the label that differs from it.
     sel = nb >= m
     np.add.at(theta, (nb[sel] - m, na[sel]), c[sel])
@@ -368,8 +414,13 @@ def _mirror_merged(problem, lin):
     else:
         return None
     m = lin.theta.shape[1]
-    flat = np.arange(problem.grid.ncells).reshape(problem.grid.dims)
-    image = lin.node[mirror(flat).ravel()[lin.node < m]]
+    # image[i] is the node of the mirror image of free node i's cell: at
+    # each free cell, node holds i and its mirror image holds image[i].
+    # The node order need not be raster order, so this goes cell by cell.
+    node = lin.node.reshape(problem.grid.dims)
+    free = node < m
+    image = np.empty(m, dtype=node.dtype)
+    image[node[free]] = mirror(node)[free]
     rep = np.minimum(np.arange(m), image)
     first = rep == np.arange(m)
     orbit = (np.cumsum(first) - 1)[rep]
@@ -429,8 +480,12 @@ def _flow_solve(problem, lin):
     s, t = m, m + 1
     src = np.flatnonzero(lin.theta[0])
     snk = np.flatnonzero(lin.theta[1])
-    rows = np.concatenate([lin.ei, lin.ej, np.full(len(src), s), snk])
-    cols = np.concatenate([lin.ej, lin.ei, src, np.full(len(snk), t)])
+    # In the index type scipy stores, so the matrix takes no copy of them.
+    idx = np.int32 if t <= _INT32_MAX else np.int64
+    rows = np.concatenate([lin.ei, lin.ej, np.full(len(src), s), snk],
+                          dtype=idx)
+    cols = np.concatenate([lin.ej, lin.ei, src, np.full(len(snk), t)],
+                          dtype=idx)
     vals = np.concatenate([lin.ew, lin.ew, lin.theta[0, src],
                            lin.theta[1, snk]])
     graph = csr_matrix((vals, (rows, cols)), shape=(m + 2, m + 2),
@@ -444,8 +499,15 @@ def _flow_solve(problem, lin):
             f"largest arc {max_cap} quanta, terminal totals "
             f"{src_total}/{snk_total}; shrink the grid or rescale lambda")
 
+    # The largest entry of graph + graph.T, read off the CSR arrays: with
+    # duplicates summed, an arc between free nodes has its reverse's
+    # capacity, and no terminal arc has a reverse, so it is the larger of
+    # twice the largest free-free entry and the largest terminal entry,
+    # for which max_cap, the largest entry, may stand.
+    head = graph.indptr[m]
     warm = (lin.band is not None and lin.band.any()
-            and (graph + graph.T).max() <= _INT32_MAX)
+            and max(2 * int(graph.data[:head][graph.indices[:head] < m]
+                            .max(initial=0)), max_cap) <= _INT32_MAX)
     graph = graph.astype(np.int32)
     residual, flow_value = (_band_residual(graph, lin.band) if warm
                             else (graph, 0))
@@ -491,6 +553,14 @@ def solve(problem, band=None):
     holds.  The warm start is taken only when every arc plus its reverse
     passes int32, since a residual arc can carry that much; max-flow runs
     in one stage otherwise.
+
+    Each extremal minimizer is re-priced on the full coefficients and a
+    NumericalError raised unless it costs the cut's energy.  That guards
+    the bookkeeping of the fold, the merge and the flow value, not
+    optimality: an orbit graph that paired the wrong cells would still be
+    a valid contraction pricing its own labelings right, and only the
+    comparisons with the unmerged solve and brute_force in the tests
+    catch it.
     """
     if band is not None and not band.grid.compatible(problem.grid):
         raise UsageError("band lives on a different grid")

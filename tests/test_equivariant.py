@@ -433,6 +433,30 @@ class TestDepthAndHausdorffMatchScipy:
         a, b = rng.random((3, 2)), rng.random((70000, 2))
         assert equivariant._hausdorff(a, b) == kdtree_hausdorff(a, b)
 
+    def test_hausdorff_is_cKDTrees_on_pruning_edge_cases(self):
+        # Sets far from the origin, where the x window's rounding pad
+        # matters; sets on a few vertical lines, whose windows hold whole
+        # lines and take several blocks; coincident and duplicate points.
+        rng = np.random.default_rng(13)
+        for k in range(60):
+            na, nb = rng.integers(1, 400, size=2)
+            a = rng.normal(size=(na, 2)) * 10.0 ** rng.uniform(-9, 0)
+            b = a[rng.integers(0, na, size=nb)] + (
+                rng.normal(size=(nb, 2)) * 10.0 ** rng.uniform(-12, 0))
+            if k % 3 == 1:
+                a[:, 0] = np.round(a[:, 0]) * 1e-3
+                b[:, 0] = np.round(b[:, 0] * 2) * 1e-3
+            shift = 10.0 ** rng.integers(0, 13) * rng.choice([-1, 1], size=2)
+            a, b = a + shift, b + shift
+            want = kdtree_hausdorff(a, b)
+            assert equivariant._hausdorff(a, b) == want
+            assert equivariant._hausdorff(b, a) == want
+        line = np.zeros((70000, 2))
+        line[:, 1] = np.arange(70000) / 7.0
+        pts = rng.random((5, 2))
+        for a, b in ((line, pts), (pts, line)):
+            assert equivariant._hausdorff(a, b) == kdtree_hausdorff(a, b)
+
     def test_hausdorff_of_empty_sets(self):
         empty = np.zeros((0, 2))
         pts = np.array([[0.5, 0.25]])

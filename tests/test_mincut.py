@@ -10,6 +10,7 @@ from cmclab import (
     MinCutProblem, quantum, evaluate, evaluate_quanta, solve, brute_force,
     threshold_experiment, result_to_json,
 )
+from cmclab.equivariant import _base_problem, diagonal_wedge, quadrant_grid
 from oracles import independent_thresholds, unmerged_solve
 from support import count_arc_builds, count_flows, random_small_problem
 
@@ -328,8 +329,9 @@ class TestSolve:
         assert np.all(lin.theta.min(axis=0) == 0)
         for _ in range(8):
             x = rng.random(m) < 0.5
-            bits = prob.fixed_in.bits.copy()
-            bits[prob.free.bits] = x
+            # Through the node map, so any numbering of the free cells does.
+            bits = np.concatenate([x, [True, False]])[lin.node].reshape(
+                prob.grid.dims)
             folded = (lin.const
                       + int(lin.theta[x.astype(int), np.arange(m)].sum())
                       + int(lin.ew[x[lin.ei] != x[lin.ej]].sum()))
@@ -429,6 +431,15 @@ class TestMirrorMerge:
             if invariant_under(prob) == [name] and moved.any():
                 return prob, mirrors[name]
 
+    # Families whose fixed-out cells lie toward the far end of one axis,
+    # so the free cells are numbered backwards along it.
+    REVERSED = [
+        pytest.param(2, "flip0", 0, 1, id="2d-flip0-even-reversed-y"),
+        pytest.param(2, "flip0", 1, 1, id="2d-flip0-odd-reversed-y"),
+        pytest.param(3, "flip2", 1, 1, id="3d-flip2-odd-reversed-y"),
+        pytest.param(3, "swap02", None, 0, id="3d-swap02-reversed-x"),
+    ]
+
     @pytest.mark.parametrize("d,name,parity", CASES)
     def test_matches_unmerged_and_brute_force(self, rng, d, name, parity):
         for _ in range(12):
@@ -443,6 +454,40 @@ class TestMirrorMerge:
             flat = np.arange(prob.grid.ncells).reshape(prob.grid.dims)
             orbits = np.count_nonzero(prob.free.bits & (flat <= mirror(flat)))
             assert got.flow_stats["nodes"] == orbits + 2
+
+    @pytest.mark.parametrize("d,name,parity,axis", REVERSED)
+    def test_matches_unmerged_and_brute_force_numbered_backwards(
+            self, rng, d, name, parity, axis):
+        # The orbit of a node pairs it with its own cell's mirror image,
+        # whatever the numbering.  Each draw checked is numbered out of
+        # raster order, and its largest minimizer splits the free cells, so
+        # a wrong pairing has labels to get wrong.
+        checked = 0
+        for _ in range(3000):
+            prob, mirror = self.draw(rng, d, name, parity)
+            if cmclab.mincut._reversed_axis(prob.fixed_in.bits,
+                                            prob.fixed_out.bits) != axis:
+                continue
+            free = prob.free.bits
+            node = cmclab.mincut._linearized(prob).node[free.ravel()]
+            unmerged = unmerged_solve(prob)
+            split = unmerged.set_max.bits[free]
+            if not (np.any(np.diff(node) < 0) and split.any()
+                    and not split.all()):
+                continue
+            got = solve(prob)
+            for want in (unmerged, brute_force(prob)):
+                assert got.set_min == want.set_min
+                assert got.set_max == want.set_max
+                assert got.energy_quanta == want.energy_quanta
+                assert got.unique == want.unique
+            flat = np.arange(prob.grid.ncells).reshape(prob.grid.dims)
+            orbits = np.count_nonzero(prob.free.bits & (flat <= mirror(flat)))
+            assert got.flow_stats["nodes"] == orbits + 2
+            checked += 1
+            if checked == 12:
+                break
+        assert checked == 12
 
     def test_tie_across_the_mirror_detected(self):
         # Two adjacent free cells swapped by the x flip, unit face stencil
@@ -511,6 +556,150 @@ class TestMirrorMerge:
                 continue
             m = int(np.count_nonzero(prob.free.bits))
             assert solve(prob).flow_stats["nodes"] == m + 2
+
+
+class TestNodeOrder:
+    """The free cells are numbered in raster order, backwards along the
+    axis on which the fixed-out cells' mean index lies farthest past the
+    fixed-in cells'.  The numbering decides no result."""
+
+    @staticmethod
+    def axis(fixed_in, fixed_out):
+        return cmclab.mincut._reversed_axis(np.asarray(fixed_in, dtype=bool),
+                                            np.asarray(fixed_out, dtype=bool))
+
+    def test_the_farthest_axis_decides_in_2d(self):
+        a = np.zeros((5, 7), dtype=bool)
+        low_y, high_y, low_x, high_x = a.copy(), a.copy(), a.copy(), a.copy()
+        low_y[:, 0] = high_y[:, -1] = low_x[0] = high_x[-1] = True
+        assert self.axis(low_y, high_y) == 1
+        assert self.axis(high_y, low_y) is None
+        assert self.axis(low_x, high_x) == 0
+        assert self.axis(high_x, low_x) is None
+        # The gap in y (6 cells) passes the gap in x (4 cells), whatever
+        # the sign in x.
+        corner_in, corner_out = a.copy(), a.copy()
+        corner_in[4, 0] = corner_out[0, 6] = True
+        assert self.axis(corner_in, corner_out) == 1
+        assert self.axis(corner_out, corner_in) is None
+        corner_in, corner_out = a.copy(), a.copy()
+        corner_in[0, 6] = corner_out[3, 0] = True
+        assert self.axis(corner_in, corner_out) is None
+
+    def test_the_farthest_axis_decides_in_3d(self):
+        a = np.zeros((3, 4, 5), dtype=bool)
+        fin, fout = a.copy(), a.copy()
+        fin[..., 0] = fout[..., -1] = True
+        assert self.axis(fin, fout) == 2
+        assert self.axis(fout, fin) is None
+        # Gaps (+1, 0, -4) cells: axis 2 is farthest and points back.
+        fin, fout = a.copy(), a.copy()
+        fin[0, 1, 4] = fout[1, 1, 0] = True
+        assert self.axis(fin, fout) is None
+        # Gaps (+2, -1, +1) cells, means over two cells each.
+        fin, fout = a.copy(), a.copy()
+        fin[0, 2, 1] = fin[0, 2, 2] = True
+        fout[2, 1, 2] = fout[2, 1, 3] = True
+        assert self.axis(fin, fout) == 0
+
+    def test_an_empty_label_set_reverses_nothing(self):
+        for shape in ((4, 6), (3, 4, 5)):
+            none = np.zeros(shape, dtype=bool)
+            top = none.copy()
+            top[..., -1] = True
+            assert self.axis(none, top) is None
+            assert self.axis(~top, none) is None
+            assert self.axis(none, none) is None
+
+    def test_a_tie_goes_to_the_lowest_axis(self):
+        # Gaps equal to the bit, in whole cells and in fractions of one.
+        a = np.zeros((6, 6), dtype=bool)
+        fin, fout = a.copy(), a.copy()
+        fin[0, 0] = fout[5, 5] = True
+        assert self.axis(fin, fout) == 0
+        fin, fout = a.copy(), a.copy()
+        fin[5, 0] = fout[0, 5] = True     # gaps (-5, +5): axis 0, backward
+        assert self.axis(fin, fout) is None
+        fin, fout = a.copy(), a.copy()
+        fin[0, 5] = fout[5, 0] = True     # gaps (+5, -5)
+        assert self.axis(fin, fout) == 0
+        # Three fixed-in cells against seven fixed-out: the gaps, 57/7 - 1
+        # in x and 50/7 in y, are equal, though the first is the smaller
+        # when each mean is a float.
+        a = np.zeros((10, 10), dtype=bool)
+        fin, fout = a.copy(), a.copy()
+        fin[[0, 1, 2], 0] = True
+        fout[[9, 9, 6, 8, 9, 7, 9], [4, 5, 7, 8, 8, 9, 9]] = True
+        assert 57 / 7 - 1 < 50 / 7
+        assert self.axis(fin, fout) == 0
+        assert self.axis(fout, fin) is None
+        b = np.zeros((3, 3, 3), dtype=bool)
+        fin, fout = b.copy(), b.copy()
+        fin[1, 0, 0] = fout[1, 2, 2] = True
+        assert self.axis(fin, fout) == 1
+
+    @staticmethod
+    def numbered(prob, axis):
+        """Whether the free nodes of prob run in raster order, backwards
+        along axis (None: forwards along every axis)."""
+        lin = cmclab.mincut._linearized(prob)
+        view = ((lambda a: a) if axis is None
+                else (lambda a: np.flip(a, axis)))
+        node = view(lin.node.reshape(prob.grid.dims))
+        free = view(prob.free.bits)
+        m = lin.theta.shape[1]
+        return (np.array_equal(node[free], np.arange(m))
+                and np.all(node[~free] == np.where(view(prob.fixed_in.bits),
+                                                   m, m + 1)[~free]))
+
+    @pytest.mark.parametrize("p,q,axis", [(3, 3, 1), (2, 4, None),
+                                          (1, 5, None)])
+    def test_order_of_the_weighted_base_problems(self, p, q, axis):
+        # On (2,4) and (1,5) x decides, and their fixed-out cells already
+        # lie first along it; (3,3)'s diagonal cells, fixed out, tip it to y.
+        for n in (32, 64):
+            g = quadrant_grid(n)
+            prob = _base_problem(p, q, g, 0.0, diagonal_wedge(g, p, q),
+                                 0.5)[0]
+            assert self.axis(prob.fixed_in.bits, prob.fixed_out.bits) == axis
+            assert self.numbered(prob, axis)
+
+    def test_order_of_the_threshold_sweep(self, monkeypatch):
+        # Fixed-out lies above the equator, so every solve of a sweep is
+        # numbered backwards in y.
+        real = cmclab.mincut._reversed_axis
+        axes = []
+
+        def spy(fixed_in, fixed_out):
+            axes.append(real(fixed_in, fixed_out))
+            return axes[-1]
+
+        monkeypatch.setattr(cmclab.mincut, "_reversed_axis", spy)
+        rows = threshold_experiment(8, 24, [0.0, 0.1, 0.3])
+        assert axes == [1, 1, 1]
+        assert not rows[0].filled and rows[-1].filled
+        monkeypatch.undo()
+        assert self.numbered(half_plane_disk_problem(24, 8, 0.0), 1)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.15, 0.2, 0.25, 0.5])
+    def test_half_plane_matches_its_mirror_image(self, lam):
+        # Fixed-out above the equator numbers the free cells backwards in
+        # y, its y-mirror image forwards; both solve on the orbit graph of
+        # the x flip, and every result field mirrors.
+        prob = half_plane_disk_problem(20, 8, lam)
+        g = prob.grid
+        image = MinCutProblem(
+            g, lam, fixed_in=RegionMask(g, np.flip(prob.fixed_in.bits, 1)),
+            fixed_out=RegionMask(g, np.flip(prob.fixed_out.bits, 1)))
+        assert self.numbered(prob, 1) and self.numbered(image, None)
+        got, want = solve(prob), solve(image)
+        assert got.set_min.bits.any() and not got.set_max.bits.all()
+        assert np.array_equal(got.set_min.bits, np.flip(want.set_min.bits, 1))
+        assert np.array_equal(got.set_max.bits, np.flip(want.set_max.bits, 1))
+        assert got.energy_quanta == want.energy_quanta
+        assert got.unique == want.unique
+        assert got.flow_stats == want.flow_stats
+        assert got.flow_stats["nodes"] < np.count_nonzero(prob.free.bits)
 
 
 class TestRelabeled:
@@ -656,6 +845,36 @@ class TestBand:
         cold = solve(prob)
         assert got.flow_stats == cold.flow_stats
         for want in (cold, unmerged_solve(prob), brute_force(prob)):
+            assert got.set_min == want.set_min
+            assert got.set_max == want.set_max
+            assert got.energy_quanta == want.energy_quanta
+            assert got.unique == want.unique
+
+    def test_a_terminal_arc_past_2_30_solves_in_two_stages(self,
+                                                            monkeypatch):
+        # Weight 3000 on the fixed-in cell under free cell (1, 1): its
+        # terminal arc is about 1500 * 2^20 quanta, past 2^30, but it has
+        # no reverse, so every pair sum passes int32 and the band is used.
+        g = GridGeometry((4, 3), h=1.0, stencil="face")
+        free = np.zeros((4, 3), dtype=bool)
+        free[1:3, 1] = True
+        fin = np.zeros((4, 3), dtype=bool)
+        fin[1, 0] = True
+        w = np.ones((4, 3))
+        w[fin] = 3000.0
+        prob = MinCutProblem(g, 0.0, fixed_in=RegionMask(g, fin),
+                             fixed_out=RegionMask(g, ~free & ~fin),
+                             cell_weight=w)
+        lin = cmclab.mincut._linearized(prob)
+        assert 2**30 < lin.theta.max() <= 2**31 - 1
+        assert lin.ew.max() <= 2**30
+        calls = count_flows(monkeypatch)
+        got = solve(prob, band=RegionMask(g, free))
+        assert calls == [4, 4]
+        monkeypatch.undo()
+        cold = solve(prob)
+        assert got.flow_stats == cold.flow_stats
+        for want in (cold, brute_force(prob)):
             assert got.set_min == want.set_min
             assert got.set_max == want.set_max
             assert got.energy_quanta == want.energy_quanta
