@@ -21,7 +21,6 @@ from .grid import (
     lattice,
     perimeter,
     volume,
-    j_lambda,
     SplitReport,
     split_perimeter,
     boundary_faces,
@@ -38,7 +37,6 @@ from .mincut import (
     CapacityOverflowError,
     MinCutProblem,
     MinimizerResult,
-    evaluate,
     evaluate_quanta,
     solve,
     brute_force,
@@ -54,10 +52,8 @@ from .cones import (
     stability,
     indicial_exponents,
     gamma_pm,
-    jacobi_eval,
     RadialFunction,
     lc_residual,
-    classify_positive_jacobi,
 )
 from .equivariant import (
     IntegrationFailure,
@@ -84,15 +80,14 @@ __version__ = "0.1.0"
 __all__ = [
     "UsageError", "NumericalError", "STENCIL_FACE", "STENCIL_CC",
     "stencil_levels", "GridGeometry", "CellSet", "RegionMask", "complement",
-    "lattice", "perimeter", "volume", "j_lambda", "SplitReport",
+    "lattice", "perimeter", "volume", "SplitReport",
     "split_perimeter", "boundary_faces", "rle_encode", "rle_decode",
     "cellset_to_text", "cellset_from_text", "write_cellset", "read_cellset",
     "QUANT_BITS", "quantum", "CapacityOverflowError", "MinCutProblem",
-    "MinimizerResult", "evaluate", "evaluate_quanta", "solve", "brute_force",
+    "MinimizerResult", "evaluate_quanta", "solve", "brute_force",
     "ThresholdRow", "threshold_experiment", "result_to_json",
     "CliffordCone", "make_cone", "SpectralData", "link_spectrum", "stability",
-    "indicial_exponents", "gamma_pm", "jacobi_eval", "RadialFunction",
-    "lc_residual", "classify_positive_jacobi",
+    "indicial_exponents", "gamma_pm", "RadialFunction", "lc_residual",
     "IntegrationFailure", "ProfileCurve", "curve_from_samples",
     "mean_curvature_values", "shoot_leaf", "fit_decay_exponent",
     "leaf_to_radial_graph", "cmc_graph_residual", "LinearizationReport",

@@ -176,19 +176,6 @@ def gamma_pm(cone):
     return indicial_exponents(cone.n, -cone.A2)
 
 
-def jacobi_eval(cone, c1, c2, r):
-    """Positive radial Jacobi field c1 r^(-gamma_plus) + c2 r^(-gamma_minus),
-    with the constant link eigenfunction normalized to 1."""
-    if c1 < 0 or c2 < 0:
-        raise UsageError("mode coefficients must be nonnegative")
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0) or not np.all(np.isfinite(r)):
-        raise UsageError("radius must be positive and finite")
-    gm, gp = gamma_pm(cone)
-    out = c1 * r ** -gp + c2 * r ** -gm
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True, eq=False)
 class RadialFunction:
     """Samples on a log-uniform radial grid, angular part fixed to the
@@ -259,21 +246,3 @@ def lc_residual(cone, f):
         raise UsageError(f"need at least 16 radial nodes, got {f.n_nodes}")
     Lg = _jacobi_operator(cone, *_radial_derivatives(f))
     return float(np.max(np.abs(Lg)))
-
-
-def classify_positive_jacobi(cone, f):
-    """Two-mode representation of a positive radial Jacobi field.
-
-    Fits f against r^(-gamma_plus), r^(-gamma_minus) by least squares in
-    relative terms; fit_error is the max relative deviation.  A field is a
-    genuine positive Jacobi field exactly when both coefficients come out
-    nonnegative and the error is at stencil level.
-    """
-    if np.any(f.values <= 0):
-        raise UsageError("classification needs strictly positive samples")
-    gm, gp = gamma_pm(cone)
-    r = f.r
-    A = np.stack([r ** -gp / f.values, r ** -gm / f.values], axis=1)
-    coef, *_ = np.linalg.lstsq(A, np.ones(f.n_nodes), rcond=None)
-    fit_error = float(np.max(np.abs(A @ coef - 1.0)))
-    return float(coef[0]), float(coef[1]), fit_error

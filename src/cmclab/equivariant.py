@@ -372,23 +372,17 @@ def _graph_mean_curvature(cone, r, g, g1, g2):
 
 
 def cmc_graph_residual(cone, u, lam):
-    """Max deviation of the graph's mean curvature from the prescribed
-    right-hand side lam * det(Id - u A_C), over interior nodes.
-
-    The mean curvature is the closed form of _graph_mean_curvature on
-    central differences; the determinant uses the closed-form principal
-    curvatures b/(a r) with multiplicity p, -a/(b r) with multiplicity q,
-    and 0 radially.
-    """
+    """Max deviation of the graph's mean curvature from lam over interior
+    nodes: zero for the graph of a hypersurface of constant mean curvature
+    lam.  The mean curvature is the closed form of _graph_mean_curvature
+    on central differences."""
     if not np.isfinite(lam):
         raise UsageError(f"lambda must be finite, got {lam}")
     if u.n_nodes < 16:
         raise UsageError(f"need at least 16 nodes, got {u.n_nodes}")
     r, g, g1, g2 = _radial_derivatives(u)
     H = _graph_mean_curvature(cone, r, g, g1, g2)
-    det = ((1.0 - g * cone.b / (cone.a * r)) ** cone.p
-           * (1.0 + g * cone.a / (cone.b * r)) ** cone.q)
-    return float(np.max(np.abs(H - lam * det)))
+    return float(np.max(np.abs(H - lam)))
 
 
 @dataclass(frozen=True)

@@ -288,11 +288,6 @@ def volume(D, R):
     return n * D.grid.h ** D.grid.d
 
 
-def j_lambda(D, lam, R):
-    """Perimeter minus lam times volume, both restricted to R."""
-    return perimeter(D, R) - lam * volume(D, R)
-
-
 @dataclass(frozen=True)
 class SplitReport:
     """Boundary faces of a set partitioned by a ball: both incident centers

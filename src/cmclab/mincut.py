@@ -37,12 +37,25 @@ flow on the residual of a feasible flow completes it to a maximum flow, and
 the residual of every maximum flow has the same source-reachable and
 sink-reaching sets; so the band decides only the speed.
 
-The max-flow backend works on int32 capacities and wraps silently past 2^31,
-so capacities and both terminal totals are guarded first.  A residual arc
-can carry c(u, v) + c(v, u), so the two-stage path is taken only when every
-such pair sum passes that guard too; the graph is solved in one stage
-otherwise.  Before all that, the coefficients are refused unless their total
-magnitude stays below 2^62 quanta, so no int64 energy sum can wrap.
+The max-flow backend works on int32 capacities and wraps silently past 2^31;
+_max_flow is its one caller.  A graph fits when its largest arc-pair sum
+c(u, v) + c(v, u), which bounds every residual arc, and the smaller of its
+terminal totals, which bounds every flow, pass int32; it is solved in one
+call.  A graph that does not fit is solved exactly by capacity scaling
+(Gabow 1985): max-flow runs on the capacities shifted right by b bits, so
+that they fit, and its flow f1 lifted by 2^b is feasible on the graph, as
+2^b floor(c / 2^b) <= c.  With S1 the source side of the shifted graph's
+residual, U = c(S1) - 2^b |f1| bounds the flow left to find, and the
+residual under the lifted flow, clipped at U + 1, is solved the same way,
+its source fed from one new node by an arc of U + 1.  A cut through a
+clipped arc or the new arc costs more than U, so the clipped residual has
+the true residual's minimum cuts and maximum flow value; a maximum flow of
+it is feasible on the true residual, so with the lifted flow it makes a
+maximum flow of the graph.  The residual returned is the graph's own under
+that flow, and the residual of every maximum flow has the same
+source-reachable and sink-reaching sets, so the scaling decides neither
+minimizer.  Before all that, the coefficients are refused unless their
+total magnitude stays below 2^62 quanta, so no int64 energy sum can wrap.
 """
 
 import math
@@ -65,7 +78,8 @@ _BRUTE_CHUNK = 1 << 16    # labelings brute_force scores per batch
 
 
 class CapacityOverflowError(NumericalError):
-    """Quantized capacities would exceed what the flow backend can carry."""
+    """The energy coefficients total 2^62 quanta or more, so an int64
+    energy sum could wrap."""
 
 
 def quantum(grid):
@@ -252,11 +266,6 @@ def evaluate_quanta(problem, D):
     if not D.grid.compatible(problem.grid):
         raise UsageError("cell set lives on a different grid")
     return _quanta(_coefficients(problem), D)
-
-
-def evaluate(problem, D):
-    """Energy of a cell set in physical units, via the quantized path."""
-    return evaluate_quanta(problem, D) * quantum(problem.grid)
 
 
 @dataclass
@@ -448,28 +457,102 @@ def _banded(lin, band):
     return lin
 
 
+def _max_flow(graph, s, t):
+    """A maximum s-t flow of graph, a CSR matrix of non-negative integer
+    capacities: its value, and graph's residual under it, whose stored
+    entries are exactly the positive residual arcs.
+
+    The one caller of the max-flow backend.  A graph that fits int32 (see
+    the module docstring) is cast to int32 once and solved in one call.
+    Otherwise each round solves the graph shifted right by the fewest bits
+    b that make it fit, lifts that flow by 2^b, and clips the residual
+    under it at U + 1 for the next round, U that residual's capacity out of
+    the shifted graph's source side; the capacity clipped off is added back
+    at the end.
+    From the second round on, s is fed from a new node n by one arc, also
+    clipped at U + 1, so that the smaller terminal total, like every arc,
+    is at most U + 1.  Then 2^b <= (U + 1) / 2^29, and the lift leaves
+    each of the k arcs out of the source side below 2^b: each later round
+    shrinks U + 1 by the factor k / 2^29, below 1/2 for any graph of fewer
+    than 2^27 arcs, whose residual has fewer than 2^28, so the rounds end.
+    """
+    n = graph.shape[0]
+    value, source, clipped = 0, s, None
+    # The smaller terminal total, or a bound on it: U + 1 after a clip.
+    total = min(int(graph.data[graph.indptr[s]:graph.indptr[s + 1]].sum()),
+                int(graph.data[graph.indices == t].sum()))
+    while True:
+        data, indices, indptr = graph.data, graph.indices, graph.indptr
+        pair = 2 * int(data.max(initial=0))
+        if pair > _INT32_MAX:    # the exact pair sums, formed only past 2^30
+            pair = int((graph + graph.T).max())
+        b = max(pair, total).bit_length() - 31
+        coarse = csr_matrix(
+            ((data if b <= 0 else data >> b).astype(np.int32), indices,
+             indptr), shape=graph.shape)
+        res = maximum_flow(coarse, source, t)
+        # scipy's sparse subtraction stores no zeros, and the flow stays
+        # within each arc's capacity, so the stored entries are exactly
+        # the positive residual arcs.
+        residual = coarse - res.flow
+        if b <= 0:
+            value += int(res.flow_value)
+            if clipped is not None:
+                residual = (residual + clipped)[:n, :n]
+            return value, residual
+
+        # The residual under the lifted flow: the low b bits of each
+        # capacity plus the shifted graph's residual, lifted by 2^b.
+        side = np.zeros(graph.shape[0], dtype=bool)
+        side[breadth_first_order(residual, source, directed=True,
+                                 return_predecessors=False)] = True
+        residual = residual.astype(np.int64)
+        residual.data <<= b
+        residual = residual + csr_matrix(
+            (data & ((1 << b) - 1), indices, indptr), shape=graph.shape)
+        value += int(res.flow_value) << b
+        rows = np.repeat(side, np.diff(residual.indptr))
+        # U, the residual capacity out of the source side, bounds the flow
+        # left to find.
+        total = int(residual.data[rows & ~side[residual.indices]].sum()) + 1
+        if clipped is None:    # feed s from node n by one arc
+            residual = csr_matrix(
+                (np.append(residual.data, total),
+                 np.append(residual.indices, s),
+                 np.append(residual.indptr, residual.nnz + 1)),
+                shape=(n + 1, n + 1))
+            source = n
+        kept = np.minimum(residual.data, total)
+        over = csr_matrix((residual.data - kept, residual.indices,
+                           residual.indptr), shape=residual.shape)
+        clipped = over if clipped is None else clipped + over
+        graph = csr_matrix((kept, residual.indices, residual.indptr),
+                           shape=residual.shape)
+
+
 def _band_residual(graph, band):
     """The residual of graph under a maximum flow of its sub-graph on the
     free nodes in band and the two terminals (the last two nodes), and
     that flow's value.  The sub-graph and its flow are freed on return."""
     keep = np.flatnonzero(np.append(band, [True, True]))
     k = len(keep)
-    res = maximum_flow(graph[keep][:, keep], k - 2, k - 1)
-    f = res.flow.tocoo()
+    sub = graph[keep][:, keep]
+    value, sub_residual = _max_flow(sub, k - 2, k - 1)
+    f = (sub - sub_residual).tocoo()
     lifted = csr_matrix((f.data, (keep[f.row], keep[f.col])),
                         shape=graph.shape)
-    return graph - lifted, res.flow_value
+    return graph - lifted, value
 
 
 def _flow_solve(problem, lin):
     """solve on the flow graph of lin, as it stands.
 
-    Arcs that join the same two nodes are summed into one.  The summed
-    capacities and both terminal totals are guarded before max-flow runs.
-    When lin has a band that holds a free node and every arc plus its
-    reverse passes int32, max-flow runs first on the band's sub-graph, then
-    on the full graph's residual under that flow (see the module
-    docstring); otherwise it runs once on the full graph.
+    Arcs that join the same two nodes are summed into one.  When lin has a
+    band that holds a free node, max-flow runs first on the band's
+    sub-graph, then on the full graph's residual under that flow (see the
+    module docstring); otherwise it runs once on the full graph.  Either
+    stage runs through _max_flow, so capacities past int32 are solved by
+    capacity scaling, exactly.
     """
     m = lin.theta.shape[1]
     if m == 0:
@@ -490,36 +573,14 @@ def _flow_solve(problem, lin):
                            lin.theta[1, snk]])
     graph = csr_matrix((vals, (rows, cols)), shape=(m + 2, m + 2),
                        dtype=np.int64)
+    del rows, cols, vals    # the graph holds its own copies
 
-    src_total, snk_total = (int(v) for v in lin.theta.sum(axis=1))
-    max_cap = int(graph.data.max()) if graph.nnz else 0
-    if max_cap > _INT32_MAX or min(src_total, snk_total) > _INT32_MAX:
-        raise CapacityOverflowError(
-            f"arc capacities out of range for the flow backend: "
-            f"largest arc {max_cap} quanta, terminal totals "
-            f"{src_total}/{snk_total}; shrink the grid or rescale lambda")
-
-    # The largest entry of graph + graph.T, read off the CSR arrays: with
-    # duplicates summed, an arc between free nodes has its reverse's
-    # capacity, and no terminal arc has a reverse, so it is the larger of
-    # twice the largest free-free entry and the largest terminal entry,
-    # for which max_cap, the largest entry, may stand.
-    head = graph.indptr[m]
-    warm = (lin.band is not None and lin.band.any()
-            and max(2 * int(graph.data[:head][graph.indices[:head] < m]
-                            .max(initial=0)), max_cap) <= _INT32_MAX)
-    graph = graph.astype(np.int32)
-    residual, flow_value = (_band_residual(graph, lin.band) if warm
+    residual, flow_value = (_band_residual(graph, lin.band)
+                            if lin.band is not None and lin.band.any()
                             else (graph, 0))
-    res = maximum_flow(residual, s, t)
-    flow_value += res.flow_value
+    value, residual = _max_flow(residual, s, t)
+    flow_value += value
 
-    # Every stored entry of the residual is a positive capacity: the flow
-    # of both stages stays within each arc's capacity and is antisymmetric,
-    # so graph - flow is never negative, and scipy's sparse subtraction
-    # stores no zeros.  The stored entries are therefore exactly the
-    # residual arcs.
-    residual = residual - res.flow
     order = breadth_first_order(residual, s, directed=True,
                                 return_predecessors=False)
     x_min = np.zeros(m, dtype=bool)
@@ -529,9 +590,9 @@ def _flow_solve(problem, lin):
     x_max = np.ones(m, dtype=bool)
     x_max[order_t[order_t < m]] = False
 
-    stats = {"backend": "scipy.maximum_flow", "flow_value": int(flow_value),
+    stats = {"backend": "scipy.maximum_flow", "flow_value": flow_value,
              "nodes": m + 2, "arcs": int(graph.nnz)}
-    return _minimizer(problem, lin, lin.const + int(flow_value),
+    return _minimizer(problem, lin, lin.const + flow_value,
                       x_min, x_max, stats)
 
 
@@ -541,18 +602,17 @@ def solve(problem, band=None):
     Returns the inclusion-smallest and inclusion-largest minimizers, the
     minimum energy (quantized), and whether the minimizer is unique.  A
     problem unchanged by a grid reflection is solved on its orbit graph,
-    each free cell merged with its mirror image (_mirror_merged), unless a
-    summed capacity of that graph fails the int32 guard; the unmerged
-    graph, whose guard then decides, is solved otherwise.  flow_stats
-    "nodes" and "arcs" count the whole graph that max-flow ran on.
+    each free cell merged with its mirror image (_mirror_merged).
+    flow_stats "nodes" and "arcs" count the whole graph that max-flow ran
+    on.  Capacities past the flow backend's int32 are solved exactly by
+    capacity scaling (_max_flow); only coefficients totalling 2^62 quanta
+    or more are refused, with CapacityOverflowError.
 
     band, a RegionMask, warm-starts max-flow: it runs first on the free
     nodes holding a band cell, then on the residual of the whole graph,
     and the two flow values add up.  Every result field, flow_stats
     included, is that of the solve without a band, whatever cells the band
-    holds.  The warm start is taken only when every arc plus its reverse
-    passes int32, since a residual arc can carry that much; max-flow runs
-    in one stage otherwise.
+    holds.
 
     Each extremal minimizer is re-priced on the full coefficients and a
     NumericalError raised unless it costs the cut's energy.  That guards
@@ -566,16 +626,10 @@ def solve(problem, band=None):
         raise UsageError("band lives on a different grid")
     lin = _linearized(problem)
     merged = _mirror_merged(problem, lin)
-    if merged is None:
-        return _flow_solve(problem, _banded(lin, band))
-    # The unmerged arcs are freed before max-flow runs on the orbit graph;
-    # the rare overflow fallback builds them again.
-    del lin
-    try:
-        return _flow_solve(problem, _banded(merged, band))
-    except CapacityOverflowError:
-        pass
-    return _flow_solve(problem, _banded(_linearized(problem), band))
+    if merged is not None:
+        # The unmerged arcs are freed before max-flow runs.
+        lin = merged
+    return _flow_solve(problem, _banded(lin, band))
 
 
 def brute_force(problem):

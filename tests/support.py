@@ -6,6 +6,8 @@ import numpy as np
 import cmclab.mincut
 from cmclab import GridGeometry, RegionMask, MinCutProblem
 
+INT32_MAX = 2**31 - 1
+
 
 def count_flows(monkeypatch):
     """The node counts of the graphs max-flow runs on, call by call."""
@@ -17,6 +19,28 @@ def count_flows(monkeypatch):
         return real(graph, s, t)
 
     monkeypatch.setattr(cmclab.mincut, "maximum_flow", counted)
+    return calls
+
+
+def forbid_wrapping(monkeypatch):
+    """Fail the test as soon as max-flow receives a graph that could wrap
+    the backend's int32: capacities of another dtype, an arc-pair sum
+    c(u, v) + c(v, u) past 2^31 - 1, or a smaller terminal total past it.
+    Returns the node counts of the graphs max-flow runs on, call by call."""
+    calls = []
+    real = cmclab.mincut.maximum_flow
+
+    def checked(graph, s, t):
+        assert graph.dtype == np.int32, f"capacities of dtype {graph.dtype}"
+        wide = graph.astype(np.int64)
+        pair = int((wide + wide.T).max())
+        assert pair <= INT32_MAX, f"arc-pair sum {pair} past int32"
+        total = min(int(wide[[s]].sum()), int(wide[:, [t]].sum()))
+        assert total <= INT32_MAX, f"terminal total {total} past int32"
+        calls.append(graph.shape[0])
+        return real(graph, s, t)
+
+    monkeypatch.setattr(cmclab.mincut, "maximum_flow", checked)
     return calls
 
 

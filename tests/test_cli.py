@@ -16,13 +16,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cmclab.mincut
-from cmclab import (CapacityOverflowError, CellSet, GridGeometry,
-                    boundary_faces, cellset_to_text, mean_curvature_values,
-                    read_cellset, shoot_leaf)
+from cmclab import (CellSet, GridGeometry, RegionMask, boundary_faces,
+                    cellset_to_text, diagonal_wedge, evaluate_quanta,
+                    mean_curvature_values, quadrant_grid, read_cellset,
+                    shoot_leaf)
 from cmclab import cli
 from cmclab.cli import _BLOCK, _dec9, _echoed, build_parser, main
+from cmclab.equivariant import _base_problem
 from oracles import leaf_csv, svg_document
-from support import count_arc_builds
+from support import count_arc_builds, forbid_wrapping
 
 
 def read_text(path):
@@ -145,35 +147,35 @@ class TestPlateau2d:
         assert read_text(os.path.join(out, "plateau2d.json")) == single
 
     @pytest.mark.parametrize("lam", ["1500", "-1500", "2000"])
-    def test_merged_arcs_past_int32_solve_the_unmerged_graph(
+    def test_merged_arcs_past_int32_solve_on_the_orbit_graph(
             self, tmp_path, monkeypatch, lam):
         # Summed over each mirror pair the largest arc is 3148539776 quanta
-        # or more, past int32; each arc of the unmerged graph fits, so the
-        # run succeeds with the bytes the unmerged solve writes.
+        # or more, past int32.  The orbit graph is solved by capacity
+        # scaling, every graph max-flow receives fits int32, and the run
+        # writes the bytes the unmerged solve writes.
         argv = ("plateau2d", "--radius", "8", "--resolution", "24",
                 "--lambda", lam)
-        refused = []
+        nodes = []
         real = cmclab.mincut._flow_solve
 
         def spy(problem, lin):
-            try:
-                return real(problem, lin)
-            except CapacityOverflowError as e:
-                refused.append(str(e))
-                raise
+            nodes.append(lin.theta.shape[1])
+            return real(problem, lin)
 
         def artifacts(name):
             out = tmp_path / name
             assert run_cli(*argv, "--outdir", str(out)) == 0
             return {p.name: p.read_bytes() for p in out.iterdir()}
 
+        calls = forbid_wrapping(monkeypatch)
         monkeypatch.setattr(cmclab.mincut, "_flow_solve", spy)
         merged = artifacts("merged")
-        assert len(refused) == 1 and "largest arc" in refused[0]
+        assert len(calls) > 1
         monkeypatch.setattr(cmclab.mincut, "_mirror_merged",
                             lambda problem, lin: None)
         assert artifacts("unmerged") == merged
-        assert len(refused) == 1
+        # One solve each: the orbit graph has half the unmerged nodes.
+        assert len(nodes) == 2 and 2 * nodes[0] == nodes[1]
 
     def test_sweep_builds_the_arcs_once(self, tmp_path, monkeypatch):
         # Every lambda's problem is relabeled from the first one's.
@@ -206,14 +208,26 @@ class TestEquivariant:
         D = read_cellset(os.path.join(out, "equivariant_largest.csl"))
         assert D.grid.dims == (32, 32)
 
-    def test_overflow_is_numerical_failure(self, tmp_path, capsys):
-        code = run_cli("equivariant", "--p", "3", "--q", "3",
+    def test_lambda_past_int32_fills_the_obstacle_ball(self, tmp_path,
+                                                       monkeypatch):
+        # Each ball cell gains about 1e9 * h * 2^20 quanta, past int32 and
+        # past any perimeter, so the one minimizer is the whole ball plus
+        # the wedge outside it, and its energy is that set's.  Every graph
+        # max-flow receives fits int32.
+        calls = forbid_wrapping(monkeypatch)
+        assert run_cli("equivariant", "--p", "3", "--q", "3",
                        "--grid-n", "32", "--lambda", "1e9",
-                       "--outdir", str(tmp_path))
-        assert code == 3
-        diag = json.loads(capsys.readouterr().err)
-        assert diag["error"] == "CapacityOverflowError"
-        assert diag["schema_version"] == 1
+                       "--outdir", str(tmp_path)) == 0
+        assert len(calls) > 2    # the two stages, at least one scaled
+        doc = json.loads(read_text(tmp_path / "equivariant.json"))
+        D = read_cellset(tmp_path / "equivariant_largest.csl")
+        g = quadrant_grid(32)
+        ball = RegionMask.ball(g, (0.0, 0.0), 0.5).bits
+        assert np.array_equal(D.bits, ball | diagonal_wedge(g, 3, 3).bits)
+        problem, _band = _base_problem(3, 3, g, 1e9,
+                                       diagonal_wedge(g, 3, 3), 0.5)
+        assert doc["result"]["unique"] is True
+        assert doc["result"]["energy_quanta"] == evaluate_quanta(problem, D)
 
 
 class TestEnergyBudget:

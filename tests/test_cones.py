@@ -5,8 +5,7 @@ import pytest
 
 from cmclab import (
     UsageError, make_cone, link_spectrum, stability, indicial_exponents,
-    gamma_pm, jacobi_eval, RadialFunction, lc_residual,
-    classify_positive_jacobi,
+    gamma_pm, RadialFunction, lc_residual,
 )
 from oracles import link_eigenvalues_oracle
 
@@ -114,21 +113,6 @@ class TestExponents:
         assert "(n-2)^2/4" in str(err.value)
 
 
-class TestJacobiEval:
-    def test_pure_modes(self):
-        cone = make_cone(3, 3)
-        r = np.array([0.5, 1.0, 2.0, 4.0])
-        assert np.allclose(jacobi_eval(cone, 0.0, 1.0, r), r**-2.0, rtol=0)
-        assert np.allclose(jacobi_eval(cone, 1.0, 0.0, r), r**-3.0, rtol=0)
-
-    def test_sign_and_domain_checks(self):
-        cone = make_cone(3, 3)
-        with pytest.raises(UsageError):
-            jacobi_eval(cone, -1.0, 0.0, np.array([1.0]))
-        with pytest.raises(UsageError):
-            jacobi_eval(cone, 1.0, 1.0, np.array([0.0]))
-
-
 class TestRadialFunction:
     def test_log_uniform_grid(self):
         f = RadialFunction.from_callable(lambda r: r, 1.0, 8.0, 16)
@@ -175,26 +159,3 @@ class TestLcResidual:
         with pytest.raises(UsageError):
             lc_residual(cone, RadialFunction.from_callable(
                 lambda r: r, 1.0, 2.0, 8))
-
-
-class TestClassify:
-    def test_pure_and_mixed_fields(self):
-        cone = make_cone(3, 3)
-        f = RadialFunction.from_callable(lambda r: 2.0 * r**-2.0,
-                                         1.0, 10.0, 64)
-        cp, cm, err = classify_positive_jacobi(cone, f)
-        assert err < 1e-9
-        assert cm == pytest.approx(2.0, rel=1e-9)
-        assert abs(cp) < 1e-9
-        g = RadialFunction.from_callable(
-            lambda r: 0.5 * r**-3.0 + 1.5 * r**-2.0, 1.0, 10.0, 64)
-        cp, cm, err = classify_positive_jacobi(cone, g)
-        assert err < 1e-9
-        assert cp == pytest.approx(0.5, rel=1e-8)
-        assert cm == pytest.approx(1.5, rel=1e-8)
-
-    def test_positivity_required(self):
-        cone = make_cone(3, 3)
-        with pytest.raises(UsageError):
-            classify_positive_jacobi(cone, RadialFunction.from_callable(
-                lambda r: r - 2.0, 1.0, 4.0, 32))

@@ -14,10 +14,10 @@ from cmclab import (
     leaf_to_radial_graph, linearization_check, make_cone, mean_curvature_values,
     quadrant_grid, shoot_leaf, solve, stability, weighted_minimize,
 )
-from cmclab import _rk45, equivariant
+from cmclab import _rk45, equivariant, mincut
 from oracles import (cold_solve, kdtree_hausdorff, scipy_band, scipy_brentq,
                      scipy_depth, scipy_solve_ivp, unrestricted_steps)
-from support import count_arc_builds, count_flows
+from support import count_arc_builds, count_flows, forbid_wrapping
 
 
 def arc_curve(p, q, center, rho, theta0, theta1, n):
@@ -535,6 +535,23 @@ class TestGraphResidual:
         u = leaf_to_radial_graph(leaf33, cone33, 3.0, 30.0, 2048)
         assert cmc_graph_residual(cone33, u, 0.0) < 1e-5
 
+    @pytest.mark.parametrize("lam", [0.01, 0.03])
+    def test_cmc_profile_graph_has_mean_curvature_lambda(self, cone33, lam):
+        # A profile of constant mean curvature lam, shot along the cone ray
+        # from radius 3 by scipy's RK45, read as a graph over the cone on
+        # [4, 25]: its max |H - lam| is about 2e-8, while H misses
+        # lam * det(Id - u A_C) by 4.7e-6 and 1.3e-4, so the bound tells
+        # the two right-hand sides apart.
+        a, b = cone33.a, cone33.b
+        sol = scipy_solve_ivp(equivariant._profile_rhs(3, 3, lam),
+                              (0.0, 30.0), [3 * a, 3 * b, math.atan2(b, a)],
+                              rtol=1e-12, atol=1e-12)
+        s = np.arange(0.0, 30.0, 1e-3)
+        x, y, alpha = sol.sol(s)
+        curve = ProfileCurve(3, 3, s, x, y, np.cos(alpha), np.sin(alpha))
+        u = leaf_to_radial_graph(curve, cone33, 4.0, 25.0, 2048)
+        assert cmc_graph_residual(cone33, u, lam) < 1e-6
+
     def test_embeddedness_guard(self, cone33):
         u = RadialFunction.from_callable(lambda r: 0.3 * r, 1.0, 8.0, 64)
         with pytest.raises(UsageError, match="embeddedness"):
@@ -838,6 +855,25 @@ class TestApproximationSequence:
                                      [8 * g.h, 4 * g.h, 2 * g.h, g.h], 0.5)
         assert len(rep.sets) == 4
         assert builds == [(64, 64)]
+
+    def test_forty_bits_solve_the_quadrant_approx_config(self, monkeypatch):
+        # At 40 bits the (3,3) run at n=256 has capacities past int32, so
+        # its solves are scaled; the steps still nest inside the limit set,
+        # and every extremal set passes solve's energy re-check.
+        monkeypatch.setattr(mincut, "QUANT_BITS", 40)
+        calls = forbid_wrapping(monkeypatch)
+        g = quadrant_grid(256)
+        rep = approximation_sequence(3, 3, 0.0, diagonal_wedge(g, 3, 3),
+                                     [1 / 16, 1 / 32, 1 / 64, 1 / 128], 0.5)
+        # Each of the two base stages and the four steps is shifted once,
+        # and its clipped residual, with one more node feeding the source,
+        # then fits.
+        assert len(calls) == 2 * 6
+        assert calls[1::2] == [nodes + 1 for nodes in calls[::2]]
+        assert all(rep.inclusion_ok) and all(rep.chain_ok)
+        assert all(np.all(E.bits <= rep.limit_set.bits) for E in rep.sets)
+        assert rep.sets[0] != rep.limit_set
+        assert rep.sets == unrestricted_steps(3, 3, 0.0, rep)
 
     def test_annulus_profile(self):
         # Quarter-width ramps: on (1, 2) the profile rises over [1, 1.25],

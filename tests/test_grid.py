@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from cmclab import (
     UsageError, STENCIL_FACE, STENCIL_CC, stencil_levels, GridGeometry,
-    CellSet, RegionMask, complement, lattice, perimeter, volume, j_lambda,
+    CellSet, RegionMask, complement, lattice, perimeter, volume,
     split_perimeter, boundary_faces, rle_encode, rle_decode,
     cellset_to_text, cellset_from_text, write_cellset, read_cellset,
 )
@@ -207,12 +207,10 @@ class TestPerimeter:
                 assert perimeter(D, R) == pytest.approx(
                     perimeter_recount(D, R), abs=1e-14, rel=1e-14)
 
-    def test_volume_and_j_lambda(self, rng):
+    def test_volume(self, rng):
         D = random_set(rng, (6, 6), h=0.25)
         W = RegionMask.whole(D.grid)
         assert volume(D, W) == D.count() * 0.25**2
-        lam = 1.75
-        assert j_lambda(D, lam, W) == perimeter(D, W) - lam * volume(D, W)
         B = RegionMask.ball(D.grid, (0.5, 0.5), 0.6)
         inside = D.bits & B.bits
         assert volume(D, B) == int(inside.sum()) * 0.25**2

@@ -3,16 +3,19 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 import cmclab.mincut
 from cmclab import (
     UsageError, NumericalError, CapacityOverflowError, GridGeometry, CellSet, RegionMask,
-    MinCutProblem, quantum, evaluate, evaluate_quanta, solve, brute_force,
+    MinCutProblem, QUANT_BITS, quantum, evaluate_quanta, solve, brute_force,
     threshold_experiment, result_to_json,
 )
 from cmclab.equivariant import _base_problem, diagonal_wedge, quadrant_grid
 from oracles import independent_thresholds, unmerged_solve
-from support import count_arc_builds, count_flows, random_small_problem
+from support import (INT32_MAX, count_arc_builds, count_flows,
+                     forbid_wrapping, random_small_problem)
 
 
 def half_plane_disk_problem(resolution, r, lam, h=1.0, stencil="cc"):
@@ -24,6 +27,13 @@ def half_plane_disk_problem(resolution, r, lam, h=1.0, stencil="cc"):
     fixed_in = RegionMask(grid, ~ball.bits & (Y < c[1]))
     fixed_out = RegionMask(grid, ~ball.bits & (Y > c[1]))
     return MinCutProblem(grid, lam, fixed_in=fixed_in, fixed_out=fixed_out)
+
+
+@pytest.fixture
+def no_wrap(monkeypatch):
+    """Fails the test if max-flow receives a graph that could wrap int32;
+    the node counts of the graphs it receives, call by call."""
+    return forbid_wrapping(monkeypatch)
 
 
 class TestProblemValidation:
@@ -100,6 +110,7 @@ class TestProblemValidation:
                           fixed_out=RegionMask.whole(g).invert())
 
 
+@pytest.mark.usefixtures("no_wrap")
 class TestSolve:
     def test_matches_brute_force(self, rng):
         for _ in range(40):
@@ -150,7 +161,6 @@ class TestSolve:
             res = solve(prob)
             assert evaluate_quanta(prob, res.set_min) == res.energy_quanta
             assert evaluate_quanta(prob, res.set_max) == res.energy_quanta
-            assert evaluate(prob, res.set_min) == res.energy
             assert res.energy == res.energy_quanta * res.quantum
 
     def test_lambda_monotone_minimizers(self, rng):
@@ -271,11 +281,11 @@ class TestSolve:
             best = brute_force(prob).energy_quanta
             if evaluate_quanta(prob, all_in) == best:
                 continue
-            monkeypatch.setattr(cmclab.mincut, "breadth_first_order",
-                                sink_blind)
-            with pytest.raises(NumericalError, match="energy bookkeeping"):
-                solve(prob)
-            monkeypatch.undo()
+            with monkeypatch.context() as mp:
+                mp.setattr(cmclab.mincut, "breadth_first_order", sink_blind)
+                with pytest.raises(NumericalError,
+                                   match="energy bookkeeping"):
+                    solve(prob)
             checked += 1
         assert checked
 
@@ -337,11 +347,21 @@ class TestSolve:
                       + int(lin.ew[x[lin.ei] != x[lin.ej]].sum()))
             assert folded == evaluate_quanta(prob, CellSet(prob.grid, bits))
 
-    def test_capacity_overflow_guard(self):
+    def test_lambda_past_int32_fills_the_whole_grid(self, no_wrap):
+        # No fixed cell and no arc leaving the grid: every cell's gain,
+        # 1e9 * 2^20 quanta, is a source arc past int32, and the whole grid
+        # is the one minimizer, of energy -1024 gains.  Phase 1 shifts the
+        # gains into int32 and finds no flow, as no arc enters the sink;
+        # the residual clipped at 1, with one more node feeding the source,
+        # then fits.
         g = GridGeometry((32, 32))
         none = RegionMask.whole(g).invert()
-        with pytest.raises(CapacityOverflowError):
-            solve(MinCutProblem(g, 1e9, fixed_in=none, fixed_out=none))
+        res = solve(MinCutProblem(g, 1e9, fixed_in=none, fixed_out=none))
+        assert no_wrap == [512 + 2, 512 + 3]    # the x flip's orbit graph
+        assert res.unique
+        assert res.set_min.bits.all()
+        assert res.energy_quanta == -1024 * round(1e9 * 2**QUANT_BITS)
+        assert res.flow_stats["flow_value"] == 0
 
     @pytest.mark.parametrize("lam,weight", [(1e300, 1.0), (1.0, 1e300),
                                             (0.0, 1e30)])
@@ -399,6 +419,7 @@ def symmetrized(prob, mirror):
         cell_weight=None if w is None else w + mirror(w))
 
 
+@pytest.mark.usefixtures("no_wrap")
 class TestMirrorMerge:
     # Each case: dimension, reflection, and the parity the reflected axis
     # extent must have; odd extents leave a fixed-point line of cells.
@@ -508,12 +529,14 @@ class TestMirrorMerge:
         assert np.array_equal(res.set_max.bits, free)
         assert res.energy_quanta == 0
 
-    def test_summed_arcs_past_int32_solve_the_unmerged_graph(self):
+    def test_summed_arcs_past_int32_solve_on_the_orbit_graph(self,
+                                                            no_wrap):
         # Weight 1500 on the free cells of the two middle columns, which
         # the x flip swaps, and flow from the fixed-in cells below them:
         # each vertical arc there carries 1500 * 2^20 quanta, inside int32,
-        # but the two arcs between a pair of orbits sum past it, while
-        # every arc to a fixed cell, summed over its pair, stays inside.
+        # but the two arcs between a pair of orbits sum past it.  The
+        # orbit graph is solved by capacity scaling, with the unmerged
+        # solve's result.
         g = GridGeometry((6, 5), h=1.0, stencil="face")
         ring = np.ones((6, 5), dtype=bool)
         ring[1:-1, 1:-1] = False
@@ -525,11 +548,13 @@ class TestMirrorMerge:
                              fixed_out=RegionMask(g, ring & ~fin),
                              cell_weight=w)
         got = solve(prob)
-        assert got.flow_stats["nodes"] == 12 + 2
-        want = brute_force(prob)
-        assert got.set_min == want.set_min
-        assert got.set_max == want.set_max
-        assert got.energy_quanta == want.energy_quanta
+        assert got.flow_stats["nodes"] == 6 + 2
+        assert no_wrap == [6 + 2, 6 + 3]
+        for want in (unmerged_solve(prob), brute_force(prob)):
+            assert got.set_min == want.set_min
+            assert got.set_max == want.set_max
+            assert got.energy_quanta == want.energy_quanta
+            assert got.unique == want.unique
 
     def test_mirror_labels_with_asymmetric_weights_are_not_merged(self,
                                                                   rng):
@@ -702,19 +727,20 @@ class TestNodeOrder:
         assert got.flow_stats["nodes"] < np.count_nonzero(prob.free.bits)
 
 
+@pytest.mark.usefixtures("no_wrap")
 class TestRelabeled:
     """A problem derived by relabeled shares its parent's arcs and solves
     exactly like the same problem built afresh."""
 
     def check(self, monkeypatch, parent, fixed_in, fixed_out, lam):
-        builds = count_arc_builds(monkeypatch)
-        solve(parent)
-        derived = parent.relabeled(RegionMask(parent.grid, fixed_in),
-                                   RegionMask(parent.grid, fixed_out),
-                                   lam=lam)
-        got = solve(derived)
+        with monkeypatch.context() as mp:
+            builds = count_arc_builds(mp)
+            solve(parent)
+            derived = parent.relabeled(RegionMask(parent.grid, fixed_in),
+                                       RegionMask(parent.grid, fixed_out),
+                                       lam=lam)
+            got = solve(derived)
         assert len(builds) == 1
-        monkeypatch.undo()
         fresh = MinCutProblem(parent.grid,
                               parent.lam if lam is None else lam,
                               RegionMask(parent.grid, fixed_in),
@@ -778,6 +804,7 @@ class TestRelabeled:
                 prob.relabeled(none, none, lam=lam)
 
 
+@pytest.mark.usefixtures("no_wrap")
 class TestBand:
     # Each kind maps (rng, problem) to the cells of the band.
     KINDS = {
@@ -793,9 +820,9 @@ class TestBand:
         """solve from the band equals solve without it and brute_force,
         and runs max-flow twice exactly when the band holds a free cell."""
         want = solve(prob)
-        calls = count_flows(monkeypatch)
-        got = solve(prob, band=RegionMask(prob.grid, bits))
-        monkeypatch.undo()
+        with monkeypatch.context() as mp:
+            calls = count_flows(mp)
+            got = solve(prob, band=RegionMask(prob.grid, bits))
         assert len(calls) == (2 if (bits & prob.free.bits).any() else 1)
         assert got.flow_stats == want.flow_stats
         for w in (want, brute_force(prob)):
@@ -823,25 +850,22 @@ class TestBand:
             prob, _mirror = TestMirrorMerge.draw(rng, d, name, parity)
             self.check(monkeypatch, prob, self.KINDS[kind](rng, prob))
 
-    def test_paired_arcs_past_int32_solve_in_one_stage(self, monkeypatch):
-        # Weight 1500 on two adjacent free cells: the arc between them is
-        # 1500 * 2^20 quanta, inside int32, but it and its reverse sum past
-        # it, so a residual arc could too.  The band goes unused, max-flow
-        # runs once, and the result is the one-stage solve's.
-        g = GridGeometry((5, 3), h=1.0, stencil="face")
-        free = np.zeros((5, 3), dtype=bool)
+    @staticmethod
+    def two_cell_problem(g, fin, w):
+        """Free cells (1, 1) and (2, 1) of g under the face stencil with
+        h = 1, fin fixed in, every other cell fixed out, weights w."""
+        free = np.zeros(g.dims, dtype=bool)
         free[1:3, 1] = True
-        fin = np.zeros((5, 3), dtype=bool)
-        fin[1:3, 0] = True
-        w = np.ones((5, 3))
-        w[free] = 1500.0
-        prob = MinCutProblem(g, 0.0, fixed_in=RegionMask(g, fin),
+        return MinCutProblem(g, 0.0, fixed_in=RegionMask(g, fin),
                              fixed_out=RegionMask(g, ~free & ~fin),
-                             cell_weight=w)
-        calls = count_flows(monkeypatch)
-        got = solve(prob, band=RegionMask(g, free))
-        assert calls == [4]
-        monkeypatch.undo()
+                             cell_weight=w), RegionMask(g, free)
+
+    def check_band_against_oracles(self, no_wrap, prob, band, calls):
+        """solve from band makes the scipy calls listed, on graphs that fit
+        int32, and gives the result of the cold solve, of the unmerged
+        solve and of brute_force."""
+        got = solve(prob, band=band)
+        assert no_wrap == calls
         cold = solve(prob)
         assert got.flow_stats == cold.flow_stats
         for want in (cold, unmerged_solve(prob), brute_force(prob)):
@@ -850,41 +874,193 @@ class TestBand:
             assert got.energy_quanta == want.energy_quanta
             assert got.unique == want.unique
 
-    def test_a_terminal_arc_past_2_30_solves_in_two_stages(self,
-                                                            monkeypatch):
+    def test_paired_arcs_past_int32_solve_in_two_stages(self, no_wrap):
+        # Weight 1500 on two adjacent free cells: the arc between them is
+        # 1500 * 2^20 quanta, inside int32, but it and its reverse sum past
+        # it, so a residual arc could too.  The band is used all the same:
+        # each stage shifts the graph into int32, then solves its clipped
+        # residual with one more node feeding the source.
+        g = GridGeometry((5, 3), h=1.0, stencil="face")
+        fin = np.zeros((5, 3), dtype=bool)
+        fin[1:3, 0] = True
+        w = np.ones((5, 3))
+        w[1:3, 1] = 1500.0
+        prob, band = self.two_cell_problem(g, fin, w)
+        self.check_band_against_oracles(no_wrap, prob, band, [4, 5, 4, 5])
+
+    def test_a_terminal_arc_past_2_30_solves_in_two_stages(self, no_wrap):
         # Weight 3000 on the fixed-in cell under free cell (1, 1): its
         # terminal arc is about 1500 * 2^20 quanta, past 2^30, but it has
-        # no reverse, so every pair sum passes int32 and the band is used.
+        # no reverse, so every pair sum passes int32: each stage fits and
+        # makes one call.
         g = GridGeometry((4, 3), h=1.0, stencil="face")
-        free = np.zeros((4, 3), dtype=bool)
-        free[1:3, 1] = True
         fin = np.zeros((4, 3), dtype=bool)
         fin[1, 0] = True
         w = np.ones((4, 3))
         w[fin] = 3000.0
-        prob = MinCutProblem(g, 0.0, fixed_in=RegionMask(g, fin),
-                             fixed_out=RegionMask(g, ~free & ~fin),
-                             cell_weight=w)
+        prob, band = self.two_cell_problem(g, fin, w)
         lin = cmclab.mincut._linearized(prob)
-        assert 2**30 < lin.theta.max() <= 2**31 - 1
+        assert 2**30 < lin.theta.max() <= INT32_MAX
         assert lin.ew.max() <= 2**30
-        calls = count_flows(monkeypatch)
-        got = solve(prob, band=RegionMask(g, free))
-        assert calls == [4, 4]
-        monkeypatch.undo()
-        cold = solve(prob)
-        assert got.flow_stats == cold.flow_stats
-        for want in (cold, brute_force(prob)):
-            assert got.set_min == want.set_min
-            assert got.set_max == want.set_max
-            assert got.energy_quanta == want.energy_quanta
-            assert got.unique == want.unique
+        self.check_band_against_oracles(no_wrap, prob, band, [4, 4])
+
+    def test_a_terminal_arc_past_int32_is_scaled_in_both_stages(self,
+                                                                no_wrap):
+        # Weight 6000 puts that terminal arc past int32, so each stage
+        # shifts it into int32 and then solves its clipped residual.
+        g = GridGeometry((4, 3), h=1.0, stencil="face")
+        fin = np.zeros((4, 3), dtype=bool)
+        fin[1, 0] = True
+        w = np.ones((4, 3))
+        w[fin] = 6000.0
+        prob, band = self.two_cell_problem(g, fin, w)
+        assert cmclab.mincut._linearized(prob).theta.max() > INT32_MAX
+        self.check_band_against_oracles(no_wrap, prob, band, [4, 5, 4, 5])
 
     def test_band_on_another_grid_is_refused(self, rng):
         prob = random_small_problem(rng)
         other = GridGeometry(prob.grid.dims, h=3 * prob.grid.h)
         with pytest.raises(UsageError, match="band"):
             solve(prob, band=RegionMask.whole(other))
+
+
+def flow_graph(rows, cols, caps, n):
+    """The int64 CSR capacity matrix of n nodes with arcs rows -> cols."""
+    return csr_matrix((np.asarray(caps, dtype=np.int64), (rows, cols)),
+                      shape=(n, n))
+
+
+def reach(graph, start):
+    """The nodes breadth-first search reaches from start along the stored
+    entries of graph, as a boolean mask."""
+    mask = np.zeros(graph.shape[0], dtype=bool)
+    mask[breadth_first_order(graph, start, directed=True,
+                             return_predecessors=False)] = True
+    return mask
+
+
+def check_max_flow(graph, s, t):
+    """_max_flow of graph, checked to return a maximum flow: its residual
+    stores only positive entries, graph minus it is a skew-symmetric flow
+    that is conserved off the terminals and carries the value out of s,
+    and no residual path joins s to t.  Returns the value, the
+    source-reachable set and the sink-reaching set."""
+    value, residual = cmclab.mincut._max_flow(graph, s, t)
+    residual = residual.astype(np.int64)
+    assert np.all(residual.data > 0)
+    flow = (graph - residual).toarray()
+    assert np.array_equal(flow, -flow.T)
+    out = flow.sum(axis=1)
+    assert out[s] == value
+    assert not np.delete(out, [s, t]).any()
+    source_side = reach(residual, s)
+    assert not source_side[t]
+    return value, source_side, reach(residual.T.tocsr(), t)
+
+
+@pytest.mark.usefixtures("no_wrap")
+class TestMaxFlow:
+    """_max_flow against its own unscaled solve and the flow axioms, on
+    graphs whose capacities pass int32."""
+
+    def test_scaled_capacities_keep_the_cuts(self, rng, no_wrap):
+        # Scaling every capacity by 2^k scales every cut by 2^k, so the
+        # flow value scales and the extremal minimum cuts stay.
+        scaled = 0
+        for _ in range(200):
+            n = int(rng.integers(4, 12))
+            arcs = int(rng.integers(n, 4 * n))
+            rows, cols = rng.integers(0, n, (2, arcs))
+            keep = rows != cols
+            caps = rng.integers(1, 2**20, arcs)[keep]
+            graph = flow_graph(rows[keep], cols[keep], caps, n)
+            k = int(rng.integers(1, 18))
+            value, src, snk = check_max_flow(graph, 0, n - 1)
+            del no_wrap[:]
+            got = check_max_flow(graph * 2**k, 0, n - 1)
+            scaled += len(no_wrap) > 1
+            assert got[0] == value << k
+            assert np.array_equal(got[1], src)
+            assert np.array_equal(got[2], snk)
+        assert scaled > 50
+
+    def test_the_clip_at_u_plus_1_binds(self, no_wrap):
+        # s -> a carries 2^40, a -> t 5.  The 10-bit shift leaves a -> t
+        # empty, so phase 1 finds no flow, U = 5, and s -> a is clipped to
+        # 6 for phase 2, which feeds s from a fourth node by an arc of 6;
+        # the residual returned carries s -> a's full capacity.
+        graph = flow_graph([0, 1], [1, 2], [2**40, 5], 3)
+        value, residual = cmclab.mincut._max_flow(graph, 0, 2)
+        assert no_wrap == [3, 4]
+        assert value == 5
+        assert residual.toarray().tolist() == [[0, 2**40 - 5, 0],
+                                               [5, 0, 0],
+                                               [0, 5, 0]]
+        check_max_flow(graph, 0, 2)
+
+    def test_a_clipped_residual_is_scaled_again(self, no_wrap):
+        # 16 parallel two-arc paths of 2^56 - 1: the terminal totals take a
+        # 29-bit shift, whose remainders leave U = 16 (2^29 - 1), past
+        # int32, so the clipped residual, fed from one more node by an arc
+        # of U + 1, is shifted again, by 3 bits, and its clipped residual
+        # fits.
+        k = 16
+        graph = flow_graph([k] * k + list(range(k)),
+                           list(range(k)) + [k + 1] * k,
+                           [2**56 - 1] * (2 * k), k + 2)
+        value, src, snk = check_max_flow(graph, k, k + 1)
+        assert no_wrap == [k + 2, k + 3, k + 3]
+        assert value == k * (2**56 - 1)
+        assert src.tolist() == [False] * k + [True, False]
+        assert snk.tolist() == [False] * k + [False, True]
+
+    def test_many_terminal_arcs_do_not_stall_the_scaling(self, no_wrap):
+        # 50,000 paths s -> a_i -> b_i -> t of 2^40, 2^24 and 2^40: the
+        # 25-bit shift empties every middle arc, so phase 1 finds no flow
+        # and U = 50,000 * 2^24.  Clipped at U + 1, the terminal arcs still
+        # total past 2^55: a shift set by them would be 25 bits again and
+        # find no flow again, for ever.  The node feeding s holds the
+        # terminal bound at U + 1, so the next shift is 9 bits, it carries
+        # every path's flow, and the last round fits.
+        n = 50000
+        a, b, s, t = np.arange(n), n + np.arange(n), 2 * n, 2 * n + 1
+        graph = flow_graph(np.concatenate([np.full(n, s), a, b]),
+                           np.concatenate([a, b, np.full(n, t)]),
+                           [2**40] * n + [2**24] * n + [2**40] * n,
+                           2 * n + 2)
+        value, residual = cmclab.mincut._max_flow(graph, s, t)
+        assert no_wrap == [2 * n + 2, 2 * n + 3, 2 * n + 3]
+        assert value == n * 2**24
+        assert np.all(residual.data > 0)
+        assert np.flatnonzero(reach(residual, s)).tolist() == [*a, s]
+        assert np.flatnonzero(reach(residual.T.tocsr(), t)).tolist() == [
+            *b, t]
+
+    @staticmethod
+    def heavier(prob, k):
+        """prob with every cell weight multiplied by 2^k."""
+        w = (np.ones(prob.grid.dims) if prob.cell_weight is None
+             else prob.cell_weight)
+        return MinCutProblem(prob.grid, prob.lam, prob.fixed_in,
+                             prob.fixed_out, cell_weight=w * 2.0**k)
+
+    def test_weights_past_int32_match_brute_force(self, rng, no_wrap):
+        # Weights of 2^14 to 2^30 put the capacities past int32, and the
+        # orbit graphs' summed arcs with them, so every solve is scaled.
+        draws = [random_small_problem(rng) for _ in range(30)]
+        draws += [TestMirrorMerge.draw(rng, *case)[0] for case in
+                  [(2, "flip0", 1), (2, "swap01", None), (3, "swap02", None)]
+                  for _ in range(5)]
+        for prob in draws:
+            prob = self.heavier(prob, int(rng.integers(14, 31)))
+            del no_wrap[:]
+            got = solve(prob)
+            assert len(no_wrap) > 1
+            for want in (unmerged_solve(prob), brute_force(prob)):
+                assert got.set_min == want.set_min
+                assert got.set_max == want.set_max
+                assert got.energy_quanta == want.energy_quanta
+                assert got.unique == want.unique
 
 
 class TestThreshold:

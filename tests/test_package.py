@@ -18,6 +18,10 @@ def test_all_is_the_public_surface():
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)]
     assert sorted(cmclab.__all__) == sorted(public)
+    # Removed, as nothing but their own tests reached them.
+    for name in ("classify_positive_jacobi", "jacobi_eval", "j_lambda",
+                 "evaluate"):
+        assert name not in public
 
 
 def test_cli_import_leaves_unused_scipy_subpackages_unloaded():
