@@ -33,7 +33,6 @@ from .grid import (
 )
 from .mincut import (
     QUANT_BITS,
-    quantum,
     CapacityOverflowError,
     MinCutProblem,
     MinimizerResult,
@@ -71,7 +70,6 @@ from .equivariant import (
     diagonal_wedge,
     weighted_minimize,
     ApproxRunReport,
-    has_interface_pinch,
     approximation_sequence,
 )
 
@@ -83,15 +81,14 @@ __all__ = [
     "lattice", "perimeter", "volume", "SplitReport",
     "split_perimeter", "boundary_faces", "rle_encode", "rle_decode",
     "cellset_to_text", "cellset_from_text", "write_cellset", "read_cellset",
-    "QUANT_BITS", "quantum", "CapacityOverflowError", "MinCutProblem",
-    "MinimizerResult", "evaluate_quanta", "solve", "brute_force",
-    "ThresholdRow", "threshold_experiment", "result_to_json",
+    "QUANT_BITS", "CapacityOverflowError", "MinCutProblem", "MinimizerResult",
+    "evaluate_quanta", "solve", "brute_force", "ThresholdRow",
+    "threshold_experiment", "result_to_json",
     "CliffordCone", "make_cone", "SpectralData", "link_spectrum", "stability",
     "indicial_exponents", "gamma_pm", "RadialFunction", "lc_residual",
     "IntegrationFailure", "ProfileCurve", "curve_from_samples",
     "mean_curvature_values", "shoot_leaf", "fit_decay_exponent",
     "leaf_to_radial_graph", "cmc_graph_residual", "LinearizationReport",
     "linearization_check", "quadrant_grid", "cell_weights", "diagonal_wedge",
-    "weighted_minimize", "ApproxRunReport", "has_interface_pinch",
-    "approximation_sequence",
+    "weighted_minimize", "ApproxRunReport", "approximation_sequence",
 ]

@@ -260,7 +260,6 @@ def run_approx(args):
         "sym_diff_volume": list(report.sym_diff_volume),
         "hausdorff_to_limit": _nulled(report.hausdorff_to_E),
         "min_origin_distance": _nulled(report.min_origin_distance),
-        "singular_proxy_flag": list(report.singular_proxy_flag),
         "step_free_cells": list(report.step_free_cells),
         "obstacle_radius": report.obstacle_radius,
         "annulus": list(report.annulus),

@@ -30,8 +30,8 @@ from ._rk45 import solve_ivp
 from .cones import (RadialFunction, _jacobi_operator, _radial_derivatives,
                     _sphere_dimensions, gamma_pm, make_cone, stability)
 from .grid import (CellSet, GridGeometry, NumericalError, RegionMask,
-                   UsageError, boundary_faces)
-from .mincut import MinCutProblem, _real, solve
+                   UsageError, _integer, boundary_faces)
+from .mincut import MinCutProblem, _finite_lambda, _real, solve
 
 # Fraction of min(a, b) allowed for |u|/r + |u'| before a graph over the cone
 # stops being reliably embedded; also the radial-decay gate.  At 0.4 every
@@ -62,8 +62,7 @@ class ProfileCurve:
 
     s is strictly increasing arclength, (x, y) the samples, (tx, ty) unit
     tangents.  Consecutive arclength gaps may not jump by more than a factor
-    of 2, so stencils stay locally uniform.  Simplicity is not checked at
-    construction (it is quadratic in general); is_simple() provides it.
+    of 2, so stencils stay locally uniform.  Simplicity is not checked.
     """
 
     p: int
@@ -111,51 +110,6 @@ class ProfileCurve:
     @property
     def n_nodes(self):
         return len(self.s)
-
-    def points(self):
-        return np.stack([self.x, self.y], axis=1)
-
-    def is_simple(self):
-        """No self-intersection.  Strictly increasing radius settles it; the
-        general fallback hashes segments into buckets and tests candidates."""
-        r = np.hypot(self.x, self.y)
-        if np.all(np.diff(r) > 0):
-            return True
-        return _simple_by_hash(self.points())
-
-
-def _simple_by_hash(pts):
-    seg = np.stack([pts[:-1], pts[1:]], axis=1)
-    lens = np.hypot(*(seg[:, 1] - seg[:, 0]).T)
-    cell = max(float(lens.max()), 1e-300)
-    buckets = {}
-    for i in range(len(seg)):
-        lo = np.floor(seg[i].min(axis=0) / cell).astype(int)
-        hi = np.floor(seg[i].max(axis=0) / cell).astype(int)
-        for cx in range(lo[0], hi[0] + 1):
-            for cy in range(lo[1], hi[1] + 1):
-                buckets.setdefault((cx, cy), []).append(i)
-    for members in buckets.values():
-        for ii in range(len(members)):
-            for jj in range(ii + 1, len(members)):
-                i, j = members[ii], members[jj]
-                if abs(i - j) <= 1:
-                    continue
-                if _segments_cross(seg[i], seg[j]):
-                    return False
-    return True
-
-
-def _segments_cross(s1, s2):
-    d1 = s1[1] - s1[0]
-    d2 = s2[1] - s2[0]
-    den = d1[0] * d2[1] - d1[1] * d2[0]
-    if den == 0:
-        return False
-    w = s2[0] - s1[0]
-    t = (w[0] * d2[1] - w[1] * d2[0]) / den
-    u = (w[0] * d1[1] - w[1] * d1[0]) / den
-    return 0 < t < 1 and 0 < u < 1
 
 
 def curve_from_samples(p, q, x, y):
@@ -205,8 +159,12 @@ def shoot_leaf(p, q, s0, side="below", r_max=None):
     (default 50 s0).  The equation is scale covariant, so the leaf is shot
     through (1, 0) and its lengths scaled by s0: it ends at the same
     multiple of s0 at every s0.  The curve must stay strictly on its side
-    of the cone ray; crossing it means the step control failed and raises
-    IntegrationFailure.
+    of the cone ray, and its sampled radius must strictly increase, which
+    makes it simple; otherwise IntegrationFailure is raised.  A ray
+    crossing is reported with its arclength and state.  It is not a fault
+    of the step control: C(5,1) below, and so its mirror C(1,5) above,
+    crosses at s = 5.57 s0 under RK45, DOP853 and Radau alike, and the
+    census test of the stable cones pins that crossing.
 
     Returns a ProfileCurve sampled uniformly in arclength with spacing
     ds = 5e-4 s0.  The curve runs from radius s0 to r_max, so it needs at
@@ -225,11 +183,12 @@ def shoot_leaf(p, q, s0, side="below", r_max=None):
         mirror = shoot_leaf(q, p, s0, side="below", r_max=r_max)
         return ProfileCurve(p, q, mirror.s, mirror.y, mirror.x,
                             mirror.ty, mirror.tx)
+    s0 = _real(s0, "axis distance")
     lo, hi = _LEAF_S0_RANGE
     if not lo <= s0 <= hi:
         raise UsageError(f"axis distance must be positive and in "
                          f"[{lo:g}, {hi:g}], got {s0}")
-    r_max = 50.0 * s0 if r_max is None else float(r_max)
+    r_max = 50.0 * s0 if r_max is None else _real(r_max, "exit radius")
     if not (np.isfinite(r_max) and r_max > 2 * s0):
         raise UsageError(
             f"exit radius must be finite and exceed 2 s0, got {r_max:g}")
@@ -286,8 +245,10 @@ def shoot_leaf(p, q, s0, side="below", r_max=None):
     # the arrays and their copies are never all held at once.
     del k, xs, ys, alphas
     curve = ProfileCurve(p, q, *arrays)
-    if not curve.is_simple():
-        raise IntegrationFailure("leaf self-intersected")
+    stop = np.flatnonzero(np.diff(np.hypot(curve.x, curve.y)) <= 0)
+    if len(stop):
+        raise IntegrationFailure(
+            f"leaf radius stopped increasing at s={curve.s[stop[0]]:.6g}")
     return curve
 
 
@@ -376,8 +337,7 @@ def cmc_graph_residual(cone, u, lam):
     nodes: zero for the graph of a hypersurface of constant mean curvature
     lam.  The mean curvature is the closed form of _graph_mean_curvature
     on central differences."""
-    if not np.isfinite(lam):
-        raise UsageError(f"lambda must be finite, got {lam}")
+    lam = _finite_lambda(lam)
     if u.n_nodes < 16:
         raise UsageError(f"need at least 16 nodes, got {u.n_nodes}")
     r, g, g1, g2 = _radial_derivatives(u)
@@ -451,6 +411,7 @@ def _require_radial_decay(cone, r, g, g1, g2):
 
 def quadrant_grid(n, box=1.0):
     """n x n grid over (0, box)^2 with cell centers off the axes by h/2."""
+    n = _integer(n, "grid side")
     if not n >= 1:
         raise UsageError(f"grid side must be at least 1 cell, got {n}")
     h = box / n
@@ -671,26 +632,11 @@ class ApproxRunReport:
     sym_diff_volume: tuple
     hausdorff_to_E: tuple
     min_origin_distance: tuple
-    singular_proxy_flag: tuple
     step_free_cells: tuple
     sets: tuple
     limit_set: CellSet
     obstacle_radius: float
     annulus: tuple
-
-
-def has_interface_pinch(D):
-    """Grid-scale pinch: some cell sees >= 3 interface arcs in its 3x3
-    neighborhood, detected as >= 6 membership transitions around the ring."""
-    padded = np.pad(D.bits, 1, mode="edge")
-    nx, ny = D.bits.shape
-    ring = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1),
-            (1, -1))
-    vals = [padded[1 + ox:1 + ox + nx, 1 + oy:1 + oy + ny] for ox, oy in ring]
-    trans = np.zeros((nx, ny), dtype=np.int8)
-    for k in range(8):
-        trans += vals[k] != vals[(k + 1) % 8]
-    return bool(np.any(trans >= 6))
 
 
 def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
@@ -732,8 +678,8 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
     Returns:
         ApproxRunReport with per-step inclusion, successive-chain flags,
         weighted symmetric-difference volume, interface Hausdorff distance,
-        minimum interface distance to the origin, the pinch flag, and the
-        free-cell count of each step's solve.
+        minimum interface distance to the origin, and the free-cell count
+        of each step's solve.
     """
     grid = boundary.grid
     if not isinstance(t_list, Iterable):
@@ -782,8 +728,8 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
                      float(weights[Ej.bits != E.bits].sum() * grid.h ** 2),
                      _hausdorff(mids, E_mids),
                      float(np.hypot(*mids.T).min()) if len(mids) else math.inf,
-                     has_interface_pinch(Ej), int(np.count_nonzero(band)), Ej))
+                     int(np.count_nonzero(band)), Ej))
         prev = Ej.bits
-    chain, sym, haus, dist0, pinch, free, sets = zip(*rows)
+    chain, sym, haus, dist0, free, sets = zip(*rows)
     return ApproxRunReport(tuple(t_arr), (True,) * len(rows), chain, sym, haus,
-                           dist0, pinch, free, sets, E, r_obs, (r_lo, r_hi))
+                           dist0, free, sets, E, r_obs, (r_lo, r_hi))

@@ -15,6 +15,7 @@ splitting sums agree with perimeter() bit for bit.
 """
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -74,6 +75,14 @@ def stencil_levels(d, stencil):
     raise UsageError(f"unknown stencil {stencil!r}")
 
 
+def _integer(value, name):
+    """value as an int; UsageError, naming it, unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+
+
 # Most cells a grid may have: 16 MB of bits, 134 MB per float64 per-cell
 # array, and a solve holds several of those plus its arcs.  The check runs
 # before any per-cell array exists, so an extent read from a flag or a
@@ -84,8 +93,8 @@ _MAX_CELLS = 2**24
 @dataclass(frozen=True)
 class GridGeometry:
     """Cell layout: extents per axis, cell side h, center of cell (0, ..., 0),
-    and the neighborhood stencil used for perimeter.  At most _MAX_CELLS =
-    2^24 cells."""
+    and the neighborhood stencil used for perimeter.  The extents must be
+    integers, and at most _MAX_CELLS = 2^24 cells."""
 
     dims: tuple
     h: float = 1.0
@@ -93,7 +102,7 @@ class GridGeometry:
     stencil: str = STENCIL_CC
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
+        dims = tuple(_integer(n, "grid extent") for n in self.dims)
         if len(dims) not in (2, 3):
             raise UsageError(f"grid dimension must be 2 or 3, got {len(dims)}")
         if any(n < 1 for n in dims):

@@ -60,7 +60,6 @@ total magnitude stays below 2^62 quanta, so no int64 energy sum can wrap.
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -70,7 +69,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .grid import (CellSet, GridGeometry, NumericalError, RegionMask,
-                   UsageError, _offset_slices, boundary_faces, perimeter)
+                   UsageError, _integer, _offset_slices, boundary_faces,
+                   perimeter)
 
 QUANT_BITS = 20
 _INT32_MAX = 2**31 - 1
@@ -80,11 +80,6 @@ _BRUTE_CHUNK = 1 << 16    # labelings brute_force scores per batch
 class CapacityOverflowError(NumericalError):
     """The energy coefficients total 2^62 quanta or more, so an int64
     energy sum could wrap."""
-
-
-def quantum(grid):
-    """Energy represented by one capacity unit."""
-    return grid.h ** (grid.d - 1) / 2**QUANT_BITS
 
 
 def _real(value, name):
@@ -383,8 +378,9 @@ def _minimizer(problem, lin, q, x_min, x_max, stats):
                 f"energy bookkeeping broke: cut gives {q} quanta, "
                 f"re-evaluation gives {got}")
         sets.append(D)
-    return MinimizerResult(sets[0], sets[-1], q * quantum(grid), q,
-                           quantum(grid), unique, stats)
+    quantum = grid.h ** (grid.d - 1) / 2**QUANT_BITS
+    return MinimizerResult(sets[0], sets[-1], q * quantum, q, quantum, unique,
+                           stats)
 
 
 def _mirrors(d):
@@ -716,11 +712,7 @@ def threshold_experiment(r, resolution, lam_list):
         raise UsageError(f"disk radius must be a real number, got {r!r}")
     if not r >= 8:
         raise UsageError(f"disk radius must be at least 8 cells, got {r}")
-    try:
-        n = operator.index(resolution)
-    except TypeError:
-        raise UsageError(f"resolution must be an integer, got "
-                         f"{resolution!r}") from None
+    n = _integer(resolution, "resolution")
     grid = GridGeometry((n, n), h=1.0, stencil="cc")
     c = ((n - 1) / 2.0,) * 2
     for k in range(2):

@@ -3,6 +3,7 @@ decay fits, graph residuals, linearization diagnostics, and the weighted
 quadrant reduction."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from cmclab import (
     CellSet, GridGeometry, IntegrationFailure, MinCutProblem, ProfileCurve, RadialFunction, RegionMask, UsageError, approximation_sequence,
     cell_weights, cmc_graph_residual, curve_from_samples, diagonal_wedge,
-    evaluate_quanta, fit_decay_exponent, gamma_pm, has_interface_pinch,
+    evaluate_quanta, fit_decay_exponent, gamma_pm,
     leaf_to_radial_graph, linearization_check, make_cone, mean_curvature_values,
     quadrant_grid, shoot_leaf, solve, stability, weighted_minimize,
 )
@@ -34,7 +35,6 @@ class TestProfileCurve:
         c = arc_curve(1, 2, (2.0, 2.0), 0.5, 0.1, 1.2, 40)
         assert c.n_nodes == 40
         assert c.p == 1 and c.q == 2
-        assert c.points().shape == (40, 2)
 
     def test_arrays_read_only(self):
         c = arc_curve(0, 0, (2.0, 2.0), 0.5, 0.1, 1.2, 40)
@@ -83,22 +83,6 @@ class TestProfileCurve:
     def test_endpoints_may_touch_axes(self):
         c = arc_curve(1, 1, (0.0, 0.0), 1.0, 0.0, math.pi / 2, 50)
         assert c.y[0] == 0.0 and c.x[-1] <= 1e-15
-
-    def test_is_simple_monotone_radius(self):
-        c = arc_curve(0, 0, (3.0, 0.5), 0.4, 0.2, 1.0, 30)
-        assert c.is_simple()
-
-    def test_is_simple_detects_crossing(self):
-        x = np.array([1.0, 2.0, 1.0, 2.0])
-        y = np.array([1.0, 2.0, 2.0, 1.0])
-        c = curve_from_samples(0, 0, x, y)
-        assert not c.is_simple()
-
-    def test_is_simple_hash_path_accepts_u_shape(self):
-        x = np.array([1.0, 1.5, 2.5, 3.0])
-        y = np.array([3.0, 2.0, 2.0, 3.0])
-        c = curve_from_samples(0, 0, x, y)
-        assert c.is_simple()
 
 
 class TestCurveFromSamples:
@@ -206,6 +190,10 @@ def cone33():
     return make_cone(3, 3)
 
 
+STABLE = [(p, q) for p in range(1, 7) for q in range(1, 7)
+          if stability(make_cone(p, q))]
+
+
 class TestShootLeaf:
     def test_unstable_cone_rejected(self):
         with pytest.raises(UsageError, match="unstable"):
@@ -251,7 +239,50 @@ class TestShootLeaf:
         assert abs(leaf.n_nodes - leaf33.n_nodes) <= 1
 
     def test_leaf_is_simple(self, leaf33):
-        assert leaf33.is_simple()
+        # Strictly increasing radius makes the curve simple.
+        assert np.all(np.diff(np.hypot(leaf33.x, leaf33.y)) > 0)
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"s0": "1"}, "axis distance must be a real number"),
+        ({"s0": None}, "axis distance must be a real number"),
+        ({"r_max": "60"}, "exit radius must be a real number"),
+        ({"r_max": 10**400}, "exit radius must be finite"),
+    ], ids=["str-s0", "None-s0", "str-r_max", "huge-int-r_max"])
+    def test_refuses_inputs_that_are_not_real_numbers(self, kwargs, match):
+        # A str exit radius once ran on its float, a str or None axis
+        # distance raised TypeError and 10**400 raised OverflowError.
+        with pytest.raises(UsageError, match=match):
+            shoot_leaf(3, 3, **{"s0": 1.0, **kwargs})
+
+    def test_census_of_the_stable_cones(self):
+        # Every stable cone with p, q <= 6, to the default exit radius.
+        # The above side of C(p, q) is the mirrored below side of C(q, p),
+        # so shooting below covers both sides.  Every leaf but one has
+        # strictly increasing radius; C(5,1) below, and so C(1,5) above,
+        # crosses its cone ray.
+        crossed = []
+        for p, q in STABLE:
+            try:
+                leaf = shoot_leaf(p, q, 1.0)
+            except IntegrationFailure as exc:
+                crossed.append((p, q, str(exc)))
+                continue
+            assert np.all(np.diff(np.hypot(leaf.x, leaf.y)) > 0), (p, q)
+        assert [c[:2] for c in crossed] == [(5, 1)]
+        assert crossed[0][2].startswith("leaf crossed the cone ray at s=5.57,")
+
+    def test_radius_that_stops_increasing_is_refused(self, monkeypatch):
+        # A stepper whose samples turn back toward the origin, staying
+        # below the cone ray, from s = 2.02 to its exit event at s = 3.
+        def turning_back(*_args, **_kwargs):
+            def sol(s):
+                return 1.0 + s - s * s / 4.0, 0.1 * s, np.zeros_like(s)
+            return SimpleNamespace(t_events=[np.array([]), np.array([3.0])],
+                                   status=0, message="", sol=sol)
+        monkeypatch.setattr(equivariant, "solve_ivp", turning_back)
+        with pytest.raises(IntegrationFailure,
+                           match=r"radius stopped increasing at s=2\.02"):
+            shoot_leaf(3, 3, 1.0)
 
     def test_stays_below_cone_ray(self, leaf33, cone33):
         assert np.all(cone33.b * leaf33.x[1:] - cone33.a * leaf33.y[1:] > 0)
@@ -280,9 +311,6 @@ class TestShootLeaf:
 class TestStepperMatchesScipy:
     """The package's RK45 port gives scipy's results bit for bit."""
 
-    STABLE = [(p, q) for p in range(1, 7) for q in range(1, 7)
-              if stability(make_cone(p, q))]
-
     @staticmethod
     def outcome(*args):
         try:
@@ -296,7 +324,7 @@ class TestStepperMatchesScipy:
     def test_shoot_leaf_is_bit_identical(self, monkeypatch, side):
         # Every stable cone, at three scales; C(5,1) below and C(1,5)
         # above cross the cone ray, so the failure text is compared too.
-        cases = [(p, q, s0, side, 12 * s0) for p, q in self.STABLE
+        cases = [(p, q, s0, side, 12 * s0) for p, q in STABLE
                  for s0 in (1.0, 1e-14, 1e80)] + [(3, 3, 1.0, side)]
         ours = [self.outcome(*c) for c in cases]
         monkeypatch.setattr(equivariant, "solve_ivp", scipy_solve_ivp)
@@ -567,6 +595,16 @@ class TestGraphResidual:
         with pytest.raises(UsageError, match="finite"):
             cmc_graph_residual(cone33, u, np.inf)
 
+    @pytest.mark.parametrize("lam,match", [
+        ("0.1", "real number"), (None, "real number"),
+        (10**400, "finite, got inf"),
+    ], ids=["str", "None", "huge-int"])
+    def test_lambda_must_be_a_real_number(self, cone33, lam, match):
+        # These once raised TypeError from np.isfinite.
+        u = RadialFunction.from_callable(lambda r: 0.0 * r, 1.0, 8.0, 64)
+        with pytest.raises(UsageError, match=match):
+            cmc_graph_residual(cone33, u, lam)
+
 
 class TestLinearization:
     def radial(self, f, n=2048, r0=1.0, r1=10.0):
@@ -681,6 +719,13 @@ class TestQuadrantReduction:
         assert g.h == 0.25
         assert g.origin == (0.125, 0.125)
 
+    @pytest.mark.parametrize("n", [8.5, "8"], ids=["float", "str"])
+    def test_quadrant_grid_refuses_a_side_that_is_not_an_integer(self, n):
+        # 8.5 once built 8 cells of side 1/8.5, short of the box; "8"
+        # raised TypeError.
+        with pytest.raises(UsageError, match="grid side must be an integer"):
+            quadrant_grid(n)
+
     def test_cell_weights(self):
         g = quadrant_grid(4)
         X, Y = g.center_mesh()
@@ -756,26 +801,6 @@ class TestQuadrantReduction:
         assert got.energy_quanta == want.energy_quanta
         assert got.unique == want.unique
         assert got.flow_stats == want.flow_stats
-
-
-class TestPinchDetector:
-    def test_checkerboard_pinches(self):
-        g = GridGeometry((6, 6))
-        X, Y = np.meshgrid(np.arange(6), np.arange(6), indexing="ij")
-        assert has_interface_pinch(CellSet(g, (X + Y) % 2 == 0))
-
-    def test_half_plane_clean(self):
-        g = GridGeometry((12, 12))
-        assert not has_interface_pinch(
-            CellSet.from_predicate(g, lambda x, y: y < 6))
-
-    def test_disk_clean(self):
-        g = GridGeometry((16, 16))
-        assert not has_interface_pinch(CellSet.from_predicate(
-            g, lambda x, y: (x - 8) ** 2 + (y - 8) ** 2 < 25))
-
-    def test_empty_clean(self):
-        assert not has_interface_pinch(CellSet.empty(GridGeometry((8, 8))))
 
 
 class TestApproximationSequence:
@@ -917,7 +942,6 @@ class TestApproximationSequence:
         sym = rep.sym_diff_volume
         assert all(a >= b for a, b in zip(sym, sym[1:]))
         assert all(d >= h for d in rep.min_origin_distance)
-        assert not any(rep.singular_proxy_flag)
         assert rep.obstacle_radius == pytest.approx(0.5)
         assert rep.sets == unrestricted_steps(3, 3, 0.0, rep)
 

@@ -44,6 +44,16 @@ class TestGridGeometry:
         with pytest.raises(UsageError):
             GridGeometry((4, 4), stencil="bogus")
 
+    @pytest.mark.parametrize("dims", [(4.5, 4), ("4", 4), (4, None)],
+                             ids=["float", "str", "None"])
+    def test_extents_must_be_integers(self, dims):
+        # (4.5, 4) once became (4, 4); "4" and None went to int().
+        with pytest.raises(UsageError, match="grid extent must be an integer"):
+            GridGeometry(dims)
+
+    def test_numpy_integer_extents_are_integers(self):
+        assert GridGeometry((np.int64(4), np.uint8(3))).dims == (4, 3)
+
     def test_compatible_ignores_origin(self):
         a = GridGeometry((4, 4), h=0.5)
         b = GridGeometry((4, 4), h=0.5, origin=(3.0, -1.0))

@@ -9,7 +9,7 @@ from scipy.sparse.csgraph import breadth_first_order
 import cmclab.mincut
 from cmclab import (
     UsageError, NumericalError, CapacityOverflowError, GridGeometry, CellSet, RegionMask,
-    MinCutProblem, QUANT_BITS, quantum, evaluate_quanta, solve, brute_force,
+    MinCutProblem, QUANT_BITS, evaluate_quanta, solve, brute_force,
     threshold_experiment, result_to_json,
 )
 from cmclab.equivariant import _base_problem, diagonal_wedge, quadrant_grid
@@ -38,8 +38,12 @@ def no_wrap(monkeypatch):
 
 class TestProblemValidation:
     def test_quantum(self):
-        assert quantum(GridGeometry((4, 4), h=1.0)) == 2.0**-20
-        assert quantum(GridGeometry((4, 4, 4), h=0.5)) == 0.25 * 2.0**-20
+        # One capacity unit is h^(d-1) / 2^20 of energy.
+        for dims, h, want in (((4, 4), 1.0, 2.0**-20),
+                              ((4, 4, 4), 0.5, 0.25 * 2.0**-20)):
+            g = GridGeometry(dims, h=h)
+            none = RegionMask.whole(g).invert()
+            assert solve(MinCutProblem(g, 0.0, none, none)).quantum == want
 
     def test_rejects_bad_lambda(self):
         g = GridGeometry((3, 3))
