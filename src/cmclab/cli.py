@@ -20,8 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .grid import (UsageError, NumericalError, boundary_faces,
-                   cellset_to_text, read_cellset)
+from .grid import (UsageError, NumericalError, _finite, _integer,
+                   boundary_faces, cellset_to_text, read_cellset)
 from .mincut import threshold_experiment, result_to_json
 from .cones import make_cone, link_spectrum
 from .equivariant import (shoot_leaf, mean_curvature_values, quadrant_grid,
@@ -37,13 +37,9 @@ _BLOCK = 4096
 def thread_count():
     """Worker cap from CMC_LAB_THREADS; defaults to 1."""
     raw = os.environ.get("CMC_LAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"CMC_LAB_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise UsageError(f"CMC_LAB_THREADS must be >= 1, got {n}")
-    return n
+    with contextlib.suppress(ValueError):    # not an int: refused below
+        raw = int(raw)
+    return _integer(raw, "CMC_LAB_THREADS", 1)
 
 
 def atomic_write(path, text):
@@ -180,25 +176,6 @@ _APPROX_KEYS = {"p", "q", "lambda", "grid", "t_list", "annulus"}
 _GRID_KEYS = {"n", "box"}
 
 
-def _finite(value, key):
-    """A config number as a float; booleans and non-finite values fail."""
-    try:
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and math.isfinite(value))
-    except OverflowError:
-        ok = False
-    if not ok:
-        raise UsageError(f"config key {key!r} must be a finite number")
-    return float(value)
-
-
-def _count(value, key):
-    """A config integer >= 1; booleans fail."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise UsageError(f"config key {key!r} must be an integer >= 1")
-    return value
-
-
 def _load_approx_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -225,16 +202,18 @@ def _load_approx_config(path):
     t_list = doc["t_list"]
     if not isinstance(t_list, list) or not t_list:
         raise UsageError("config key 't_list' must be a non-empty list")
+    key = "config key {!r}".format
     annulus = doc.get("annulus")
     if annulus is not None:
         if (not isinstance(annulus, list) or len(annulus) != 2):
             raise UsageError("config key 'annulus' must be a pair of radii")
-        annulus = tuple(_finite(a, f"annulus[{i}]")
+        annulus = tuple(_finite(a, key(f"annulus[{i}]"))
                         for i, a in enumerate(annulus))
-    return (_count(doc["p"], "p"), _count(doc["q"], "q"),
-            _finite(doc["lambda"], "lambda"), _count(gdoc["n"], "grid.n"),
-            _finite(gdoc["box"], "grid.box"),
-            [_finite(t, f"t_list[{i}]") for i, t in enumerate(t_list)],
+    return (_integer(doc["p"], key("p"), 1), _integer(doc["q"], key("q"), 1),
+            _finite(doc["lambda"], key("lambda")),
+            _integer(gdoc["n"], key("grid.n"), 1),
+            _finite(gdoc["box"], key("grid.box")),
+            [_finite(t, key(f"t_list[{i}]")) for i, t in enumerate(t_list)],
             annulus)
 
 

@@ -14,12 +14,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import UsageError
+from .grid import UsageError, _finite, _finite_array, _integer, _positive
 
 # Most eigenvalues link_spectrum may list.  Time and memory grow linearly in
 # K: at the limit the enumeration takes about 0.6 s and 60 MB on one core of
 # a 2-core x86 machine, so an unchecked K of 1e9 would ask for tens of GB.
 _MAX_EIGENVALUES = 10**6
+# Most nodes RadialFunction.from_callable may sample: 80 MB per float64 array.
+_MAX_NODES = 10**7
 
 
 @dataclass(frozen=True)
@@ -37,13 +39,12 @@ class CliffordCone:
 def _sphere_dimensions(p, q, least):
     """p and q as ints, refused unless both are integers >= least whose sum
     is at most 2**53, so that a float holds p, q and p + q exactly."""
-    if int(p) != p or int(q) != q or p < least or q < least:
-        raise UsageError(
-            f"sphere dimensions must be integers >= {least}, got {p}, {q}")
+    p = _integer(p, "sphere dimension p", least)
+    q = _integer(q, "sphere dimension q", least)
     if p + q > 2**53:
         raise UsageError("sphere dimensions must sum to at most 2**53, "
                          "the largest a float holds exactly")
-    return int(p), int(q)
+    return p, q
 
 
 def make_cone(p, q):
@@ -90,12 +91,7 @@ def link_spectrum(cone, K):
     the product of the harmonic space dimensions.  K is at most
     _MAX_EIGENVALUES = 10^6; a larger K is refused before any enumeration.
     """
-    if int(K) != K or K < 1:
-        raise UsageError(f"need K >= 1 eigenvalues, got {K}")
-    if K > _MAX_EIGENVALUES:
-        raise UsageError(f"{K} eigenvalues requested, over the budget of "
-                         f"{_MAX_EIGENVALUES}")
-    K = int(K)
+    K = _integer(K, "eigenvalue count K", 1, _MAX_EIGENVALUES)
     p, q = cone.p, cone.q
     inv_a2 = Fraction(p + q, p)
     inv_b2 = Fraction(p + q, q)
@@ -157,7 +153,9 @@ def indicial_exponents(n, lambda1):
     These are the decay rates r^(-gamma) of radial Jacobi fields; lambda1 = 0
     is the hyperplane case with exponents (0, n-2).
     """
-    half = (n - 2) / 2.0
+    n = _integer(n, "cone dimension n", 2)
+    half = (_finite(n, "cone dimension n") - 2) / 2.0
+    lambda1 = _finite(lambda1, "lambda_1")
     disc = half * half + lambda1
     if disc < 0:
         raise UsageError(
@@ -186,24 +184,20 @@ class RadialFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        if not (0 < self.r_min < self.r_max):
-            raise UsageError(
-                f"need 0 < r_min < r_max, got {self.r_min}, {self.r_max}")
-        vals = np.asarray(self.values, dtype=float)
+        r_min, r_max = _radii(self.r_min, self.r_max)
+        vals = _finite_array(self.values, "samples")
         if vals.ndim != 1 or len(vals) < 2:
             raise UsageError("need a 1-D array of at least 2 samples")
-        if not np.all(np.isfinite(vals)):
-            raise UsageError("samples must be finite")
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "r_min", float(self.r_min))
-        object.__setattr__(self, "r_max", float(self.r_max))
+        object.__setattr__(self, "r_min", r_min)
+        object.__setattr__(self, "r_max", r_max)
 
     @classmethod
     def from_callable(cls, fn, r_min, r_max, n):
-        r = np.geomspace(r_min, r_max, n)
-        return cls(r_min, r_max, np.asarray(fn(r), dtype=float))
+        r_min, r_max = _radii(r_min, r_max)
+        n = _integer(n, "node count n", 2, _MAX_NODES)
+        return cls(r_min, r_max, fn(np.geomspace(r_min, r_max, n)))
 
     @property
     def n_nodes(self):
@@ -217,6 +211,14 @@ class RadialFunction:
     def dt(self):
         """Log-grid spacing."""
         return (math.log(self.r_max) - math.log(self.r_min)) / (self.n_nodes - 1)
+
+
+def _radii(r_min, r_max):
+    """r_min and r_max as floats; UsageError unless 0 < r_min < r_max < inf."""
+    r_min, r_max = _positive(r_min, "r_min"), _positive(r_max, "r_max")
+    if not r_min < r_max:
+        raise UsageError(f"need 0 < r_min < r_max, got {r_min}, {r_max}")
+    return r_min, r_max
 
 
 def _radial_derivatives(f):

@@ -21,17 +21,18 @@ weight terms that cancel near the cone.
 """
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._rk45 import solve_ivp
 from .cones import (RadialFunction, _jacobi_operator, _radial_derivatives,
-                    _sphere_dimensions, gamma_pm, make_cone, stability)
-from .grid import (CellSet, GridGeometry, NumericalError, RegionMask,
-                   UsageError, _integer, boundary_faces)
-from .mincut import MinCutProblem, _finite_lambda, _real, solve
+                    _radii, _sphere_dimensions, gamma_pm, make_cone,
+                    stability)
+from .grid import (_MAX_CELLS, CellSet, GridGeometry, NumericalError,
+                   RegionMask, UsageError, _finite, _finite_array,
+                   _integer, _positive, _real, _sequence, boundary_faces)
+from .mincut import MinCutProblem, solve
 
 # Fraction of min(a, b) allowed for |u|/r + |u'| before a graph over the cone
 # stops being reliably embedded; also the radial-decay gate.  At 0.4 every
@@ -74,20 +75,12 @@ class ProfileCurve:
     ty: np.ndarray
 
     def __post_init__(self):
-        arrs = {}
-        n = None
-        for name in ("s", "x", "y", "tx", "ty"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if n is None:
-                n = len(a)
-            if a.ndim != 1 or len(a) != n:
-                raise UsageError("curve arrays must share one length")
-            if not np.all(np.isfinite(a)):
-                raise UsageError(f"curve array {name} has non-finite entries")
-            a = a.copy()
-            a.setflags(write=False)
-            arrs[name] = a
-        if n < 3:
+        p, q = _sphere_dimensions(self.p, self.q, 0)
+        arrs = {name: _finite_array(getattr(self, name), f"curve array {name}")
+                for name in ("s", "x", "y", "tx", "ty")}
+        if arrs["s"].ndim != 1 or len({a.shape for a in arrs.values()}) > 1:
+            raise UsageError("curve arrays must share one length")
+        if len(arrs["s"]) < 3:
             raise UsageError("a profile curve needs at least 3 samples")
         gaps = np.diff(arrs["s"])
         if np.any(gaps <= 0):
@@ -103,9 +96,10 @@ class ProfileCurve:
         if np.any(arrs["x"] < 0) or np.any(arrs["y"] < 0):
             raise UsageError("samples may not leave the closed quadrant")
         for name, a in arrs.items():
+            a.setflags(write=False)
             object.__setattr__(self, name, a)
-        object.__setattr__(self, "p", int(self.p))
-        object.__setattr__(self, "q", int(self.q))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @property
     def n_nodes(self):
@@ -115,8 +109,7 @@ class ProfileCurve:
 def curve_from_samples(p, q, x, y):
     """Build a ProfileCurve from bare points: chordal arclength, tangents by
     central differences (one-sided at the ends)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _finite_array(x, "x"), _finite_array(y, "y")
     ds = np.hypot(np.diff(x), np.diff(y))
     s = np.concatenate([[0.0], np.cumsum(ds)])
     tx = np.gradient(x, s)
@@ -188,10 +181,9 @@ def shoot_leaf(p, q, s0, side="below", r_max=None):
     if not lo <= s0 <= hi:
         raise UsageError(f"axis distance must be positive and in "
                          f"[{lo:g}, {hi:g}], got {s0}")
-    r_max = 50.0 * s0 if r_max is None else _real(r_max, "exit radius")
-    if not (np.isfinite(r_max) and r_max > 2 * s0):
-        raise UsageError(
-            f"exit radius must be finite and exceed 2 s0, got {r_max:g}")
+    r_max = 50.0 * s0 if r_max is None else _finite(r_max, "exit radius")
+    if not r_max > 2 * s0:
+        raise UsageError(f"exit radius must exceed 2 s0, got {r_max:g}")
     ds = _LEAF_DS * s0
     if not (r_max - s0) / ds <= _MAX_LEAF_SAMPLES:
         raise UsageError(
@@ -293,6 +285,7 @@ def leaf_to_radial_graph(leaf, cone, r_min, r_max, n):
     """Resample the leaf as a radial graph over the cone on a log grid."""
     # Imported here, so importing the package leaves scipy.interpolate out.
     from scipy.interpolate import CubicSpline
+    r_min, r_max = _radii(r_min, r_max)
     rr, uu = _graph_coordinates(leaf, cone)
     inc = np.flatnonzero(np.diff(rr) <= 0)
     start = inc[-1] + 1 if len(inc) else 0
@@ -301,9 +294,7 @@ def leaf_to_radial_graph(leaf, cone, r_min, r_max, n):
         raise UsageError(
             f"graph covers [{rr[0]:.4g}, {rr[-1]:.4g}], "
             f"requested [{r_min}, {r_max}]")
-    spline = CubicSpline(rr, uu)
-    r = np.geomspace(r_min, r_max, n)
-    return RadialFunction(r_min, r_max, spline(r))
+    return RadialFunction.from_callable(CubicSpline(rr, uu), r_min, r_max, n)
 
 
 def _graph_mean_curvature(cone, r, g, g1, g2):
@@ -337,7 +328,7 @@ def cmc_graph_residual(cone, u, lam):
     nodes: zero for the graph of a hypersurface of constant mean curvature
     lam.  The mean curvature is the closed form of _graph_mean_curvature
     on central differences."""
-    lam = _finite_lambda(lam)
+    lam = _finite(lam, "lambda")
     if u.n_nodes < 16:
         raise UsageError(f"need at least 16 nodes, got {u.n_nodes}")
     r, g, g1, g2 = _radial_derivatives(u)
@@ -411,10 +402,8 @@ def _require_radial_decay(cone, r, g, g1, g2):
 
 def quadrant_grid(n, box=1.0):
     """n x n grid over (0, box)^2 with cell centers off the axes by h/2."""
-    n = _integer(n, "grid side")
-    if not n >= 1:
-        raise UsageError(f"grid side must be at least 1 cell, got {n}")
-    h = box / n
+    n = _integer(n, "grid side", 1, _MAX_CELLS)
+    h = _positive(box, "box side") / n
     return GridGeometry((n, n), h=h, origin=(h / 2, h / 2))
 
 
@@ -501,14 +490,14 @@ def _base_problem(p, q, grid, lam, boundary, r):
     + 1 cells: any farther cell lies more than r/4 away, and where the
     boundary data has one label only, no cell is within r/4 of another.
     """
-    _sphere_dimensions(p, q, 0)
+    p, q = _sphere_dimensions(p, q, 0)
     if grid.d != 2:
         raise UsageError("the reduction lives on 2-D grids")
     if max(abs(o - grid.h / 2) for o in grid.origin) > 1e-12 * grid.h:
         raise UsageError("quadrant grid must exclude the axes by half a cell")
     if not boundary.grid.compatible(grid):
         raise UsageError("boundary data lives on a different grid")
-    r = _obstacle_radius(r)
+    r = _positive(r, "obstacle radius")
     ball = RegionMask.ball(grid, (0.0, 0.0), r).bits
     fixed_in = RegionMask(grid, boundary.bits & ~ball)
     fixed_out = RegionMask(grid, ~boundary.bits & ~ball)
@@ -538,21 +527,12 @@ def weighted_minimize(p, q, grid, lam, boundary, r):
     return solve(problem, band=band)
 
 
-def _obstacle_radius(r):
-    r = _real(r, "obstacle radius")
-    if not (r > 0 and math.isfinite(r)):
-        raise UsageError(f"obstacle radius must be positive, got {r}")
-    return r
-
-
 def _annulus_profile(radius, r_lo, r_hi):
     """Unit inward-perturbation profile at the given radii: 0 off the annulus
     (r_lo, r_hi), 1 on its middle half, linear on its outer quarters."""
     if not 0 <= r_lo < r_hi:
         raise UsageError("need 0 <= r_lo < r_hi")
-    ramp = (r_hi - r_lo) / 4.0
-    if not 0 < ramp < math.inf:
-        raise UsageError("ramp width must fit inside the annulus")
+    ramp = _positive((r_hi - r_lo) / 4.0, "ramp width")
     return np.clip(np.minimum((radius - r_lo) / ramp, (r_hi - radius) / ramp),
                    0.0, 1.0)
 
@@ -682,25 +662,20 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
         of each step's solve.
     """
     grid = boundary.grid
-    if not isinstance(t_list, Iterable):
-        raise UsageError(f"t_list must be a sequence of perturbation "
-                         f"magnitudes, got {t_list!r}")
-    t_arr = [_real(t, f"t_list[{i}]") for i, t in enumerate(t_list)]
+    t_arr = [_finite(t, f"t_list[{i}]")
+             for i, t in enumerate(_sequence(t_list, "t_list"))]
     if not t_arr:
         raise UsageError("t_list is empty")
-    if any(not np.isfinite(t) or t < 0 for t in t_arr):
+    if any(t < 0 for t in t_arr):
         raise UsageError("perturbation magnitudes must be finite and >= 0")
     if any(b >= a for a, b in zip(t_arr, t_arr[1:])):
         raise UsageError("t_list must be strictly decreasing")
-    r_obs = _obstacle_radius(obstacle_radius)
+    r_obs = _positive(obstacle_radius, "obstacle radius")
     if annulus is None:
         r_lo, r_hi = 0.75 * r_obs, 1.6 * r_obs
     else:
-        pair = tuple(annulus) if isinstance(annulus, Iterable) else ()
-        if len(pair) != 2:
-            raise UsageError(f"annulus must be a pair of radii, got "
-                             f"{annulus!r}")
-        r_lo, r_hi = (_real(a, f"annulus[{i}]") for i, a in enumerate(pair))
+        r_lo, r_hi = (_real(a, f"annulus[{i}]") for i, a in
+                      enumerate(_sequence(annulus, "annulus", 2)))
     with np.errstate(over="ignore"):    # past the float range: inf, clipped
         profile = _annulus_profile(np.hypot(*grid.center_mesh()), r_lo, r_hi)
 

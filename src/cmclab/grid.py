@@ -15,7 +15,7 @@ splitting sums agree with perimeter() bit for bit.
 """
 
 import math
-import operator
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -67,6 +67,8 @@ def stencil_levels(d, stencil):
     which is what lets mincut.solve merge mirror-image cells after checking
     only those per-cell arrays.
     """
+    if _integer(d, "grid dimension") not in _FACE_OFFSETS:
+        raise UsageError(f"grid dimension must be 2 or 3, got {_shown(d)}")
     if stencil == STENCIL_FACE:
         return ((1.0, _FACE_OFFSETS[d]),)
     if stencil == STENCIL_CC:
@@ -75,12 +77,85 @@ def stencil_levels(d, stencil):
     raise UsageError(f"unknown stencil {stencil!r}")
 
 
-def _integer(value, name):
-    """value as an int; UsageError, naming it, unless it is an integer."""
+# The one check of each kind of number the library takes.  Each refuses a
+# bool, as a number of no kind, and names the input it refuses.
+
+def _shown(value):
+    """repr(value), but an integer past 2**64 only by its sign and bit
+    length: no message writes out the digits of an unbounded integer."""
+    if not isinstance(value, numbers.Integral) or -2**64 < value < 2**64:
+        return repr(value)
+    return f"<{'negative ' * (value < 0)}integer of {value.bit_length()} bits>"
+
+
+def _real(value, name):
+    """value as a float, +-inf past the float range; UsageError, naming
+    it, unless it is a real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise UsageError(f"{name} must be a real number, got {_shown(value)}")
     try:
-        return operator.index(value)
-    except TypeError:
-        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+        return float(value)
+    except OverflowError:    # an integer past the float range
+        return math.inf if value > 0 else -math.inf
+
+
+def _finite(value, name):
+    """value as a float; UsageError, naming it, unless finite and real."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(_real(value, name))):
+        raise UsageError(
+            f"{name} must be a finite real number, got {_shown(value)}")
+    return float(value)
+
+
+def _positive(value, name):
+    """value as a float; UsageError, naming it, unless positive, finite and
+    real."""
+    x = _real(value, name)
+    if not 0 < x < math.inf:
+        raise UsageError(f"{name} must be positive and finite, got {x}")
+    return x
+
+
+def _integer(value, name, least=None, most=None):
+    """value as an int; UsageError, naming it, unless it is an integer from
+    least to the budget most, each bound when given.  An integral float is
+    refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise UsageError(f"{name} must be an integer, got {_shown(value)}")
+    if least is not None and value < least:
+        raise UsageError(
+            f"{name} must be an integer >= {least}, got {_shown(value)}")
+    if most is not None and value > most:
+        raise UsageError(f"{name} must be at most the budget of {most}, "
+                         f"got {_shown(value)}")
+    return int(value)
+
+
+def _sequence(value, name, length=None):
+    """value as a tuple; UsageError, naming it, unless it is iterable and,
+    when length is given, holds that many entries."""
+    if not np.iterable(value):
+        raise UsageError(f"{name} must be a sequence, got {_shown(value)}")
+    items = tuple(value)
+    if length is not None and len(items) != length:
+        raise UsageError(f"{name} must hold {length} items, got {len(items)}")
+    return items
+
+
+def _finite_array(value, name):
+    """value as a new float array; UsageError, naming it, unless it is a
+    rectangular array of finite real numbers (bool, int or float dtype)."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:    # a ragged nesting of sequences
+        raise UsageError(f"{name} must be a rectangular array") from None
+    if arr.dtype.kind not in "biuf":
+        raise UsageError(f"{name} must be real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(float)
+    if not np.all(np.isfinite(arr)):
+        raise UsageError(f"{name} has non-finite entries")
+    return arr
 
 
 # Most cells a grid may have: 16 MB of bits, 134 MB per float64 per-cell
@@ -102,26 +177,17 @@ class GridGeometry:
     stencil: str = STENCIL_CC
 
     def __post_init__(self):
-        dims = tuple(_integer(n, "grid extent") for n in self.dims)
-        if len(dims) not in (2, 3):
-            raise UsageError(f"grid dimension must be 2 or 3, got {len(dims)}")
-        if any(n < 1 for n in dims):
-            raise UsageError(f"all extents must be >= 1, got {dims}")
-        if math.prod(dims) > _MAX_CELLS:
-            raise UsageError(f"grid {dims} has more cells than the budget "
-                             f"of {_MAX_CELLS}")
-        if not (self.h > 0 and np.isfinite(self.h)):
-            raise UsageError(
-                f"cell size must be positive and finite, got {self.h}")
-        origin = self.origin
-        if origin is None:
-            origin = (0.0,) * len(dims)
-        origin = tuple(float(c) for c in origin)
-        if len(origin) != len(dims):
-            raise UsageError("origin length does not match dims")
+        dims = tuple(_integer(n, "grid extent", 1)
+                     for n in _sequence(self.dims, "grid extents"))
         stencil_levels(len(dims), self.stencil)
+        if math.prod(dims) > _MAX_CELLS:
+            raise UsageError(f"grid ({', '.join(map(_shown, dims))}) has more "
+                             f"cells than the budget of {_MAX_CELLS}")
+        origin = (0.0,) * len(dims) if self.origin is None else tuple(
+            _finite(c, "origin entry")
+            for c in _sequence(self.origin, "origin", len(dims)))
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "h", float(self.h))
+        object.__setattr__(self, "h", _positive(self.h, "cell size"))
         object.__setattr__(self, "origin", origin)
 
     @property
@@ -214,7 +280,7 @@ class RegionMask(_FrozenBits):
     @classmethod
     def ball(cls, grid, center, r):
         """Cells whose centers lie within Euclidean distance r of center."""
-        return cls(grid, _ball_bits(grid, center, r))
+        return cls(grid, _ball_bits(grid, *_ball(grid, center, r)))
 
     def invert(self):
         return RegionMask(self.grid, ~self.bits)
@@ -222,6 +288,14 @@ class RegionMask(_FrozenBits):
     def intersect(self, other):
         _require_shared_grid(self, other)
         return RegionMask(self.grid, self.bits & other.bits)
+
+
+def _ball(grid, center, r):
+    """center and r as floats; UsageError unless center is a point of the
+    grid's dimension and r a positive radius, all finite."""
+    center = tuple(_finite(c, "ball center entry")
+                   for c in _sequence(center, "ball center", grid.d))
+    return center, _positive(r, "ball radius")
 
 
 def _ball_bits(grid, center, r):
@@ -318,9 +392,8 @@ def split_perimeter(D, r, center):
     The three parts partition the boundary faces, and with power-of-two h the
     reconstructed total equals perimeter(D, whole grid) exactly.
     """
-    if not (r > 0 and np.isfinite(r)):
-        raise UsageError(f"ball radius must be positive, got {r}")
     grid = D.grid
+    center, r = _ball(grid, center, r)
     lo = [grid.origin[k] - 0.5 * grid.h for k in range(grid.d)]
     hi = [grid.origin[k] + (grid.dims[k] - 0.5) * grid.h for k in range(grid.d)]
     gap2 = 0.0

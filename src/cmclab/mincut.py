@@ -58,8 +58,6 @@ minimizer.  Before all that, the coefficients are refused unless their
 total magnitude stays below 2^62 quanta, so no int64 energy sum can wrap.
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -69,8 +67,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .grid import (CellSet, GridGeometry, NumericalError, RegionMask,
-                   UsageError, _integer, _offset_slices, boundary_faces,
-                   perimeter)
+                   UsageError, _finite, _finite_array, _integer,
+                   _offset_slices, _real, _sequence, boundary_faces, perimeter)
 
 QUANT_BITS = 20
 _INT32_MAX = 2**31 - 1
@@ -80,25 +78,6 @@ _BRUTE_CHUNK = 1 << 16    # labelings brute_force scores per batch
 class CapacityOverflowError(NumericalError):
     """The energy coefficients total 2^62 quanta or more, so an int64
     energy sum could wrap."""
-
-
-def _real(value, name):
-    """value as a float, +-inf past the float range; UsageError, naming
-    it, unless it is a real number."""
-    if not isinstance(value, numbers.Real):
-        raise UsageError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:    # an integer past the float range
-        return math.inf if value > 0 else -math.inf
-
-
-def _finite_lambda(lam):
-    """lam as a float; UsageError unless it is a finite real number."""
-    value = _real(lam, "lambda")
-    if not math.isfinite(value):
-        raise UsageError(f"lambda must be finite, got {value}")
-    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,25 +96,17 @@ class MinCutProblem:
     cell_weight: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", _finite_lambda(self.lam))
+        object.__setattr__(self, "lam", _finite(self.lam, "lambda"))
         self._check_labels()
         if self.cell_weight is not None:
-            try:
-                w = np.asarray(self.cell_weight)
-            except ValueError:    # a ragged nesting of sequences
-                raise UsageError(
-                    "cell weights must be a rectangular array") from None
-            if w.dtype.kind not in "biuf":
-                raise UsageError(
-                    f"cell weights must be real numbers, got dtype {w.dtype}")
-            w = w.astype(float)
+            w = _finite_array(self.cell_weight, "cell weights")
             if w.size != self.grid.ncells:
                 raise UsageError(
                     f"cell weights hold {w.size} values, the grid has "
                     f"{self.grid.ncells} cells")
             w = w.reshape(self.grid.dims)
-            if not (np.all(np.isfinite(w)) and np.all(w > 0)):
-                raise UsageError("cell weights must be positive and finite")
+            if not np.all(w > 0):
+                raise UsageError("cell weights must be positive")
             w.setflags(write=False)
             object.__setattr__(self, "cell_weight", w)
 
@@ -158,7 +129,7 @@ class MinCutProblem:
         fields = dict(vars(self), fixed_in=fixed_in, fixed_out=fixed_out,
                       _arcs=self._arcs)
         if lam is not None:
-            fields["lam"] = _finite_lambda(lam)
+            fields["lam"] = _finite(lam, "lambda")
         derived = object.__new__(type(self))
         vars(derived).update(fields)
         derived._check_labels()
@@ -707,12 +678,12 @@ def threshold_experiment(r, resolution, lam_list):
     minimizer included, are unchanged by the mirror x -> n - 1 - x in cell
     index, and solve runs max-flow on the orbit graph of that mirror.
     """
-    lams = [_finite_lambda(lam) for lam in lam_list]
-    if not isinstance(r, numbers.Real):
-        raise UsageError(f"disk radius must be a real number, got {r!r}")
+    lams = [_finite(lam, "lambda")
+            for lam in _sequence(lam_list, "lambda list")]
+    r = _real(r, "disk radius")
     if not r >= 8:
         raise UsageError(f"disk radius must be at least 8 cells, got {r}")
-    n = _integer(resolution, "resolution")
+    n = _integer(resolution, "resolution", 1)
     grid = GridGeometry((n, n), h=1.0, stencil="cc")
     c = ((n - 1) / 2.0,) * 2
     for k in range(2):

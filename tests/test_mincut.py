@@ -80,7 +80,8 @@ class TestProblemValidation:
     def test_rejects_an_integer_past_the_float_range(self):
         g = GridGeometry((3, 3))
         none = RegionMask.whole(g).invert()
-        with pytest.raises(UsageError, match="finite, got inf"):
+        with pytest.raises(UsageError,
+                           match="finite real number, got <integer"):
             MinCutProblem(g, 10**400, fixed_in=none, fixed_out=none)
 
     def test_rejects_weights_of_another_size(self):

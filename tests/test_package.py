@@ -1,12 +1,27 @@
-"""The package surface: what `cmclab` exports is what it defines, and what
-importing the CLI loads."""
+"""The package surface: what `cmclab` exports is what it defines, what
+importing the CLI loads, and how every entry reads the numbers it takes."""
 
+import functools
+import math
 import os
+import re
 import subprocess
 import sys
 import types
 
+import numpy as np
+import pytest
+
 import cmclab
+from cmclab import cli, cones, equivariant, grid, mincut
+from cmclab import (
+    CellSet, GridGeometry, MinCutProblem, ProfileCurve, RadialFunction,
+    RegionMask, UsageError, approximation_sequence, cmc_graph_residual,
+    curve_from_samples, diagonal_wedge, indicial_exponents,
+    leaf_to_radial_graph, link_spectrum, make_cone, quadrant_grid,
+    shoot_leaf, split_perimeter, stencil_levels, threshold_experiment,
+    weighted_minimize,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -44,3 +59,178 @@ def test_cli_import_leaves_unused_scipy_subpackages_unloaded():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["[]", "64"]
+
+
+def test_numbers_are_checked_in_grid_alone():
+    # grid.py holds the one check of each kind of number; the idioms it
+    # replaced are gone, and every other module takes grid's own checks.
+    src = os.path.join(ROOT, "src", "cmclab")
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "grid.py":
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                text = fh.read()
+            assert not re.search(r"^\s*(import|from)\s+(numbers|operator)\b",
+                                 text, re.M), name
+    assert not hasattr(mincut, "_finite_lambda")
+    assert not hasattr(cli, "_count")
+    for module in (mincut, cones, equivariant, cli):
+        for check in ("_real", "_finite", "_positive", "_integer"):
+            assert getattr(module, check, None) in (
+                None, getattr(grid, check)), (module.__name__, check)
+
+
+_GRID = GridGeometry((8, 8))
+_NONE = RegionMask.whole(_GRID).invert()
+_CONE = make_cone(3, 3)
+_ARC = np.linspace(0.1, 1.4, 16)
+
+
+@functools.cache
+def _quadrant():
+    g = quadrant_grid(8)
+    return g, diagonal_wedge(g, 3, 3)
+
+
+@functools.cache
+def _leaf():
+    return shoot_leaf(3, 3, 1.0, r_max=12.0)
+
+
+def _curve(p):
+    c = curve_from_samples(3, 3, np.cos(_ARC), np.sin(_ARC))
+    return ProfileCurve(p, 3, c.s, c.x, c.y, c.tx, c.ty)
+
+
+def _flat(r):
+    return 0.0 * r
+
+
+# The bad values, by the name a row's id gives them.
+_BAD = {"str": "1", "None": None, "True": True, "nan": math.nan,
+        "inf": math.inf, "complex": 1 + 2j, "1e400": 10**400,
+        "-1e5000": -10**5000, "1e5000": 10**5000, "2.5": 2.5, "3.0": 3.0,
+        "3.7": 3.7}
+
+
+def _rows(name, call, needle, values):
+    """A row of call(v) for each bad value v named in values."""
+    return [(f"{name}-{k}", lambda v=_BAD[k]: call(v), needle)
+            for k in values.split()]
+
+
+# One public call with one bad value per row, and the input the refusal
+# must name.  Each row once raised a bare TypeError, ValueError,
+# OverflowError, IndexError or KeyError, or ran on: a bool as 1, an
+# integral float as an integer, 3.7 as 3, nan to a nan result.  The
+# ValueError of an integer past 10**4300 came from writing it into the
+# message.
+_REFUSALS = [
+    *_rows("make_cone", lambda v: make_cone(v, 3), "sphere dimension p",
+           "None True nan inf complex 3.0 -1e5000"),
+    *_rows("link_spectrum", lambda v: link_spectrum(_CONE, v),
+           "eigenvalue count K", "None True nan inf complex 3.0 -1e5000"),
+    *_rows("quadrant_grid-box", lambda v: quadrant_grid(8, v), "box side",
+           "str None True complex 1e400 -1e5000"),
+    *_rows("quadrant_grid-n", quadrant_grid, "grid side",
+           "True 1e400 -1e5000"),
+    ("GridGeometry-int-dims", lambda: GridGeometry(4), "grid extents"),
+    *_rows("GridGeometry-extent", lambda v: GridGeometry((v, 4)),
+           "grid extent", "True -1e5000"),
+    ("GridGeometry-extent-1e5000", lambda: GridGeometry((10**5000, 4)),
+     r"grid \(<integer of 16610 bits>, 4\) has more cells"),
+    *_rows("GridGeometry-h", lambda v: GridGeometry((4, 4), h=v),
+           "cell size", "str None True complex 1e400 -1e5000"),
+    ("GridGeometry-int-origin", lambda: GridGeometry((4, 4), origin=5),
+     "origin"),
+    *_rows("GridGeometry-origin", lambda v: GridGeometry((4, 4),
+                                                         origin=(v, 0.0)),
+           "origin entry", "str None True nan inf complex 1e400"),
+    ("stencil_levels-4", lambda: stencil_levels(4, "cc"), "grid dimension"),
+    *_rows("stencil_levels", lambda v: stencil_levels(v, "cc"),
+           "grid dimension", "True 3.0"),
+    *_rows("ball-r", lambda v: RegionMask.ball(_GRID, (1, 1), v),
+           "ball radius", "str None True nan inf complex 1e400 -1e5000"),
+    ("ball-short-center", lambda: RegionMask.ball(_GRID, (1.0,), 2.0),
+     "ball center"),
+    ("ball-str-center", lambda: RegionMask.ball(_GRID, ("1", 1.0), 2.0),
+     "ball center entry"),
+    *_rows("split_perimeter-r",
+           lambda v: split_perimeter(CellSet.full(_GRID), v, (1.0, 1.0)),
+           "ball radius", "str None True complex 1e400 -1e5000"),
+    ("split_perimeter-short-center",
+     lambda: split_perimeter(CellSet.full(_GRID), 2.0, (1.0,)),
+     "ball center"),
+    *_rows("MinCutProblem-lambda",
+           lambda v: MinCutProblem(_GRID, v, _NONE, _NONE), "lambda",
+           "True"),
+    *_rows("relabeled-lambda",
+           lambda v: MinCutProblem(_GRID, 0.0, _NONE, _NONE).relabeled(
+               _NONE, _NONE, lam=v), "lambda", "True"),
+    *_rows("threshold_experiment-lambda",
+           lambda v: threshold_experiment(8, 24, [v]), "lambda", "True"),
+    ("threshold_experiment-bare-lambda",
+     lambda: threshold_experiment(8, 20, 0.5), "lambda list"),
+    *_rows("RadialFunction-r_min",
+           lambda v: RadialFunction(v, 2.0, [0.0, 0.0]), "r_min",
+           "str None True complex"),
+    *_rows("RadialFunction-r_max",
+           lambda v: RadialFunction(1.0, v, [0.0, 0.0]), "r_max",
+           "inf 1e400"),
+    ("RadialFunction-str-samples",
+     lambda: RadialFunction(1, 2, ["a", "b"]), "samples"),
+    *_rows("from_callable-n",
+           lambda v: RadialFunction.from_callable(_flat, 1.0, 8.0, v),
+           "node count n", "str None 2.5 3.0 1e400 -1e5000"),
+    *_rows("from_callable-r_min",
+           lambda v: RadialFunction.from_callable(_flat, v, 8.0, 16),
+           "r_min", "str None complex"),
+    *_rows("leaf_to_radial_graph-n",
+           lambda v: leaf_to_radial_graph(_leaf(), _CONE, 3.0, 10.0, v),
+           "node count n", "None 2.5 1e400"),
+    *_rows("leaf_to_radial_graph-r_min",
+           lambda v: leaf_to_radial_graph(_leaf(), _CONE, v, 10.0, 64),
+           "r_min", "str"),
+    *_rows("leaf_to_radial_graph-r_max",
+           lambda v: leaf_to_radial_graph(_leaf(), _CONE, 3.0, v, 64),
+           "r_max", "None"),
+    *_rows("indicial_exponents-lambda1",
+           lambda v: indicial_exponents(8, v), "lambda_1",
+           "str None True nan inf complex 1e400"),
+    *_rows("indicial_exponents-n", lambda v: indicial_exponents(v, 0.0),
+           "cone dimension n", "True 3.0 1e400"),
+    *_rows("ProfileCurve-p", _curve, "sphere dimension",
+           "3.7 3.0 str None True nan inf complex 1e400"),
+    *_rows("curve_from_samples-p",
+           lambda v: curve_from_samples(v, 3, np.cos(_ARC), np.sin(_ARC)),
+           "sphere dimension p", "3.7"),
+    *_rows("shoot_leaf-s0", lambda v: shoot_leaf(3, 3, v), "axis distance",
+           "True"),
+    *_rows("cmc_graph_residual-lambda",
+           lambda v: cmc_graph_residual(
+               _CONE, RadialFunction.from_callable(_flat, 1.0, 8.0, 64), v),
+           "lambda", "True"),
+    *_rows("weighted_minimize-lambda",
+           lambda v: weighted_minimize(3, 3, _quadrant()[0], v,
+                                       _quadrant()[1], 0.5),
+           "lambda", "True"),
+    *_rows("weighted_minimize-radius",
+           lambda v: weighted_minimize(3, 3, _quadrant()[0], 0.0,
+                                       _quadrant()[1], v),
+           "obstacle radius", "True"),
+    *_rows("approximation_sequence-t",
+           lambda v: approximation_sequence(3, 3, 0.0, _quadrant()[1], [v],
+                                            0.5), r"t_list\[0\]", "True"),
+    *_rows("approximation_sequence-annulus",
+           lambda v: approximation_sequence(3, 3, 0.0, _quadrant()[1],
+                                            [0.1], 0.5, (0.1, v)),
+           r"annulus\[1\]", "True"),
+]
+
+
+@pytest.mark.parametrize("call,needle", [
+    pytest.param(call, needle, id=name) for name, call, needle in _REFUSALS])
+def test_bad_numbers_are_refused_by_name(call, needle):
+    # UsageError naming the input, with no integer's digits written out.
+    with pytest.raises(UsageError, match=needle) as err:
+        call()
+    assert len(str(err.value)) < 200
