@@ -28,7 +28,6 @@ from .grid import (
     rle_decode,
     cellset_to_text,
     cellset_from_text,
-    write_cellset,
     read_cellset,
 )
 from .mincut import (
@@ -80,7 +79,7 @@ __all__ = [
     "stencil_levels", "GridGeometry", "CellSet", "RegionMask", "complement",
     "lattice", "perimeter", "volume", "SplitReport",
     "split_perimeter", "boundary_faces", "rle_encode", "rle_decode",
-    "cellset_to_text", "cellset_from_text", "write_cellset", "read_cellset",
+    "cellset_to_text", "cellset_from_text", "read_cellset",
     "QUANT_BITS", "CapacityOverflowError", "MinCutProblem", "MinimizerResult",
     "evaluate_quanta", "solve", "brute_force", "ThresholdRow",
     "threshold_experiment", "result_to_json",

@@ -27,9 +27,6 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10
 _ERROR_EXPONENT = -1 / 5    # -1 / (error estimator order 4 + 1)
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-_MESSAGES = {
-    0: "The solver successfully reached the end of the integration interval.",
-    1: "A termination event occurred."}
 
 # Dormand & Prince (1980) tableau and Shampine's (1986) dense output.
 _C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
@@ -184,16 +181,22 @@ def _active_events(g, g_new, direction):
 def solve_ivp(fun, t_span, y0, rtol, atol, events=()):
     """Integrate y' = fun(t, y) from t_span[0] forward to t_span[1].
 
-    Each event(t, y) may carry `terminal` (stop at its first zero) and
-    `direction` (count only zeros crossed downward if negative, upward if
-    positive) as attributes.  Returns a namespace with t_events (one array
-    of zero times per event), sol (the dense output, callable on a time or
-    an array of times), status (0 at the span's end, 1 at a terminal event,
-    -1 when the step size underflows) and message.
+    Each event(t, y) must carry the attribute `terminal` = True, and may
+    carry `direction` (take only zeros crossed downward if negative, upward
+    if positive).  The run stops at the earliest zero of the first step in
+    which any event crosses zero; on a tie, at the first in np.argsort
+    order, scipy's choice when every event is terminal.  Returns a
+    namespace with t_events (one array of zero times per event, only the
+    stopping event's not empty), sol (the dense output, callable on a time
+    or an array of times), status (0 at the span's end, 1 at an event, -1
+    when the step size underflows) and message (scipy's text at status -1,
+    else None).
     """
     t0, tf = map(float, t_span)
     if not t0 < tf:
         raise ValueError("the time span must increase")
+    if any(getattr(event, "terminal", False) is not True for event in events):
+        raise ValueError("every event must be terminal")
     y = np.asarray(y0, dtype=float)
 
     def rhs(t, y):
@@ -211,11 +214,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=()):
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
     h_abs = min(100 * h0, h1, tf - t0)
 
-    max_events = np.array([getattr(e, "terminal", 0) or np.inf
-                           for e in events], dtype=float)
     direction = np.array([getattr(e, "direction", 0) for e in events],
                          dtype=float)
-    event_count = np.zeros(len(events))
     g = [event(t0, y0) for event in events]
     t_events = [[] for _ in events]
     K = np.empty((7, y.size))
@@ -268,20 +268,13 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=()):
         g_new = [event(t, y) for event in events]
         active = _active_events(g, g_new, direction)
         if active.size > 0:
-            event_count[active] += 1
             roots = np.asarray([
                 _brentq(lambda s, event=events[i]: event(s, sol(s)), t_old, t)
                 for i in active])
-            if np.any(event_count[active] >= max_events[active]):
-                order = np.argsort(roots)
-                active, roots = active[order], roots[order]
-                stop = np.nonzero(event_count[active]
-                                  >= max_events[active])[0][0]
-                active, roots = active[:stop + 1], roots[:stop + 1]
-                status = 1
-                t = roots[-1]
-            for e, te in zip(active, roots):
-                t_events[e].append(te)
+            first = np.argsort(roots)[0]
+            t = roots[first]
+            t_events[active[first]].append(t)
+            status = 1
         g = g_new
 
         # A terminal zero on the previous step end adds no step.
@@ -293,4 +286,4 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=()):
     return SimpleNamespace(
         t_events=[np.asarray(te) for te in t_events],
         sol=_Solution(np.array(ts), interpolants), status=status,
-        message=_MESSAGES.get(status, message))
+        message=message)

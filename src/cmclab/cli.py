@@ -34,14 +34,6 @@ SCHEMA_VERSION = 1
 _BLOCK = 4096
 
 
-def thread_count():
-    """Worker cap from CMC_LAB_THREADS; defaults to 1."""
-    raw = os.environ.get("CMC_LAB_THREADS", "1")
-    with contextlib.suppress(ValueError):    # not an int: refused below
-        raw = int(raw)
-    return _integer(raw, "CMC_LAB_THREADS", 1)
-
-
 def atomic_write(path, text):
     """Write text, a str or an iterable of str chunks written in turn, to
     path via a same-directory temp file and rename; the temp file is
@@ -79,7 +71,7 @@ def _write_report(args, name, doc):
     return 0
 
 
-def _write_cellset(args, name, D):
+def _save_cellset(args, name, D):
     """Write the cell set D as the file outdir/name; returns name."""
     atomic_write(os.path.join(args.outdir, name), cellset_to_text(D))
     return name
@@ -108,8 +100,9 @@ def run_spectra(args):
 
 def run_plateau2d(args):
     # One job: the sweep is sequential, each lambda solved from the
-    # minimizer of the one below it.
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
+    # minimizer of the one below it.  It runs on one pool thread, which
+    # clibench/test_clibench.py pins.
+    with ThreadPoolExecutor(max_workers=1) as pool:
         rows = pool.submit(threshold_experiment, args.radius,
                            args.resolution, args.lambdas).result()
 
@@ -118,8 +111,8 @@ def run_plateau2d(args):
         "filled": row.filled,
         "contact_excess": row.contact_excess,
         "obstacle_circumference": row.obstacle_circumference,
-        "cellset": _write_cellset(args, f"plateau2d_{i:02d}.csl",
-                                  row.largest),
+        "cellset": _save_cellset(args, f"plateau2d_{i:02d}.csl",
+                                 row.largest),
     } for i, row in enumerate(rows)]
     return _write_report(args, "plateau2d.json", {"rows": table})
 
@@ -136,8 +129,8 @@ def run_equivariant(args):
     res = weighted_minimize(p, q, grid, args.lam, boundary, r_obs)
     return _write_report(args, "equivariant.json", {
         "result": result_to_json(res),
-        "cellset": _write_cellset(args, "equivariant_largest.csl",
-                                  res.set_max),
+        "cellset": _save_cellset(args, "equivariant_largest.csl",
+                                 res.set_max),
     })
 
 
@@ -229,9 +222,9 @@ def run_approx(args):
     report = approximation_sequence(p, q, lam, diagonal_wedge(grid, p, q),
                                     t_list, obstacle_radius=0.5 * box,
                                     annulus=annulus)
-    steps = [_write_cellset(args, f"approx_step_{j:02d}.csl", Ej)
+    steps = [_save_cellset(args, f"approx_step_{j:02d}.csl", Ej)
              for j, Ej in enumerate(report.sets)]
-    limit = _write_cellset(args, "approx_limit.csl", report.limit_set)
+    limit = _save_cellset(args, "approx_limit.csl", report.limit_set)
     return _write_report(args, "approx.json", {
         "t_list": list(report.t_list),
         "inclusion_ok": list(report.inclusion_ok),

@@ -225,8 +225,10 @@ def _radial_derivatives(f):
     """(r, g, g', g'') of f at its interior nodes, primes in r.
 
     Second-order central differences in t = log r give g_t and g_tt; then
-    g' = g_t / r and g'' = (g_tt - g_t) / r^2.
+    g' = g_t / r and g'' = (g_tt - g_t) / r^2.  UsageError below 16 nodes.
     """
+    if f.n_nodes < 16:
+        raise UsageError(f"need at least 16 nodes, got {f.n_nodes}")
     g = f.values
     dt = f.dt
     gt = (g[2:] - g[:-2]) / (2.0 * dt)
@@ -244,7 +246,5 @@ def _jacobi_operator(cone, r, g, g1, g2):
 def lc_residual(cone, f):
     """Max interior node value of the cone-linearized operator applied to f,
     from second-order central differences on the log grid."""
-    if f.n_nodes < 16:
-        raise UsageError(f"need at least 16 radial nodes, got {f.n_nodes}")
     Lg = _jacobi_operator(cone, *_radial_derivatives(f))
     return float(np.max(np.abs(Lg)))

@@ -329,8 +329,6 @@ def cmc_graph_residual(cone, u, lam):
     lam.  The mean curvature is the closed form of _graph_mean_curvature
     on central differences."""
     lam = _finite(lam, "lambda")
-    if u.n_nodes < 16:
-        raise UsageError(f"need at least 16 nodes, got {u.n_nodes}")
     r, g, g1, g2 = _radial_derivatives(u)
     H = _graph_mean_curvature(cone, r, g, g1, g2)
     return float(np.max(np.abs(H - lam)))
@@ -365,8 +363,6 @@ def linearization_check(cone, u, v):
     """
     if (u.r_min, u.r_max, u.n_nodes) != (v.r_min, v.r_max, v.n_nodes):
         raise UsageError("u and v must share the radial grid")
-    if u.n_nodes < 16:
-        raise UsageError(f"need at least 16 nodes, got {u.n_nodes}")
     if np.array_equal(u.values, v.values):
         raise UsageError("v - u is identically zero")
     du, dv = _radial_derivatives(u), _radial_derivatives(v)
@@ -410,6 +406,7 @@ def quadrant_grid(n, box=1.0):
 def cell_weights(grid, p, q):
     """The reduction weight x^p y^q at cell centers.  A weight past the
     float range is inf, without a warning; MinCutProblem refuses it."""
+    p, q = _sphere_dimensions(p, q, 0)
     X, Y = grid.center_mesh()
     with np.errstate(over="ignore"):
         return X ** p * Y ** q
@@ -417,6 +414,7 @@ def cell_weights(grid, p, q):
 
 def diagonal_wedge(grid, p, q):
     """Cells below the cone ray of the (p, q) cone: a y < b x."""
+    p, q = _sphere_dimensions(p, q, 0)
     cone = make_cone(p, q) if min(p, q) >= 1 else None
     a, b = (cone.a, cone.b) if cone else (math.sqrt(0.5), math.sqrt(0.5))
     X, Y = grid.center_mesh()
@@ -544,10 +542,16 @@ def _hausdorff(a, b):
     The largest squared nearest-point distance of each set to the other
     (_farthest_nearest), the second pass starting from the first's, so
     sqrt is taken once.  sqrt is monotone, so that is the k-d tree's
-    largest nearest-point distance to the bit.
+    largest nearest-point distance to the bit.  When the two sets together
+    spread wider in y than in x, both are searched with their columns
+    swapped, so that the x windows stay narrow; dy*dy + dx*dx is the same
+    float as dx*dx + dy*dy.
     """
     if len(a) == 0 or len(b) == 0:
         return float("inf") if len(a) or len(b) else 0.0
+    spread = np.ptp(np.concatenate([a, b]), axis=0)
+    if spread[1] > spread[0]:
+        a, b = a[:, ::-1], b[:, ::-1]
     return float(np.sqrt(_farthest_nearest(b, a, _farthest_nearest(a, b,
                                                                   0.0))))
 

@@ -233,9 +233,14 @@ class _FrozenBits:
     bits: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.bits, dtype=bool)
-        if arr.shape != self.grid.dims:
-            arr = arr.reshape(self.grid.dims)
+        bits = self.bits
+        if not (isinstance(bits, np.ndarray) and bits.dtype == bool
+                and bits.shape == self.grid.dims):
+            got = (f"a {bits.dtype} array of shape {bits.shape}"
+                   if isinstance(bits, np.ndarray) else type(bits).__name__)
+            raise UsageError(f"cell bits must be a bool array of the grid's "
+                             f"extents {self.grid.dims}, got {got}")
+        arr = np.array(bits)
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
 
@@ -513,11 +518,6 @@ def cellset_from_text(text):
     body = " ".join(lines[1:])
     bits = rle_decode(body, grid.ncells).reshape(dims)
     return CellSet(grid, bits)
-
-
-def write_cellset(path, D):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(cellset_to_text(D))
 
 
 def read_cellset(path):

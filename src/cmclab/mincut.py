@@ -530,12 +530,12 @@ def _flow_solve(problem, lin):
     s, t = m, m + 1
     src = np.flatnonzero(lin.theta[0])
     snk = np.flatnonzero(lin.theta[1])
-    # In the index type scipy stores, so the matrix takes no copy of them.
-    idx = np.int32 if t <= _INT32_MAX else np.int64
+    # In the index type scipy stores, so the matrix takes no copy of them;
+    # the grid's cell budget keeps t <= 2^24 + 1.
     rows = np.concatenate([lin.ei, lin.ej, np.full(len(src), s), snk],
-                          dtype=idx)
+                          dtype=np.int32)
     cols = np.concatenate([lin.ej, lin.ei, src, np.full(len(snk), t)],
-                          dtype=idx)
+                          dtype=np.int32)
     vals = np.concatenate([lin.ew, lin.ew, lin.theta[0, src],
                            lin.theta[1, snk]])
     graph = csr_matrix((vals, (rows, cols)), shape=(m + 2, m + 2),

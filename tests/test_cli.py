@@ -134,18 +134,6 @@ class TestPlateau2d:
         _X, Y = D.grid.center_mesh()
         assert np.array_equal(D.bits, Y < 9.5)
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        out = str(tmp_path)
-        args = ("plateau2d", "--radius", "8", "--resolution", "20",
-                "--lambda", "0.1", "--lambda", "0.3", "--lambda", "0.6",
-                "--outdir", out)
-        monkeypatch.delenv("CMC_LAB_THREADS", raising=False)
-        assert run_cli(*args) == 0
-        single = read_text(os.path.join(out, "plateau2d.json"))
-        monkeypatch.setenv("CMC_LAB_THREADS", "3")
-        assert run_cli(*args) == 0
-        assert read_text(os.path.join(out, "plateau2d.json")) == single
-
     @pytest.mark.parametrize("lam", ["1500", "-1500", "2000"])
     def test_merged_arcs_past_int32_solve_on_the_orbit_graph(
             self, tmp_path, monkeypatch, lam):
@@ -186,14 +174,6 @@ class TestPlateau2d:
             argv += ["--lambda", repr(0.05 * k)]
         assert run_cli(*argv) == 0
         assert builds == [(24, 24)]
-
-    def test_bad_thread_env_is_config_error(self, tmp_path, monkeypatch,
-                                            capsys):
-        monkeypatch.setenv("CMC_LAB_THREADS", "zero")
-        code = run_cli("plateau2d", "--radius", "8", "--resolution", "20",
-                       "--lambda", "0.0", "--outdir", str(tmp_path))
-        assert code == 2
-        assert "CMC_LAB_THREADS" in capsys.readouterr().err
 
 
 class TestEquivariant:

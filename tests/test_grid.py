@@ -6,8 +6,9 @@ from cmclab import (
     UsageError, STENCIL_FACE, STENCIL_CC, stencil_levels, GridGeometry,
     CellSet, RegionMask, complement, lattice, perimeter, volume,
     split_perimeter, boundary_faces, rle_encode, rle_decode,
-    cellset_to_text, cellset_from_text, write_cellset, read_cellset,
+    cellset_to_text, cellset_from_text, read_cellset,
 )
+from cmclab.cli import atomic_write
 from oracles import perimeter_recount
 
 W2_FACE = 6746518852 / 2**34
@@ -131,6 +132,20 @@ class TestCellSet:
         assert hash(CellSet(g, bits)) == hash(CellSet(g, bits.copy()))
         with pytest.raises(TypeError):
             hash(RegionMask(g, bits))
+
+    @pytest.mark.parametrize("kind", [CellSet, RegionMask])
+    @pytest.mark.parametrize("bits,got", [
+        (np.zeros((3, 3), bool), r"a bool array of shape \(3, 3\)"),
+        (np.zeros(64, bool), r"a bool array of shape \(64,\)"),
+        (np.full((8, 8), 0.5), "a float64 array"),
+        (np.ones((8, 8), np.uint8), "a uint8 array"),
+        ([["a"] * 8] * 8, "list"),
+        ([[True] * 8] * 8, "list"),
+    ], ids=["small", "flat", "float", "uint8", "str-list", "bool-list"])
+    def test_bits_must_be_bools_of_the_grid_extents(self, kind, bits, got):
+        # Neither reshaped nor cast: a cast made any nonzero entry a member.
+        with pytest.raises(UsageError, match=got):
+            kind(GridGeometry((8, 8)), bits)
 
     def test_lattice_and_complement(self, rng):
         D1 = random_set(rng, (5, 5))
@@ -319,7 +334,7 @@ class TestSerialization:
     def test_file_round_trip(self, rng, tmp_path):
         D = random_set(rng, (6, 6), h=0.5)
         path = tmp_path / "set.csl"
-        write_cellset(path, D)
+        atomic_write(path, cellset_to_text(D))
         assert read_cellset(path) == D
 
     def test_origin_not_in_format(self):

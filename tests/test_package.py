@@ -16,11 +16,11 @@ import cmclab
 from cmclab import cli, cones, equivariant, grid, mincut
 from cmclab import (
     CellSet, GridGeometry, MinCutProblem, ProfileCurve, RadialFunction,
-    RegionMask, UsageError, approximation_sequence, cmc_graph_residual,
-    curve_from_samples, diagonal_wedge, indicial_exponents,
-    leaf_to_radial_graph, link_spectrum, make_cone, quadrant_grid,
-    shoot_leaf, split_perimeter, stencil_levels, threshold_experiment,
-    weighted_minimize,
+    RegionMask, UsageError, approximation_sequence, cell_weights,
+    cmc_graph_residual, curve_from_samples, diagonal_wedge,
+    indicial_exponents, leaf_to_radial_graph, link_spectrum, make_cone,
+    quadrant_grid, shoot_leaf, split_perimeter, stencil_levels,
+    threshold_experiment, weighted_minimize,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -36,7 +36,8 @@ def test_all_is_the_public_surface():
     # Removed, as nothing but their own tests reached them, or, for
     # has_interface_pinch, as nothing it was run on could make it fire.
     for name in ("classify_positive_jacobi", "jacobi_eval", "j_lambda",
-                 "evaluate", "has_interface_pinch", "quantum"):
+                 "evaluate", "has_interface_pinch", "quantum",
+                 "write_cellset"):
         assert name not in public
 
 
@@ -77,6 +78,17 @@ def test_numbers_are_checked_in_grid_alone():
         for check in ("_real", "_finite", "_positive", "_integer"):
             assert getattr(module, check, None) in (
                 None, getattr(grid, check)), (module.__name__, check)
+
+
+def test_no_module_reads_the_environment():
+    # Every setting is an argument or a flag: no knob can come back
+    # through an environment variable.
+    src = os.path.join(ROOT, "src", "cmclab")
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                text = fh.read()
+            assert not re.search(r"\b(environ|getenv)\b", text), name
 
 
 _GRID = GridGeometry((8, 8))
@@ -198,6 +210,12 @@ _REFUSALS = [
            "str None True nan inf complex 1e400"),
     *_rows("indicial_exponents-n", lambda v: indicial_exponents(v, 0.0),
            "cone dimension n", "True 3.0 1e400"),
+    *_rows("cell_weights-p", lambda v: cell_weights(_quadrant()[0], v, 1),
+           "sphere dimension",
+           "str None True nan inf complex 1e400 -1e5000 2.5 3.0"),
+    *_rows("diagonal_wedge-p",
+           lambda v: diagonal_wedge(_quadrant()[0], v, 1),
+           "sphere dimension p", "str None nan complex -1e5000"),
     *_rows("ProfileCurve-p", _curve, "sphere dimension",
            "3.7 3.0 str None True nan inf complex 1e400"),
     *_rows("curve_from_samples-p",
