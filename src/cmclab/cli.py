@@ -146,20 +146,23 @@ class _Chunks(list):
         return "".join(self).encode(encoding)
 
 
-def _leaf_csv(rows):
-    """The leaf CSV's header, then its rows formatted _BLOCK at a time."""
+def _leaf_csv(columns):
+    """The leaf CSV's header, then its rows formatted _BLOCK at a time from
+    columns, the four 1-D arrays s, x, y and |H|; only a block of rows is
+    ever stacked."""
     yield "s,x,y,curvature_residual\n"
-    for i in range(0, len(rows), _BLOCK):
-        block = rows[i:i + _BLOCK]
+    for i in range(0, len(columns[0]), _BLOCK):
+        block = np.column_stack([c[i:i + _BLOCK] for c in columns])
         yield (("%r,%r,%r,%r\n" * len(block))
                % tuple(block.ravel().tolist()))
 
 
 def run_leaf(args):
     leaf = shoot_leaf(args.p, args.q, args.s0, r_max=args.rmax)
-    rows = np.column_stack([leaf.s, leaf.x, leaf.y,
-                            np.abs(mean_curvature_values(leaf))])
-    atomic_write(args.csv, _Chunks(_leaf_csv(rows)))
+    resid = mean_curvature_values(leaf)
+    np.abs(resid, out=resid)
+    atomic_write(args.csv, _Chunks(_leaf_csv((leaf.s, leaf.x, leaf.y,
+                                              resid))))
     return 0
 
 
@@ -346,17 +349,17 @@ def _chain_segments(keys):
 
 def _path_points(line, flip):
     """The points of a (k, 2) polyline as "x y" strings joined by " L ",
-    with y flipped to flip - y."""
+    with y flipped to flip - y, in chunks of _BLOCK points."""
     pts = np.column_stack([line[:, 0], flip - line[:, 1]])
-    blocks = []
     for i in range(0, len(pts), _BLOCK):
         v = list(map(_dec9, pts[i:i + _BLOCK].ravel().tolist()))
-        blocks.append(" L ".join(map(" ".join, zip(v[::2], v[1::2]))))
-    return " L ".join(blocks)
+        yield " L " * (i > 0) + " L ".join(map(" ".join,
+                                               zip(v[::2], v[1::2])))
 
 
 def _svg_document(polylines, bbox, stroke_width):
-    """SVG of polylines, each a (k, 2) array, with y flipped in bbox."""
+    """SVG of polylines, each a (k, 2) array, with y flipped in bbox, as
+    _Chunks: the header, each path's text in blocks, the footer."""
     x0, y0, x1, y1 = map(float, bbox)
     stroke_width = float(stroke_width)
     flip = y0 + y1
@@ -365,10 +368,14 @@ def _svg_document(polylines, bbox, stroke_width):
                               x1 - x0 + 2 * pad, y1 - y0 + 2 * pad)))
     tail = (f'" fill="none" stroke="black" '
             f'stroke-width="{_dec9(stroke_width)}"/>')
-    body = "\n".join('  <path d="M ' + _path_points(line, flip) + tail
-                      for line in polylines)
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{vb}">\n'
-            f"{body}\n</svg>\n")
+    chunks = _Chunks(
+        [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{vb}">\n'])
+    for i, line in enumerate(polylines):
+        chunks.append("\n" * (i > 0) + '  <path d="M ')
+        chunks.extend(_path_points(line, flip))
+        chunks.append(tail)
+    chunks.append("\n</svg>\n")
+    return chunks
 
 
 def run_plot(args):

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import UsageError, _finite, _finite_array, _integer, _positive
+from .grid import (UsageError, _finite, _finite_array, _instance, _integer,
+                   _positive)
 
 # Most eigenvalues link_spectrum may list.  Time and memory grow linearly in
 # K: at the limit the enumeration takes about 0.6 s and 60 MB on one core of
@@ -91,6 +92,7 @@ def link_spectrum(cone, K):
     the product of the harmonic space dimensions.  K is at most
     _MAX_EIGENVALUES = 10^6; a larger K is refused before any enumeration.
     """
+    _instance(cone, CliffordCone, "cone")
     K = _integer(K, "eigenvalue count K", 1, _MAX_EIGENVALUES)
     p, q = cone.p, cone.q
     inv_a2 = Fraction(p + q, p)
@@ -225,8 +227,10 @@ def _radial_derivatives(f):
     """(r, g, g', g'') of f at its interior nodes, primes in r.
 
     Second-order central differences in t = log r give g_t and g_tt; then
-    g' = g_t / r and g'' = (g_tt - g_t) / r^2.  UsageError below 16 nodes.
+    g' = g_t / r and g'' = (g_tt - g_t) / r^2.  UsageError unless f is a
+    RadialFunction of at least 16 nodes.
     """
+    _instance(f, RadialFunction, "radial function f")
     if f.n_nodes < 16:
         raise UsageError(f"need at least 16 nodes, got {f.n_nodes}")
     g = f.values
@@ -246,5 +250,6 @@ def _jacobi_operator(cone, r, g, g1, g2):
 def lc_residual(cone, f):
     """Max interior node value of the cone-linearized operator applied to f,
     from second-order central differences on the log grid."""
+    _instance(cone, CliffordCone, "cone")
     Lg = _jacobi_operator(cone, *_radial_derivatives(f))
     return float(np.max(np.abs(Lg)))

@@ -31,7 +31,8 @@ from .cones import (RadialFunction, _jacobi_operator, _radial_derivatives,
                     stability)
 from .grid import (_MAX_CELLS, CellSet, GridGeometry, NumericalError,
                    RegionMask, UsageError, _finite, _finite_array,
-                   _integer, _positive, _real, _sequence, boundary_faces)
+                   _instance, _integer, _positive, _real, _sequence,
+                   boundary_faces)
 from .mincut import MinCutProblem, solve
 
 # Fraction of min(a, b) allowed for |u|/r + |u'| before a graph over the cone
@@ -124,6 +125,7 @@ def mean_curvature_values(curve):
     Planar curvature is the tangent turning rate measured between flanking
     nodes; the weight term projects (p/x, q/y) on the left normal.
     """
+    _instance(curve, ProfileCurve, "curve")
     tx, ty = curve.tx, curve.ty
     cross = tx[:-2] * ty[2:] - ty[:-2] * tx[2:]
     dot = tx[:-2] * tx[2:] + ty[:-2] * ty[2:]
@@ -489,10 +491,12 @@ def _base_problem(p, q, grid, lam, boundary, r):
     boundary data has one label only, no cell is within r/4 of another.
     """
     p, q = _sphere_dimensions(p, q, 0)
+    _instance(grid, GridGeometry, "grid")
     if grid.d != 2:
         raise UsageError("the reduction lives on 2-D grids")
     if max(abs(o - grid.h / 2) for o in grid.origin) > 1e-12 * grid.h:
         raise UsageError("quadrant grid must exclude the axes by half a cell")
+    _instance(boundary, CellSet, "boundary data")
     if not boundary.grid.compatible(grid):
         raise UsageError("boundary data lives on a different grid")
     r = _positive(r, "obstacle radius")
@@ -665,7 +669,7 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
         minimum interface distance to the origin, and the free-cell count
         of each step's solve.
     """
-    grid = boundary.grid
+    grid = _instance(boundary, CellSet, "boundary data").grid
     t_arr = [_finite(t, f"t_list[{i}]")
              for i, t in enumerate(_sequence(t_list, "t_list"))]
     if not t_arr:

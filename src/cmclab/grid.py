@@ -158,10 +158,21 @@ def _finite_array(value, name):
     return arr
 
 
-# Most cells a grid may have: 16 MB of bits, 134 MB per float64 per-cell
-# array, and a solve holds several of those plus its arcs.  The check runs
-# before any per-cell array exists, so an extent read from a flag or a
-# cell-set header cannot ask for terabytes.
+def _instance(value, cls, name):
+    """value; UsageError, naming it, unless it is an instance of cls."""
+    if not isinstance(value, cls):
+        raise UsageError(f"{name} must be a {cls.__name__}, got "
+                         f"{type(value).__name__}")
+    return value
+
+
+# Most cells a grid may have.  At 2^24 cells a bit array takes 16.8 MB and
+# a float64 or int64 per-cell array 134 MB.  The arc table holds one int64
+# capacity per arc, 8 bytes per stencil offset and cell: 32 bytes per cell
+# (537 MB) on the 2-D cc stencil's 4 offsets, 104 (1.7 GB) on the 3-D
+# one's 13.  A solve holds several per-cell arrays beside it.  The check
+# runs before any per-cell array exists, so an extent read from a flag or
+# a cell-set header cannot ask for terabytes.
 _MAX_CELLS = 2**24
 
 
@@ -365,6 +376,8 @@ def perimeter(D, R):
     and whose two incident cell centers both lie in R.  Hull faces never
     contribute.
     """
+    _instance(D, CellSet, "cell set D")
+    _instance(R, RegionMask, "region R")
     _require_shared_grid(D, R)
     return _value_from_counts(D.grid, _level_counts(D, R.bits))
 

@@ -8,13 +8,17 @@ cut arc costs at least one quantum, volume coefficients round to nearest.
 All exactness statements (solver vs. brute force, lattice identities) are
 about the quantized energy.
 
-The arcs and their capacities depend only on the grid and the cell weights,
-so a problem builds them once and shares them with every problem derived
-from it by MinCutProblem.relabeled: one arc build per run of solves that
-differ only in fixed labels or lambda.  Each solve prices its own volume
-gains and folds into unary terms only the arcs that touch a free cell, so
-its set-up work scales with the free cells; the energy re-check of the
-minimizers stays on the full coefficients.
+The arc capacities depend only on the grid and the cell weights, so a
+problem builds them once, as one int64 array in arc order, and shares them
+with every problem derived from it by MinCutProblem.relabeled: one arc
+build per run of solves that differ only in fixed labels or lambda.  No
+end-cell index is stored: the arcs of one stencil offset join the cells of
+its two offset slices elementwise (_arc_slices), and every reader of the
+arcs (the fold, the energy re-check) takes their ends through those
+slices.  Each solve prices its own volume gains and folds into unary terms
+only the arcs that touch a free cell, so its set-up work scales with the
+free cells; the energy re-check of the minimizers stays on the full
+coefficients.
 
 The free cells are numbered as flow nodes in raster order, backwards along
 the one axis on which the fixed-out cells lie farthest past the fixed-in
@@ -67,7 +71,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .grid import (CellSet, GridGeometry, NumericalError, RegionMask,
-                   UsageError, _finite, _finite_array, _integer,
+                   UsageError, _finite, _finite_array, _instance, _integer,
                    _offset_slices, _real, _sequence, boundary_faces, perimeter)
 
 QUANT_BITS = 20
@@ -169,27 +173,21 @@ def _across(grid, op, a):
 
 
 def _arc_table(grid, cell_weight):
-    """The stencil arcs of grid under cell_weight (None for unit weights):
-    end cells ai, bi as flat indices, int64 capacities, and the float total
-    of the capacities.
+    """The int64 capacities of the stencil arcs of grid under cell_weight
+    (None for unit weights), in arc order, and their float total.  An
+    arc's end cells are not stored: they are its offset's slices.
 
     Each arc costs ceil(weight * 2^20 * mean incident cell weight) quanta,
     so no cut arc is ever free.  The capacities are None when their total
     is not below 2^62, so no cast wraps; _coefficients refuses them.
     """
     cw = np.ones(grid.dims) if cell_weight is None else cell_weight
-    flat = np.arange(grid.ncells).reshape(grid.dims)
-    ai, bi, caps = [], [], []
     with np.errstate(over="ignore"):
-        for w, (sa, sb) in _arc_slices(grid):
-            ai.append(flat[sa].ravel())
-            bi.append(flat[sb].ravel())
-            mw = 0.5 * (cw[sa] + cw[sb])
-            caps.append(np.ceil(w * 2**QUANT_BITS * mw).ravel())
-        caps = np.concatenate(caps)
+        caps = np.concatenate([
+            np.ceil(w * 2**QUANT_BITS * (0.5 * (cw[sa] + cw[sb]))).ravel()
+            for w, (sa, sb) in _arc_slices(grid)])
         total = caps.sum()
-    return (np.concatenate(ai), np.concatenate(bi),
-            caps.astype(np.int64) if total < 2.0**62 else None, total)
+    return caps.astype(np.int64) if total < 2.0**62 else None, total
 
 
 def _gains(lam, grid, cell_weight):
@@ -200,14 +198,15 @@ def _gains(lam, grid, cell_weight):
 
 
 def _coefficients(problem):
-    """The problem's arcs (ai, bi, caps) and its int64 volume gain per cell.
+    """The problem's int64 arc capacities and its int64 volume gain per
+    cell.
 
     CapacityOverflowError unless the capacities and the gain magnitudes,
     summed in floats, stay below 2^62 quanta, so every energy sum fits
     int64.
     """
     grid = problem.grid
-    ai, bi, caps, caps_total = problem._arcs
+    caps, caps_total = problem._arcs
     gains = _gains(problem.lam, grid, np.ones(grid.dims)
                    if problem.cell_weight is None else problem.cell_weight)
     with np.errstate(over="ignore"):
@@ -216,12 +215,12 @@ def _coefficients(problem):
         raise CapacityOverflowError(
             f"energy coefficients total {total:.3g} quanta, over the int64 "
             f"budget of 2^62; shrink the grid or rescale lambda")
-    return ai, bi, caps, gains.astype(np.int64).ravel()
+    return caps, gains.astype(np.int64).ravel()
 
 
 def _quanta(coeffs, D):
     """Quantized energy of D under coefficients built by _coefficients."""
-    _ai, _bi, caps, gains = coeffs
+    caps, gains = coeffs
     cut = _across(D.grid, np.not_equal, D.bits)
     return int(caps[cut].sum()) - int(gains[D.bits.ravel()].sum())
 
@@ -293,12 +292,13 @@ def _linearized(problem):
     half-plane sweep ran max-flow 2.5 to 3 times slower, at disk radii 64
     to 128 cells, with its fixed-out cells numbered last than first.
 
-    Only the arcs that touch a free cell are folded.  Of the others, those
-    joining a fixed-in to a fixed-out cell are found by one boolean pass
-    and go into the constant.
+    Only the arcs that touch a free cell are folded, their end nodes taken
+    from the node array through each offset's (tail, head) slices.  Of the
+    others, those joining a fixed-in to a fixed-out cell go into the
+    constant.
     """
     coeffs = _coefficients(problem)
-    ai, bi, caps, gains = coeffs
+    caps, gains = coeffs
     dims = problem.grid.dims
     fixed_in = problem.fixed_in.bits.ravel()
     free = ~(fixed_in | problem.fixed_out.bits.ravel())
@@ -312,10 +312,18 @@ def _linearized(problem):
     # Cell codes: 1 fixed in, 0 fixed out, 2 free.
     code = (fixed_in.view(np.uint8)
             | (free.view(np.uint8) << 1)).reshape(dims)
-    touch = np.flatnonzero(_across(problem.grid,
-                                   lambda a, b: (a | b) & 2, code))
-    cross = _across(problem.grid, np.bitwise_xor, code) == 1
-    na, nb, c = node[ai[touch]], node[bi[touch]], caps[touch]
+    cells = node.reshape(dims)
+    na, nb, c = [], [], []
+    start = cross = 0
+    for _w, (sa, sb) in _arc_slices(problem.grid):
+        touch = ((code[sa] | code[sb]) & 2).astype(bool)
+        arc_caps = caps[start:start + touch.size]
+        start += touch.size
+        na.append(cells[sa][touch])
+        nb.append(cells[sb][touch])
+        c.append(arc_caps[touch.ravel()])
+        cross += int(arc_caps[(code[sa] ^ code[sb]).ravel() == 1].sum())
+    na, nb, c = np.concatenate(na), np.concatenate(nb), np.concatenate(c)
 
     theta = np.zeros((2, m), dtype=np.int64)
     theta[1] = -view(gains)[view(free)]
@@ -327,8 +335,7 @@ def _linearized(problem):
     both = (na < m) & (nb < m)
     shift = theta.min(axis=0)
     theta -= shift
-    const = (int(caps[cross].sum()) - int(gains[fixed_in].sum())
-             + int(shift.sum()))
+    const = cross - int(gains[fixed_in].sum()) + int(shift.sum())
     return _Linearized(theta, na[both], nb[both], c[both], const, node,
                        coeffs)
 
@@ -541,11 +548,14 @@ def _flow_solve(problem, lin):
     graph = csr_matrix((vals, (rows, cols)), shape=(m + 2, m + 2),
                        dtype=np.int64)
     del rows, cols, vals    # the graph holds its own copies
+    arcs = int(graph.nnz)
 
-    residual, flow_value = (_band_residual(graph, lin.band)
-                            if lin.band is not None and lin.band.any()
-                            else (graph, 0))
-    value, residual = _max_flow(residual, s, t)
+    flow_value = 0
+    if lin.band is not None and lin.band.any():
+        # The full graph is dropped once its band residual stands.
+        graph, flow_value = _band_residual(graph, lin.band)
+    value, residual = _max_flow(graph, s, t)
+    del graph
     flow_value += value
 
     order = breadth_first_order(residual, s, directed=True,
@@ -558,7 +568,7 @@ def _flow_solve(problem, lin):
     x_max[order_t[order_t < m]] = False
 
     stats = {"backend": "scipy.maximum_flow", "flow_value": flow_value,
-             "nodes": m + 2, "arcs": int(graph.nnz)}
+             "nodes": m + 2, "arcs": arcs}
     return _minimizer(problem, lin, lin.const + flow_value,
                       x_min, x_max, stats)
 
@@ -589,8 +599,11 @@ def solve(problem, band=None):
     comparisons with the unmerged solve and brute_force in the tests
     catch it.
     """
-    if band is not None and not band.grid.compatible(problem.grid):
-        raise UsageError("band lives on a different grid")
+    _instance(problem, MinCutProblem, "problem")
+    if band is not None:
+        _instance(band, RegionMask, "band")
+        if not band.grid.compatible(problem.grid):
+            raise UsageError("band lives on a different grid")
     lin = _linearized(problem)
     merged = _mirror_merged(problem, lin)
     if merged is not None:

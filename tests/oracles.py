@@ -8,7 +8,9 @@ without the band restriction, over the whole obstacle ball, and the lambdas
 of a threshold sweep one at a time, each on the whole free disk.  A
 mirror-symmetric problem is solved with one flow node per free cell, no
 cell merged with its mirror image, and the weighted base problem with
-max-flow in one stage, from no band.  The leaf
+max-flow in one stage, from no band.  The fold of fixed labels gathers
+each arc's end cells through arrays of flat cell indices, in place of the
+package's offset slices.  The leaf
 CSV and the SVG are written one f-string per row and per point, with
 repr(round(v, 9)) for every SVG number.  Leaves are integrated by scipy's
 own solve_ivp (RK45 with dense output), whose event location is scipy's
@@ -30,6 +32,7 @@ from cmclab import (CellSet, MinCutProblem, RegionMask, cell_weights,
                     stencil_levels, threshold_experiment, weighted_minimize)
 from cmclab import mincut
 from cmclab.equivariant import _annulus_profile
+from cmclab.grid import _offset_slices
 
 
 def perimeter_recount(D, R):
@@ -137,6 +140,49 @@ def unmerged_solve(problem):
     """solve's result from max-flow on the unmerged graph, one node per
     free cell, whatever reflection leaves the problem unchanged."""
     return mincut._flow_solve(problem, mincut._linearized(problem))
+
+
+def gathered_fold(problem):
+    """_linearized's fold of problem, with each arc's end cells gathered
+    through flat cell indices ai, bi, built per offset in arc order: its
+    theta, ei, ej, ew, const and node by name.  The free cells are
+    numbered as _linearized numbers them."""
+    grid = problem.grid
+    caps, gains = mincut._coefficients(problem)
+    flat = np.arange(grid.ncells).reshape(grid.dims)
+    ai, bi = [], []
+    for _w, offsets in stencil_levels(grid.d, grid.stencil):
+        for off in offsets:
+            sa, sb = _offset_slices(grid.dims, off)
+            ai.append(flat[sa].ravel())
+            bi.append(flat[sb].ravel())
+    ai, bi = np.concatenate(ai), np.concatenate(bi)
+
+    fixed_in = problem.fixed_in.bits.ravel()
+    fixed_out = problem.fixed_out.bits.ravel()
+    free = ~(fixed_in | fixed_out)
+    m = int(np.count_nonzero(free))
+    node = np.where(fixed_in, m, m + 1)
+    k = mincut._reversed_axis(problem.fixed_in.bits, problem.fixed_out.bits)
+    order = flat if k is None else np.flip(flat, k)
+    node[order.ravel()[free[order.ravel()]]] = np.arange(m)
+
+    touch = free[ai] | free[bi]
+    cross = (fixed_in[ai] & fixed_out[bi]) | (fixed_out[ai] & fixed_in[bi])
+    na, nb, c = node[ai[touch]], node[bi[touch]], caps[touch]
+    theta = np.zeros((2, m), dtype=np.int64)
+    theta[1, node[free]] = -gains[free]
+    sel = nb >= m
+    np.add.at(theta, (nb[sel] - m, na[sel]), c[sel])
+    sel = na >= m
+    np.add.at(theta, (na[sel] - m, nb[sel]), c[sel])
+    both = (na < m) & (nb < m)
+    shift = theta.min(axis=0)
+    theta -= shift
+    const = (int(caps[cross].sum()) - int(gains[fixed_in].sum())
+             + int(shift.sum()))
+    return {"theta": theta, "ei": na[both], "ej": nb[both], "ew": c[both],
+            "const": const, "node": node}
 
 
 def cold_solve(p, q, grid, lam, boundary, r):

@@ -1,5 +1,7 @@
-"""Shared builders for randomized solver instances, and spies on max-flow
-and on the arc build."""
+"""Shared builders for randomized solver instances, spies on max-flow
+and on the arc build, and a traced memory peak."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -55,6 +57,17 @@ def count_arc_builds(monkeypatch):
 
     monkeypatch.setattr(cmclab.mincut, "_arc_table", counted)
     return calls
+
+
+def traced_peak(fn):
+    """The peak of the memory Python allocates while fn() runs, in MB
+    (10^6 bytes), as tracemalloc counts it from the call on."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def random_small_problem(rng, d=None, max_free=16):

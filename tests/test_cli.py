@@ -328,7 +328,7 @@ class TestAtomicWrite:
 
     def test_leaf_chunks_encode_as_their_text(self):
         rows = np.arange(4 * (_BLOCK + 1), dtype=float).reshape(-1, 4) / 7
-        chunks = cli._Chunks(cli._leaf_csv(rows))
+        chunks = cli._Chunks(cli._leaf_csv(rows.T))
         assert len(chunks) == 3
         assert chunks.encode("utf-8") == "".join(chunks).encode("utf-8")
 

@@ -13,9 +13,9 @@ from cmclab import (
     threshold_experiment, result_to_json,
 )
 from cmclab.equivariant import _base_problem, diagonal_wedge, quadrant_grid
-from oracles import independent_thresholds, unmerged_solve
+from oracles import gathered_fold, independent_thresholds, unmerged_solve
 from support import (INT32_MAX, count_arc_builds, count_flows,
-                     forbid_wrapping, random_small_problem)
+                     forbid_wrapping, random_small_problem, traced_peak)
 
 
 def half_plane_disk_problem(resolution, r, lam, h=1.0, stencil="cc"):
@@ -238,7 +238,7 @@ class TestSolve:
                                      fixed_in=base.fixed_in,
                                      fixed_out=base.fixed_out,
                                      cell_weight=base.cell_weight)
-                gains = cmclab.mincut._coefficients(prob)[3]
+                gains = cmclab.mincut._coefficients(prob)[1]
                 if prev is None:
                     got = solve(prob)
                 else:
@@ -730,6 +730,60 @@ class TestNodeOrder:
         assert got.unique == want.unique
         assert got.flow_stats == want.flow_stats
         assert got.flow_stats["nodes"] < np.count_nonzero(prob.free.bits)
+
+
+class TestFold:
+    """The fold takes each arc's end cells from its offset's slices; the
+    arc table holds the capacities alone."""
+
+    @staticmethod
+    def assert_gathered_fold(prob):
+        lin = cmclab.mincut._linearized(prob)
+        want = gathered_fold(prob)
+        for name in ("theta", "ei", "ej", "ew", "node"):
+            got = getattr(lin, name)
+            assert got.dtype == want[name].dtype, name
+            assert np.array_equal(got, want[name]), name
+        assert lin.const == want["const"]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_the_gathered_fold(self, rng, d):
+        stencils = set()
+        for _ in range(24):
+            prob = random_small_problem(rng, d=d)
+            stencils.add(prob.grid.stencil)
+            self.assert_gathered_fold(prob)
+        assert stencils == {"face", "cc"}
+
+    def test_matches_the_gathered_fold_on_the_quadrant_base_problem(self):
+        g = quadrant_grid(64)
+        prob, _band = _base_problem(3, 3, g, 0.0, diagonal_wedge(g, 3, 3),
+                                    0.5)
+        self.assert_gathered_fold(prob)
+
+    @pytest.mark.parametrize("d,stencil", [(2, "face"), (2, "cc"),
+                                           (3, "face"), (3, "cc")])
+    def test_arc_table_holds_only_the_capacities(self, rng, d, stencil):
+        dims = (5, 4, 3)[:d]
+        grid = GridGeometry(dims, stencil=stencil)
+        none = RegionMask(grid, np.zeros(dims, dtype=bool))
+        prob = MinCutProblem(grid, 0.5, none, none,
+                             cell_weight=rng.uniform(0.5, 2.0, size=dims))
+        arcs = sum(int(np.prod([n - abs(o) for n, o in zip(dims, off)]))
+                   for _w, offsets in grid.levels() for off in offsets)
+        arrays = [a for a in prob._arcs if isinstance(a, np.ndarray)]
+        assert len(arrays) == 1
+        assert arrays[0].dtype == np.int64
+        assert arrays[0].nbytes == 8 * arcs
+
+    def test_base_solve_memory_peak(self):
+        # The n=256 weighted base solve with its band, arc build included:
+        # 15.56 MB while the arc table also held flat end-cell indices and
+        # the full flow graph outlived its band residual, 10.12 MB since.
+        g = quadrant_grid(256)
+        prob, band = _base_problem(3, 3, g, 0.0, diagonal_wedge(g, 3, 3),
+                                   0.5)
+        assert traced_peak(lambda: solve(prob, band)) < 11.0
 
 
 @pytest.mark.usefixtures("no_wrap")

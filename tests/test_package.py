@@ -18,9 +18,10 @@ from cmclab import (
     CellSet, GridGeometry, MinCutProblem, ProfileCurve, RadialFunction,
     RegionMask, UsageError, approximation_sequence, cell_weights,
     cmc_graph_residual, curve_from_samples, diagonal_wedge,
-    indicial_exponents, leaf_to_radial_graph, link_spectrum, make_cone,
-    quadrant_grid, shoot_leaf, split_perimeter, stencil_levels,
-    threshold_experiment, weighted_minimize,
+    indicial_exponents, lc_residual, leaf_to_radial_graph, link_spectrum,
+    make_cone, mean_curvature_values, perimeter, quadrant_grid, shoot_leaf,
+    solve, split_perimeter, stencil_levels, threshold_experiment,
+    weighted_minimize,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -75,7 +76,8 @@ def test_numbers_are_checked_in_grid_alone():
     assert not hasattr(mincut, "_finite_lambda")
     assert not hasattr(cli, "_count")
     for module in (mincut, cones, equivariant, cli):
-        for check in ("_real", "_finite", "_positive", "_integer"):
+        for check in ("_real", "_finite", "_positive", "_integer",
+                      "_instance"):
             assert getattr(module, check, None) in (
                 None, getattr(grid, check)), (module.__name__, check)
 
@@ -242,6 +244,34 @@ _REFUSALS = [
            lambda v: approximation_sequence(3, 3, 0.0, _quadrant()[1],
                                             [0.1], 0.5, (0.1, v)),
            r"annulus\[1\]", "True"),
+    # An argument of the wrong object type; each row once raised a bare
+    # AttributeError.
+    ("approximation_sequence-boundary",
+     lambda: approximation_sequence(3, 3, 0.0, "x", [0.1], 0.5),
+     "boundary data must be a CellSet, got str"),
+    ("solve-problem", lambda: solve("x"), "problem must be a MinCutProblem"),
+    ("solve-band",
+     lambda: solve(MinCutProblem(_GRID, 0.0, _NONE, _NONE), band="x"),
+     "band must be a RegionMask"),
+    ("weighted_minimize-grid",
+     lambda: weighted_minimize(3, 3, "g", 0.0, "b", 0.5),
+     "grid must be a GridGeometry"),
+    ("weighted_minimize-boundary",
+     lambda: weighted_minimize(3, 3, _quadrant()[0], 0.0, "b", 0.5),
+     "boundary data must be a CellSet"),
+    ("lc_residual-f", lambda: lc_residual(_CONE, "x"),
+     "radial function f must be a RadialFunction"),
+    ("lc_residual-cone",
+     lambda: lc_residual("x", RadialFunction.from_callable(_flat, 1.0, 8.0,
+                                                           64)),
+     "cone must be a CliffordCone"),
+    ("link_spectrum-cone", lambda: link_spectrum("x", 3),
+     "cone must be a CliffordCone"),
+    ("perimeter-D", lambda: perimeter("a", "b"), "cell set D must be a CellSet"),
+    ("perimeter-R", lambda: perimeter(CellSet.full(_GRID), "b"),
+     "region R must be a RegionMask"),
+    ("mean_curvature_values", lambda: mean_curvature_values("x"),
+     "curve must be a ProfileCurve"),
 ]
 
 
