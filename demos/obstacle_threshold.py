@@ -2,9 +2,10 @@
 
 A disk of radius r is free; everything below its equator is forced into the
 set and everything above is forced out.  As the volume reward lambda grows,
-the minimizer snaps from the flat chord to the filled upper half-disk.  For
-a disk the crossover sits at lambda = 2 (d - 1) / r, and the experiment
-brackets it from both sides.
+the minimizer snaps from the flat chord to the filled upper half-disk.  The
+sweep steps lambda in multiples of 2/r.  No closed form is claimed for the
+crossover: on the cc stencil the filling lambda * r was measured at 1.48,
+1.57, 3.55 and 3.55 for r = 8, 16, 32 and 64.
 """
 
 import numpy as np
@@ -13,15 +14,15 @@ from cmclab import threshold_experiment
 
 R = 16.0
 RESOLUTION = 48
-THRESHOLD = 2.0 * (2 - 1) / R
+UNIT = 2.0 / R
 
-lams = [0.0, 0.25 * THRESHOLD, 0.5 * THRESHOLD, 0.9 * THRESHOLD,
-        THRESHOLD, 1.5 * THRESHOLD, 2.0 * THRESHOLD]
+lams = [0.0, 0.25 * UNIT, 0.5 * UNIT, 0.9 * UNIT, UNIT, 1.5 * UNIT,
+        2.0 * UNIT]
 
 rows = threshold_experiment(R, RESOLUTION, lams)
 
 print(f"disk radius {R:g} cells, grid {RESOLUTION} x {RESOLUTION}, "
-      f"expected crossover lambda = {THRESHOLD:g}\n")
+      f"lambda in multiples of 2/r = {UNIT:g}\n")
 print(f"{'lambda':>10}  {'filled':>6}  {'contact excess':>14}")
 for row in rows:
     print(f"{row.lam:10.5f}  {str(row.filled):>6}  {row.contact_excess:14.4f}")

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .grid import (UsageError, NumericalError, _finite, _integer,
+from .grid import (UsageError, NumericalError, _BLOCK, _finite, _integer,
                    boundary_faces, cellset_to_text, read_cellset)
 from .mincut import threshold_experiment, result_to_json
 from .cones import make_cone, link_spectrum
@@ -29,9 +29,6 @@ from .equivariant import (shoot_leaf, mean_curvature_values, quadrant_grid,
                           approximation_sequence)
 
 SCHEMA_VERSION = 1
-# Rows of a CSV or points of an SVG path formatted at once: one format or
-# map per block, so no per-value list spans a whole 98,851-row leaf.
-_BLOCK = 4096
 
 
 def atomic_write(path, text):
@@ -136,11 +133,19 @@ def run_equivariant(args):
 
 # ------------------------------------------------------------------- leaf
 
-class _Chunks(list):
-    """Text kept as its list of str chunks, never joined: atomic_write
-    writes them in turn.  encode() is str.encode of the joined text, so a
-    caller that measures atomic_write's text by its bytes, as clibench's
-    tracer does, still can."""
+class _Chunks:
+    """Text made as str chunks by blocks(*args), called anew on each
+    iteration: atomic_write writes each chunk as it is made, so the whole
+    text is never held.  encode() renders the text again and returns
+    str.encode of the joined text; only clibench's tracer calls it, to
+    count the bytes atomic_write wrote."""
+
+    def __init__(self, blocks, *args):
+        self._blocks = blocks
+        self._args = args
+
+    def __iter__(self):
+        return iter(self._blocks(*self._args))
 
     def encode(self, encoding="utf-8"):
         return "".join(self).encode(encoding)
@@ -161,8 +166,8 @@ def run_leaf(args):
     leaf = shoot_leaf(args.p, args.q, args.s0, r_max=args.rmax)
     resid = mean_curvature_values(leaf)
     np.abs(resid, out=resid)
-    atomic_write(args.csv, _Chunks(_leaf_csv((leaf.s, leaf.x, leaf.y,
-                                              resid))))
+    atomic_write(args.csv,
+                 _Chunks(_leaf_csv, (leaf.s, leaf.x, leaf.y, resid)))
     return 0
 
 
@@ -350,32 +355,29 @@ def _chain_segments(keys):
 def _path_points(line, flip):
     """The points of a (k, 2) polyline as "x y" strings joined by " L ",
     with y flipped to flip - y, in chunks of _BLOCK points."""
-    pts = np.column_stack([line[:, 0], flip - line[:, 1]])
-    for i in range(0, len(pts), _BLOCK):
-        v = list(map(_dec9, pts[i:i + _BLOCK].ravel().tolist()))
-        yield " L " * (i > 0) + " L ".join(map(" ".join,
-                                               zip(v[::2], v[1::2])))
+    for i in range(0, len(line), _BLOCK):
+        block = line[i:i + _BLOCK]
+        xs = map(_dec9, block[:, 0].tolist())
+        ys = map(_dec9, (flip - block[:, 1]).tolist())
+        yield " L " * (i > 0) + " L ".join(map(" ".join, zip(xs, ys)))
 
 
 def _svg_document(polylines, bbox, stroke_width):
     """SVG of polylines, each a (k, 2) array, with y flipped in bbox, as
-    _Chunks: the header, each path's text in blocks, the footer."""
+    str chunks: the header, each path's text in blocks, the footer."""
     x0, y0, x1, y1 = map(float, bbox)
     stroke_width = float(stroke_width)
     flip = y0 + y1
     pad = 0.05 * max(x1 - x0, y1 - y0, stroke_width)
     vb = " ".join(map(_dec9, (x0 - pad, y0 - pad,
                               x1 - x0 + 2 * pad, y1 - y0 + 2 * pad)))
-    tail = (f'" fill="none" stroke="black" '
-            f'stroke-width="{_dec9(stroke_width)}"/>')
-    chunks = _Chunks(
-        [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{vb}">\n'])
+    yield f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{vb}">\n'
     for i, line in enumerate(polylines):
-        chunks.append("\n" * (i > 0) + '  <path d="M ')
-        chunks.extend(_path_points(line, flip))
-        chunks.append(tail)
-    chunks.append("\n</svg>\n")
-    return chunks
+        yield "\n" * (i > 0) + '  <path d="M '
+        yield from _path_points(line, flip)
+        yield (f'" fill="none" stroke="black" '
+               f'stroke-width="{_dec9(stroke_width)}"/>')
+    yield "\n</svg>\n"
 
 
 def run_plot(args):
@@ -391,7 +393,7 @@ def run_plot(args):
         pts = np.round(ends.reshape(-1, 2), 9)
         lines = [pts[c] for c in _chain_segments(keys)]
         bbox = (*ends.min(axis=(0, 1)), *ends.max(axis=(0, 1)))
-        text = _svg_document(lines, bbox, 0.25 * D.grid.h)
+        width = 0.25 * D.grid.h
     elif head.strip().startswith("s,x,y"):
         try:
             with warnings.catch_warnings():
@@ -405,19 +407,21 @@ def run_plot(args):
         if data.shape[1] < 3:
             raise UsageError("curve CSV must have columns s,x,y,...")
         xy = data[:, 1:3]
-        if not (np.abs(xy) < _PLOT_LIMIT).all():
+        # A column holding a nan has a nan min and max, which fail here.
+        lo, hi = xy.min(axis=0), xy.max(axis=0)
+        if not ((lo > -_PLOT_LIMIT).all() and (hi < _PLOT_LIMIT).all()):
             raise UsageError(f"curve x and y must be finite and below "
                              f"{_PLOT_LIMIT:g} in magnitude")
-        (x0, y0), (x1, y1) = xy.min(axis=0), xy.max(axis=0)
+        (x0, y0), (x1, y1) = lo, hi
         span = max(x1 - x0, y1 - y0)
         if not span >= _PLOT_MIN_EXTENT:
             raise UsageError(f"curve extent {span:g} is below "
                              f"{_PLOT_MIN_EXTENT:g}, which the SVG cannot "
                              f"resolve")
-        text = _svg_document([xy], (x0, y0, x1, y1), 0.004 * span)
+        lines, bbox, width = [xy], (x0, y0, x1, y1), 0.004 * span
     else:
         raise UsageError("input is neither a cell-set file nor a curve CSV")
-    atomic_write(args.output, text)
+    atomic_write(args.output, _Chunks(_svg_document, lines, bbox, width))
     return 0
 
 

@@ -30,9 +30,9 @@ from .cones import (RadialFunction, _jacobi_operator, _radial_derivatives,
                     _radii, _sphere_dimensions, gamma_pm, make_cone,
                     stability)
 from .grid import (_MAX_CELLS, CellSet, GridGeometry, NumericalError,
-                   RegionMask, UsageError, _finite, _finite_array,
-                   _instance, _integer, _positive, _real, _sequence,
-                   boundary_faces)
+                   RegionMask, UsageError, _BLOCK, _finite, _finite_array,
+                   _frozen_array, _hausdorff, _instance, _integer, _positive,
+                   _real, _sequence, boundary_faces)
 from .mincut import MinCutProblem, solve
 
 # Fraction of min(a, b) allowed for |u|/r + |u'| before a graph over the cone
@@ -49,9 +49,6 @@ _MAX_LEAF_SAMPLES = 10**7
 _LEAF_S0_RANGE = (1e-100, 1e100)
 # Arclength spacing of shoot_leaf's samples, in units of s0.
 _LEAF_DS = 5e-4
-# Point pairs _farthest_nearest sums in one block: a few arrays of 512 KB
-# each at most.
-_HAUSDORFF_PAIRS = 2**16
 
 
 class IntegrationFailure(NumericalError):
@@ -65,6 +62,8 @@ class ProfileCurve:
     s is strictly increasing arclength, (x, y) the samples, (tx, ty) unit
     tangents.  Consecutive arclength gaps may not jump by more than a factor
     of 2, so stencils stay locally uniform.  Simplicity is not checked.
+    The arrays are held read-only: a read-only float64 array that owns its
+    data is taken as it is, and any other array copied.
     """
 
     p: int
@@ -77,27 +76,31 @@ class ProfileCurve:
 
     def __post_init__(self):
         p, q = _sphere_dimensions(self.p, self.q, 0)
-        arrs = {name: _finite_array(getattr(self, name), f"curve array {name}")
-                for name in ("s", "x", "y", "tx", "ty")}
-        if arrs["s"].ndim != 1 or len({a.shape for a in arrs.values()}) > 1:
+        names = ("s", "x", "y", "tx", "ty")
+        s, x, y, tx, ty = arrs = [
+            _frozen_array(getattr(self, name), f"curve array {name}")
+            for name in names]
+        if s.ndim != 1 or len({a.shape for a in arrs}) > 1:
             raise UsageError("curve arrays must share one length")
-        if len(arrs["s"]) < 3:
+        if len(s) < 3:
             raise UsageError("a profile curve needs at least 3 samples")
-        gaps = np.diff(arrs["s"])
+        gaps = np.diff(s)
         if np.any(gaps <= 0):
             raise UsageError("arclength must be strictly increasing")
         ratio = gaps[1:] / gaps[:-1]
+        del gaps    # each temporary is dropped before the next is made
         if np.any(ratio > 2.0) or np.any(ratio < 0.5):
             raise UsageError("consecutive arclength gaps jump by more than 2x")
-        tnorm = np.hypot(arrs["tx"], arrs["ty"])
-        if np.max(np.abs(tnorm - 1.0)) > 1e-8:
+        del ratio
+        tnorm = np.hypot(tx, ty)
+        tnorm -= 1.0
+        if np.max(np.abs(tnorm, out=tnorm)) > 1e-8:
             raise UsageError("tangents must be unit vectors")
-        if np.any(arrs["x"][1:-1] <= 0) or np.any(arrs["y"][1:-1] <= 0):
+        if np.any(x[1:-1] <= 0) or np.any(y[1:-1] <= 0):
             raise UsageError("interior samples must stay in the open quadrant")
-        if np.any(arrs["x"] < 0) or np.any(arrs["y"] < 0):
+        if np.any(x < 0) or np.any(y < 0):
             raise UsageError("samples may not leave the closed quadrant")
-        for name, a in arrs.items():
-            a.setflags(write=False)
+        for name, a in zip(names, arrs):
             object.__setattr__(self, name, a)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -123,18 +126,21 @@ def mean_curvature_values(curve):
     """Equivariant scalar mean curvature at every node; endpoints are nan.
 
     Planar curvature is the tangent turning rate measured between flanking
-    nodes; the weight term projects (p/x, q/y) on the left normal.
+    nodes; the weight term projects (p/x, q/y) on the left normal.  The
+    nodes are worked on _BLOCK at a time.
     """
     _instance(curve, ProfileCurve, "curve")
-    tx, ty = curve.tx, curve.ty
-    cross = tx[:-2] * ty[2:] - ty[:-2] * tx[2:]
-    dot = tx[:-2] * tx[2:] + ty[:-2] * ty[2:]
-    kappa = np.arctan2(cross, dot) / (curve.s[2:] - curve.s[:-2])
-    nux, nuy = -ty[1:-1], tx[1:-1]
     H = np.full(curve.n_nodes, np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        H[1:-1] = (kappa - curve.p / curve.x[1:-1] * nux
-                   - curve.q / curve.y[1:-1] * nuy)
+    for i in range(0, curve.n_nodes - 2, _BLOCK):
+        w = slice(i, i + _BLOCK + 2)
+        s, x, y = curve.s[w], curve.x[w], curve.y[w]
+        tx, ty = curve.tx[w], curve.ty[w]
+        cross = tx[:-2] * ty[2:] - ty[:-2] * tx[2:]
+        dot = tx[:-2] * tx[2:] + ty[:-2] * ty[2:]
+        kappa = np.arctan2(cross, dot) / (s[2:] - s[:-2])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            H[i + 1:i + len(s) - 1] = (kappa + curve.p / x[1:-1] * ty[1:-1]
+                                       - curve.q / y[1:-1] * tx[1:-1])
     return H
 
 
@@ -227,22 +233,30 @@ def shoot_leaf(p, q, s0, side="below", r_max=None):
     if not len(sol.t_events[1]):
         raise IntegrationFailure("leaf never reached the exit radius")
 
-    k = np.arange(int(sol.t_events[1][0] / _LEAF_DS) + 1)
-    xs, ys, alphas = sol.sol(k[1:] * _LEAF_DS)
-    if np.any(b * xs - a * ys <= 0):
-        raise IntegrationFailure("leaf touched the cone ray between steps")
-    arrays = (k * ds, np.concatenate([[1.0], xs]) * s0,
-              np.concatenate([[0.0], ys]) * s0,
-              np.concatenate([[0.0], np.cos(alphas)]),
-              np.concatenate([[1.0], np.sin(alphas)]))
-    # Freed before ProfileCurve copies the arrays, so the dense samples,
-    # the arrays and their copies are never all held at once.
-    del k, xs, ys, alphas
-    curve = ProfileCurve(p, q, *arrays)
-    stop = np.flatnonzero(np.diff(np.hypot(curve.x, curve.y)) <= 0)
+    # The dense output is read _BLOCK samples at a time into the curve's
+    # five arrays, at unit scale and with the angle held in tx, then
+    # scaled in place; sample 0 is the axis point.
+    n = int(sol.t_events[1][0] / _LEAF_DS) + 1
+    s = np.arange(n) * ds
+    x, y, tx, ty = (np.empty(n) for _ in range(4))
+    for i in range(1, n, _BLOCK):
+        k = np.arange(i, min(i + _BLOCK, n))
+        x[k], y[k], tx[k] = sol.sol(k * _LEAF_DS)
+        if np.any(b * x[k] - a * y[k] <= 0):
+            raise IntegrationFailure("leaf touched the cone ray between steps")
+    del sol    # the step interpolants, before the curve is checked
+    x[0], y[0], tx[0], ty[0] = 1.0, 0.0, 0.0, 1.0
+    x *= s0
+    y *= s0
+    np.sin(tx[1:], out=ty[1:])
+    np.cos(tx[1:], out=tx[1:])
+    for arr in (s, x, y, tx, ty):
+        arr.setflags(write=False)    # so ProfileCurve takes it uncopied
+    curve = ProfileCurve(p, q, s, x, y, tx, ty)
+    stop = np.flatnonzero(np.diff(np.hypot(x, y)) <= 0)
     if len(stop):
         raise IntegrationFailure(
-            f"leaf radius stopped increasing at s={curve.s[stop[0]]:.6g}")
+            f"leaf radius stopped increasing at s={s[stop[0]]:.6g}")
     return curve
 
 
@@ -537,77 +551,6 @@ def _annulus_profile(radius, r_lo, r_hi):
     ramp = _positive((r_hi - r_lo) / 4.0, "ramp width")
     return np.clip(np.minimum((radius - r_lo) / ramp, (r_hi - radius) / ramp),
                    0.0, 1.0)
-
-
-def _hausdorff(a, b):
-    """Hausdorff distance of planar point sets, each an (n, 2) array; 0 if
-    both are empty, inf if one is.
-
-    The largest squared nearest-point distance of each set to the other
-    (_farthest_nearest), the second pass starting from the first's, so
-    sqrt is taken once.  sqrt is monotone, so that is the k-d tree's
-    largest nearest-point distance to the bit.  When the two sets together
-    spread wider in y than in x, both are searched with their columns
-    swapped, so that the x windows stay narrow; dy*dy + dx*dx is the same
-    float as dx*dx + dy*dy.
-    """
-    if len(a) == 0 or len(b) == 0:
-        return float("inf") if len(a) or len(b) else 0.0
-    spread = np.ptp(np.concatenate([a, b]), axis=0)
-    if spread[1] > spread[0]:
-        a, b = a[:, ::-1], b[:, ::-1]
-    return float(np.sqrt(_farthest_nearest(b, a, _farthest_nearest(a, b,
-                                                                  0.0))))
-
-
-def _farthest_nearest(p, q, floor):
-    """The largest of floor and the squared distances from each point of p
-    to its nearest point of q, both non-empty (n, 2) arrays.
-
-    Every pair's squared distance is summed as dx*dx + dy*dy, as scipy's
-    k-d tree sums it, but not every pair is summed.  q is sorted along x.
-    Each point of p first gets a bound, its squared distance to the nearer
-    of the two points of q on either side of it in x; its nearest point
-    lies within the bound's square root of it in x, so only the points of
-    q inside that x window (found by binary search, padded past rounding)
-    are summed.  The points of p
-    run in descending bound, _HAUSDORFF_PAIRS pairs at a time (one point
-    at least), and the running maximum ends the pass at the first point
-    whose bound does not exceed it: no point after it can raise it.
-    """
-    q = q[np.argsort(q[:, 0], kind="stable")]
-    qx, qy = q[:, 0].copy(), q[:, 1].copy()
-    px, py = p[:, 0], p[:, 1]
-    j = np.searchsorted(qx, px)
-    bound = np.full(len(p), np.inf)
-    for k in (np.maximum(j - 1, 0), np.minimum(j, len(q) - 1)):
-        dx, dy = px - qx[k], py - qy[k]
-        np.minimum(bound, dx * dx + dy * dy, out=bound)
-    order = np.argsort(-bound, kind="stable")
-    bound = bound[order]
-    px, py = px[order], py[order]
-    w = np.sqrt(bound) * (1 + 2.0**-40) + 2.0**-40 * np.abs(px)
-    lo = np.searchsorted(qx, px - w, side="left")
-    ends = np.cumsum(np.searchsorted(qx, px + w, side="right") - lo)
-    start = 0
-    stop = np.searchsorted(-bound, -floor, side="left")
-    while start < stop:
-        done = ends[start - 1] if start else 0
-        end = min(stop, max(start + 1, np.searchsorted(
-            ends, done + _HAUSDORFF_PAIRS, side="right")))
-        counts = np.diff(ends[start:end], prepend=done)
-        heads = ends[start:end] - counts - done
-        cols = np.arange(ends[end - 1] - done) + np.repeat(lo[start:end]
-                                                           - heads, counts)
-        sq = np.repeat(px[start:end], counts) - qx[cols]
-        sq *= sq
-        dy = np.repeat(py[start:end], counts) - qy[cols]
-        dy *= dy
-        sq += dy
-        floor = max(floor, np.minimum.reduceat(sq, heads).max())
-        start = end
-        stop = np.searchsorted(-bound, -floor, side="left")
-    return floor
 
 
 @dataclass(frozen=True)

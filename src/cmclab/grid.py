@@ -22,6 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# Elements of a long 1-D array worked on at once: a curve's samples, a CSV's
+# rows, an SVG path's points.  The temporaries of one block stay small, and
+# no per-value list spans a whole 98,851-sample leaf.
+_BLOCK = 4096
+
+
 class UsageError(ValueError):
     """Caller broke an operation precondition (mismatched grids, bad args)."""
 
@@ -155,6 +161,21 @@ def _finite_array(value, name):
     arr = arr.astype(float)
     if not np.all(np.isfinite(arr)):
         raise UsageError(f"{name} has non-finite entries")
+    return arr
+
+
+def _frozen_array(value, name):
+    """value as a read-only float array, checked as _finite_array checks
+    it.  A float64 ndarray that owns its data and is already read-only is
+    taken as it is; anything else is copied, so a caller's writeable array
+    is never made read-only and never shared."""
+    if (type(value) is np.ndarray and value.dtype == np.float64
+            and value.flags.owndata and not value.flags.writeable):
+        if not np.all(np.isfinite(value)):
+            raise UsageError(f"{name} has non-finite entries")
+        return value
+    arr = _finite_array(value, name)
+    arr.setflags(write=False)
     return arr
 
 
@@ -455,6 +476,82 @@ def boundary_faces(D):
     if not mids:
         return (np.zeros((0, grid.d)), np.zeros(0, dtype=np.int64))
     return np.concatenate(mids, axis=0), np.concatenate(axes)
+
+
+# Point pairs _farthest_nearest sums in one block: a few arrays of 512 KB
+# each at most.
+_HAUSDORFF_PAIRS = 2**16
+
+
+def _hausdorff(a, b):
+    """Hausdorff distance of planar point sets, each an (n, 2) array; 0 if
+    both are empty, inf if one is.
+
+    The largest squared nearest-point distance of each set to the other
+    (_farthest_nearest), the second pass starting from the first's, so
+    sqrt is taken once.  sqrt is monotone, so that is the k-d tree's
+    largest nearest-point distance to the bit.  When the two sets together
+    spread wider in y than in x, both are searched with their columns
+    swapped, so that the x windows stay narrow; dy*dy + dx*dx is the same
+    float as dx*dx + dy*dy.
+    """
+    if len(a) == 0 or len(b) == 0:
+        return float("inf") if len(a) or len(b) else 0.0
+    spread = np.ptp(np.concatenate([a, b]), axis=0)
+    if spread[1] > spread[0]:
+        a, b = a[:, ::-1], b[:, ::-1]
+    return float(np.sqrt(_farthest_nearest(b, a, _farthest_nearest(a, b,
+                                                                  0.0))))
+
+
+def _farthest_nearest(p, q, floor):
+    """The largest of floor and the squared distances from each point of p
+    to its nearest point of q, both non-empty (n, 2) arrays.
+
+    Every pair's squared distance is summed as dx*dx + dy*dy, as scipy's
+    k-d tree sums it, but not every pair is summed.  q is sorted along x.
+    Each point of p first gets a bound, its squared distance to the nearer
+    of the two points of q on either side of it in x; its nearest point
+    lies within the bound's square root of it in x, so only the points of
+    q inside that x window (found by binary search, padded past rounding)
+    are summed.  The points of p
+    run in descending bound, _HAUSDORFF_PAIRS pairs at a time (one point
+    at least), and the running maximum ends the pass at the first point
+    whose bound does not exceed it: no point after it can raise it.
+    """
+    q = q[np.argsort(q[:, 0], kind="stable")]
+    qx, qy = q[:, 0].copy(), q[:, 1].copy()
+    px, py = p[:, 0], p[:, 1]
+    j = np.searchsorted(qx, px)
+    bound = np.full(len(p), np.inf)
+    for k in (np.maximum(j - 1, 0), np.minimum(j, len(q) - 1)):
+        dx, dy = px - qx[k], py - qy[k]
+        np.minimum(bound, dx * dx + dy * dy, out=bound)
+    order = np.argsort(-bound, kind="stable")
+    bound = bound[order]
+    px, py = px[order], py[order]
+    w = np.sqrt(bound) * (1 + 2.0**-40) + 2.0**-40 * np.abs(px)
+    lo = np.searchsorted(qx, px - w, side="left")
+    ends = np.cumsum(np.searchsorted(qx, px + w, side="right") - lo)
+    start = 0
+    stop = np.searchsorted(-bound, -floor, side="left")
+    while start < stop:
+        done = ends[start - 1] if start else 0
+        end = min(stop, max(start + 1, np.searchsorted(
+            ends, done + _HAUSDORFF_PAIRS, side="right")))
+        counts = np.diff(ends[start:end], prepend=done)
+        heads = ends[start:end] - counts - done
+        cols = np.arange(ends[end - 1] - done) + np.repeat(lo[start:end]
+                                                           - heads, counts)
+        sq = np.repeat(px[start:end], counts) - qx[cols]
+        sq *= sq
+        dy = np.repeat(py[start:end], counts) - qy[cols]
+        dy *= dy
+        sq += dy
+        floor = max(floor, np.minimum.reduceat(sq, heads).max())
+        start = end
+        stop = np.searchsorted(-bound, -floor, side="left")
+    return floor
 
 
 # Cell set file format: header line

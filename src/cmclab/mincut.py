@@ -664,8 +664,10 @@ def threshold_experiment(r, resolution, lam_list):
 
     Crofton stencil; h = 1.  The face-only metric is too anisotropic here (it
     prices near-vertical circle arcs like chords plus their horizontal run,
-    which truncates thin rim slivers), so the isotropic weights are required
-    to reproduce the Euclidean filling threshold.  `filled` asks whether the
+    which truncates thin rim slivers), so the isotropic weights are used.
+    They do not give the continuum threshold either: the filling lambda * r
+    measured on cc grows from 1.48 at r = 8 to 3.55 at r = 32 and 64, where
+    the continuum half-disk fills at lambda = 1/r.  `filled` asks whether the
     largest minimizer covers every disk cell above the equator.
     contact_excess is the face-length of the smallest minimizer's boundary
     lying within one cell of the obstacle circle but away from the equator

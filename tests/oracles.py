@@ -10,9 +10,11 @@ mirror-symmetric problem is solved with one flow node per free cell, no
 cell merged with its mirror image, and the weighted base problem with
 max-flow in one stage, from no band.  The fold of fixed labels gathers
 each arc's end cells through arrays of flat cell indices, in place of the
-package's offset slices.  The leaf
-CSV and the SVG are written one f-string per row and per point, with
-repr(round(v, 9)) for every SVG number.  Leaves are integrated by scipy's
+package's offset slices.  A leaf's arrays are read from the dense output
+in one call and its mean curvature formed over every node at once, where
+the package works in blocks.  The leaf CSV and the SVG are written one
+f-string per row and per point, with repr(round(v, 9)) for every SVG
+number.  Leaves are integrated by scipy's
 own solve_ivp (RK45 with dense output), whose event location is scipy's
 brentq, in place of the package's port of both.  Depths in a cell set come
 from scipy's distance_transform_edt and Hausdorff distances from cKDTree
@@ -201,6 +203,33 @@ def independent_thresholds(r, resolution, lams):
     """The rows of a threshold sweep, each lambda solved in a sweep of its
     own, so no solve starts from another lambda's minimizer."""
     return [threshold_experiment(r, resolution, [lam])[0] for lam in lams]
+
+
+def whole_leaf_arrays(sol, s0):
+    """shoot_leaf's five curve arrays, s, x, y, tx and ty, from its
+    unit-scale integration sol, with the dense output read in one call over
+    every sample and each array built whole."""
+    k = np.arange(int(sol.t_events[1][0] / 5e-4) + 1)
+    xs, ys, alphas = sol.sol(k[1:] * 5e-4)
+    return (k * (5e-4 * s0), np.concatenate([[1.0], xs]) * s0,
+            np.concatenate([[0.0], ys]) * s0,
+            np.concatenate([[0.0], np.cos(alphas)]),
+            np.concatenate([[1.0], np.sin(alphas)]))
+
+
+def whole_mean_curvature(curve):
+    """mean_curvature_values(curve), each term formed over every interior
+    node at once."""
+    tx, ty = curve.tx, curve.ty
+    cross = tx[:-2] * ty[2:] - ty[:-2] * tx[2:]
+    dot = tx[:-2] * tx[2:] + ty[:-2] * ty[2:]
+    kappa = np.arctan2(cross, dot) / (curve.s[2:] - curve.s[:-2])
+    nux, nuy = -ty[1:-1], tx[1:-1]
+    H = np.full(curve.n_nodes, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        H[1:-1] = (kappa - curve.p / curve.x[1:-1] * nux
+                   - curve.q / curve.y[1:-1] * nuy)
+    return H
 
 
 def leaf_csv(s, x, y, resid):

@@ -24,7 +24,7 @@ from cmclab import cli
 from cmclab.cli import _BLOCK, _dec9, _echoed, build_parser, main
 from cmclab.equivariant import _base_problem
 from oracles import leaf_csv, svg_document
-from support import count_arc_builds, forbid_wrapping
+from support import count_arc_builds, forbid_wrapping, traced_peak
 
 
 def read_text(path):
@@ -299,6 +299,24 @@ class TestLeaf:
                                      tmp_path / "leaf.svg")
         assert got == want
 
+    # The curve's five arrays and the residual take 4.7 MB, the plot's CSV
+    # data 3.2 MB.  A second copy of the curve, a whole dense read-out, or
+    # a whole CSV or SVG text (6.7 and 3.8 MB) would pass these bounds.
+    def test_leaf_holds_its_curve_once(self, tmp_path):
+        argv = ["leaf", "--p", "3", "--q", "3", "--s0", "1.0",
+                "--csv", str(tmp_path / "leaf.csv")]
+        rcs = []
+        assert traced_peak(lambda: rcs.append(main(argv))) < 7.0
+        assert rcs == [0]
+
+    def test_plot_of_the_leaf_holds_no_whole_text(self, default_leaf,
+                                                  tmp_path):
+        argv = ["plot", "--input", str(default_leaf),
+                "--output", str(tmp_path / "leaf.svg")]
+        rcs = []
+        assert traced_peak(lambda: rcs.append(main(argv))) < 6.5
+        assert rcs == [0]
+
     def test_exit_radius_over_sample_budget_is_config_error(self, tmp_path,
                                                             capsys):
         # the budget check runs before any integration or allocation
@@ -326,11 +344,16 @@ class TestAtomicWrite:
             cli.atomic_write(str(tmp_path / "out.txt"), chunks())
         assert list(tmp_path.iterdir()) == []
 
-    def test_leaf_chunks_encode_as_their_text(self):
+    def test_leaf_chunks_encode_as_their_text(self, tmp_path):
         rows = np.arange(4 * (_BLOCK + 1), dtype=float).reshape(-1, 4) / 7
-        chunks = cli._Chunks(cli._leaf_csv(rows.T))
-        assert len(chunks) == 3
-        assert chunks.encode("utf-8") == "".join(chunks).encode("utf-8")
+        chunks = cli._Chunks(cli._leaf_csv, rows.T)
+        blocks = list(chunks)
+        assert len(blocks) == 3
+        assert list(chunks) == blocks    # each iteration renders anew
+        assert chunks.encode("utf-8") == "".join(blocks).encode("utf-8")
+        path = tmp_path / "leaf.csv"
+        cli.atomic_write(str(path), chunks)
+        assert path.read_bytes() == chunks.encode()
 
 
 class TestApprox:

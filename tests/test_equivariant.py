@@ -18,7 +18,8 @@ from cmclab import (
 )
 from cmclab import _rk45, equivariant, mincut
 from oracles import (cold_solve, kdtree_hausdorff, scipy_band, scipy_brentq,
-                     scipy_depth, scipy_solve_ivp, unrestricted_steps)
+                     scipy_depth, scipy_solve_ivp, unrestricted_steps,
+                     whole_leaf_arrays, whole_mean_curvature)
 from support import count_arc_builds, count_flows, forbid_wrapping
 
 
@@ -86,6 +87,84 @@ class TestProfileCurve:
         assert c.y[0] == 0.0 and c.x[-1] <= 1e-15
 
 
+class TestProfileCurveCopies:
+    """A curve takes a read-only float64 array that owns its data as it
+    is, and copies anything else."""
+
+    NAMES = ("s", "x", "y", "tx", "ty")
+
+    @staticmethod
+    def arc_arrays(n=40):
+        theta = np.linspace(0.1, 1.2, n)
+        return [0.5 * theta, 2 + 0.5 * np.cos(theta), 2 + 0.5 * np.sin(theta),
+                -np.sin(theta), np.cos(theta)]
+
+    def test_writeable_arrays_stay_writeable_and_unshared(self):
+        arrays = self.arc_arrays()
+        c = ProfileCurve(1, 2, *arrays)
+        for name, a in zip(self.NAMES, arrays):
+            got = getattr(c, name)
+            assert a.flags.writeable and not got.flags.writeable
+            assert not np.shares_memory(got, a)
+            assert np.array_equal(got, a)
+        arrays[1][5] = 7.0    # the caller's array is still the caller's
+        assert c.x[5] != 7.0
+
+    def test_read_only_views_are_copied(self):
+        arrays = self.arc_arrays()
+        views = [a[:] for a in arrays]
+        for v in views:
+            v.setflags(write=False)
+        c = ProfileCurve(1, 2, *views)
+        for name, a in zip(self.NAMES, arrays):
+            assert not np.shares_memory(getattr(c, name), a)
+        assert all(a.flags.writeable for a in arrays)
+
+    def test_read_only_owned_arrays_are_taken_as_they_are(self):
+        arrays = self.arc_arrays()
+        for a in arrays:
+            a.setflags(write=False)
+        c = ProfileCurve(1, 2, *arrays)
+        assert all(getattr(c, name) is a
+                   for name, a in zip(self.NAMES, arrays))
+
+    def test_taken_arrays_are_still_checked(self):
+        arrays = self.arc_arrays()
+        arrays[2][3] = np.inf
+        for a in arrays:
+            a.setflags(write=False)
+        with pytest.raises(UsageError, match="curve array y has non-finite"):
+            ProfileCurve(1, 2, *arrays)
+
+    def test_leaf_arrays_are_read_only(self, leaf33):
+        for name in self.NAMES:
+            a = getattr(leaf33, name)
+            assert a.dtype == np.float64 and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    # A fault at the first interior sample, at the edges of the checks'
+    # blocks of _BLOCK + 2 samples that overlap by two, and at the last
+    # interior sample.
+    @pytest.mark.parametrize("n,k", [(3, 1), (4099, 4095), (4099, 4096),
+                                     (4099, 4097), (8195, 8193)])
+    def test_block_edges_are_checked(self, n, k):
+        faults = [(0, "jump"), (3, "unit"), (2, "open quadrant")]
+        for i, match in faults:
+            arrays = self.arc_arrays(n)
+            if i == 0:    # one gap four times its neighbours
+                arrays[0][k + 1:] += 3 * (arrays[0][1] - arrays[0][0])
+            else:
+                arrays[i][k] = 0.0
+            with pytest.raises(UsageError, match=match):
+                ProfileCurve(1, 2, *arrays)
+        for end in (0, n - 1):
+            arrays = self.arc_arrays(n)
+            arrays[1][end] = -1e-9
+            with pytest.raises(UsageError, match="closed quadrant"):
+                ProfileCurve(1, 2, *arrays)
+
+
 class TestCurveFromSamples:
     def test_tangents_match_analytic(self):
         theta = np.linspace(0.2, 1.3, 300)
@@ -122,6 +201,18 @@ class TestMeanCurvature:
         c = arc_curve(1, 1, (0.0, 0.0), rho, 0.15, math.pi / 2 - 0.15, 400)
         H = mean_curvature_values(c)
         assert np.nanmax(np.abs(H - 3.0 / rho)) < 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4097, 4098, 4099, 9000])
+    def test_blocks_match_the_whole_array_formula(self, n):
+        c = arc_curve(1, 2, (2.0, 2.0), 0.5, 0.1, 1.2, n)
+        want = whole_mean_curvature(c)
+        assert np.array_equal(mean_curvature_values(c).view(np.int64),
+                              want.view(np.int64))
+
+    def test_leaf_matches_the_whole_array_formula(self, leaf33):
+        want = whole_mean_curvature(leaf33)
+        assert np.array_equal(mean_curvature_values(leaf33).view(np.int64),
+                              want.view(np.int64))
 
     def test_diagonal_ray_is_critical(self):
         t = np.linspace(1.0, 2.0, 60)
@@ -284,6 +375,26 @@ class TestShootLeaf:
         with pytest.raises(IntegrationFailure,
                            match=r"radius stopped increasing at s=2\.02"):
             shoot_leaf(3, 3, 1.0)
+
+    @pytest.mark.parametrize("p,q,s0", [(3, 3, 1.0), (3, 3, 2.5),
+                                        (2, 4, 1e-14), (6, 1, 1e80)])
+    def test_blocked_read_out_is_the_whole_read_out(self, monkeypatch, p, q,
+                                                    s0):
+        # The dense output read _BLOCK samples at a time and scaled in
+        # place gives the arrays of one read-out over every sample.
+        sols = []
+        real = equivariant.solve_ivp
+
+        def kept(*args, **kwargs):
+            sols.append(real(*args, **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(equivariant, "solve_ivp", kept)
+        leaf = shoot_leaf(p, q, s0)
+        (sol,) = sols
+        for name, want in zip(("s", "x", "y", "tx", "ty"),
+                              whole_leaf_arrays(sol, s0)):
+            assert getattr(leaf, name).tobytes() == want.tobytes(), name
 
     def test_stays_below_cone_ray(self, leaf33, cone33):
         assert np.all(cone33.b * leaf33.x[1:] - cone33.a * leaf33.y[1:] > 0)
