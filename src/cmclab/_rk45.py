@@ -1,27 +1,24 @@
-"""Dormand-Prince 5(4) integration with dense output and terminal events.
+"""Dormand-Prince 5(4) integration with dense output, and no events.
 
-This is a port, for shoot_leaf's one use, of scipy 1.17's
-``solve_ivp(method="RK45", dense_output=True, events=...)`` for a forward
-time span: the RK45 step with scipy's initial step, step-size control and
-RMS error norm, the quartic dense output looked up per step as OdeSolution
-does it, and event location by a line-for-line port of scipy's C
-``brentq`` with xtol = rtol = 4 eps.  scipy is distributed under the
-BSD-3-Clause license.  Every numpy call has the operand shapes of scipy's
-own, because the shape of an ``np.dot`` is part of its arithmetic, so the
-results are bit-identical to scipy's; that was checked against scipy
-1.17.1 (tests/test_equivariant.py).
+This is a port, for shoot_leaf's one use, of scipy 1.17's RK45 stepper and
+its OdeSolution lookup, for a forward time span: the RK45 step with scipy's
+initial step, step-size control and RMS error norm, and the quartic dense
+output looked up per step as OdeSolution does it.  In place of scipy's
+events the run stops after the first step whose end state passes the
+caller's test, and first_zero bisects that step for the caller's zero.
+scipy is distributed under the BSD-3-Clause license.  Every numpy call has
+the operand shapes of scipy's own, because the shape of an ``np.dot`` is
+part of its arithmetic, so the results are bit-identical to scipy's; that
+was checked against scipy 1.17.1 (tests/test_equivariant.py).
 
 The module needs only numpy, where importing scipy.integrate also loads
 scipy.optimize and scipy.interpolate.
 """
 
-import math
-import sys
 from types import SimpleNamespace
 
 import numpy as np
 
-_EPS = sys.float_info.epsilon
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10
@@ -94,109 +91,31 @@ class _Solution:
         return np.clip(ind - 1, 0, len(self.interpolants) - 1)
 
     def __call__(self, t):
+        """The state at a time t, or at each of an ascending array of
+        times."""
         t = np.asarray(t)
         if t.ndim == 0:
             return self.interpolants[self._segments(t)](t)
-        order = np.argsort(t)
-        reverse = np.empty_like(order)
-        reverse[order] = np.arange(order.shape[0])
-        t_sorted = t[order]
-        segments = self._segments(t_sorted)
-        # Each step evaluates exactly its own run of sorted times.
+        segments = self._segments(t)
+        # Each step evaluates exactly its own run of times.
         cuts = np.flatnonzero(np.diff(segments)) + 1
         ys = [self.interpolants[seg](part) for seg, part in
-              zip(segments[np.r_[0, cuts]], np.split(t_sorted, cuts))]
-        return np.hstack(ys)[:, reverse]
+              zip(segments[np.r_[0, cuts]], np.split(t, cuts))]
+        return np.hstack(ys)
 
 
-def _brentq(f, xa, xb, xtol=4 * _EPS, rtol=4 * _EPS, maxiter=100):
-    """A root of f in [xa, xb] whose ends have values of opposite sign:
-    scipy's C brentq line for line, with the checks of its wrapper."""
-    def call(x):
-        fx = f(x)
-        if np.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return float(fx)
+def solve_ivp(fun, t_span, y0, rtol, atol, stop):
+    """Integrate y' = fun(t, y) from t_span[0] forward to t_span[1], and
+    end after the first accepted step whose end state y passes stop(y).
 
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre = call(xpre)
-    fcur = call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if (fpre != 0 and fcur != 0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry     # good short step
-            else:
-                spre = scur = sbis          # bisect
-        else:
-            spre = scur = sbis              # bisect
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-
-
-def _active_events(g, g_new, direction):
-    g, g_new = np.asarray(g), np.asarray(g_new)
-    up = (g <= 0) & (g_new >= 0)
-    down = (g >= 0) & (g_new <= 0)
-    mask = (up & (direction > 0) | down & (direction < 0)
-            | (up | down) & (direction == 0))
-    return np.nonzero(mask)[0]
-
-
-def solve_ivp(fun, t_span, y0, rtol, atol, events=()):
-    """Integrate y' = fun(t, y) from t_span[0] forward to t_span[1].
-
-    Each event(t, y) must carry the attribute `terminal` = True, and may
-    carry `direction` (take only zeros crossed downward if negative, upward
-    if positive).  The run stops at the earliest zero of the first step in
-    which any event crosses zero; on a tie, at the first in np.argsort
-    order, scipy's choice when every event is terminal.  Returns a
-    namespace with t_events (one array of zero times per event, only the
-    stopping event's not empty), sol (the dense output, callable on a time
-    or an array of times), status (0 at the span's end, 1 at an event, -1
-    when the step size underflows) and message (scipy's text at status -1,
-    else None).
+    Returns a namespace with sol (the dense output, with the step ends in
+    sol.ts), y (the state at the last step end), status (0 at the span's
+    end, 1 on stop, -1 when the step size underflows) and message (scipy's
+    text at status -1, else None).
     """
     t0, tf = map(float, t_span)
     if not t0 < tf:
         raise ValueError("the time span must increase")
-    if any(getattr(event, "terminal", False) is not True for event in events):
-        raise ValueError("every event must be terminal")
     y = np.asarray(y0, dtype=float)
 
     def rhs(t, y):
@@ -214,10 +133,6 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=()):
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
     h_abs = min(100 * h0, h1, tf - t0)
 
-    direction = np.array([getattr(e, "direction", 0) for e in events],
-                         dtype=float)
-    g = [event(t0, y0) for event in events]
-    t_events = [[] for _ in events]
     K = np.empty((7, y.size))
     t = t0
     ts = [t0]
@@ -258,32 +173,31 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=()):
         if status == -1:
             break
 
-        t_old, y_old = t, y
+        interpolants.append(_StepInterpolant(t, t_new, y, K.T.dot(_P)))
         t, y, f = t_new, y_new, f_new
-        if t >= tf:
-            status = 0
-        sol = _StepInterpolant(t_old, t, y_old, K.T.dot(_P))
-        interpolants.append(sol)
-
-        g_new = [event(t, y) for event in events]
-        active = _active_events(g, g_new, direction)
-        if active.size > 0:
-            roots = np.asarray([
-                _brentq(lambda s, event=events[i]: event(s, sol(s)), t_old, t)
-                for i in active])
-            first = np.argsort(roots)[0]
-            t = roots[first]
-            t_events[active[first]].append(t)
+        ts.append(t)
+        if stop(y):
             status = 1
-        g = g_new
+        elif t >= tf:
+            status = 0
 
-        # A terminal zero on the previous step end adds no step.
-        if len(ts) > 1 and ts[-1] == t:
-            interpolants.pop()
+    return SimpleNamespace(sol=_Solution(np.array(ts), interpolants), y=y,
+                           status=status, message=message)
+
+
+def first_zero(sol, g):
+    """The first time t of the last step of the dense output sol, from
+    sol.ts[-2] to sol.ts[-1], at which g(sol(t)) <= 0, bisected until its
+    bounds are adjacent floats; the step's end when g(sol(t)) stays
+    positive there.  g must be positive at the step's start.  Only sol.ts
+    and sol(t) are used, so sol may also be scipy's OdeSolution.
+    """
+    lo, hi = map(float, sol.ts[-2:])
+    if g(sol(hi)) > 0:
+        return hi
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if g(sol(mid)) > 0:
+            lo = mid
         else:
-            ts.append(t)
-
-    return SimpleNamespace(
-        t_events=[np.asarray(te) for te in t_events],
-        sol=_Solution(np.array(ts), interpolants), status=status,
-        message=message)
+            hi = mid
+    return hi

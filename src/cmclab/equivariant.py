@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rk45 import solve_ivp
+from ._rk45 import first_zero, solve_ivp
 from .cones import (RadialFunction, _jacobi_operator, _radial_derivatives,
                     _radii, _sphere_dimensions, gamma_pm, make_cone,
                     stability)
@@ -159,13 +159,14 @@ def shoot_leaf(p, q, s0, side="below", r_max=None):
     axis (the q/y term is singular there) and stops at exit radius r_max
     (default 50 s0).  The equation is scale covariant, so the leaf is shot
     through (1, 0) and its lengths scaled by s0: it ends at the same
-    multiple of s0 at every s0.  The curve must stay strictly on its side
-    of the cone ray, and its sampled radius must strictly increase, which
-    makes it simple; otherwise IntegrationFailure is raised.  A ray
-    crossing is reported with its arclength and state.  It is not a fault
-    of the step control: C(5,1) below, and so its mirror C(1,5) above,
-    crosses at s = 5.57 s0 under RK45, DOP853 and Radau alike, and the
-    census test of the stable cones pins that crossing.
+    multiple of s0 at every s0.  The curve, from a Taylor start in the
+    open quadrant on, must stay strictly on its side of the cone ray, and
+    its sampled radius must strictly increase, which makes it simple;
+    otherwise IntegrationFailure is raised.  A ray crossing is reported
+    with its arclength and state.  It is not a fault of the step control:
+    C(5,1) below, and so its mirror C(1,5) above, crosses at s = 5.57 s0
+    under RK45, DOP853 and Radau alike, and the census test of the stable
+    cones pins that crossing.
 
     Returns a ProfileCurve sampled uniformly in arclength with spacing
     ds = 5e-4 s0.  The curve runs from radius s0 to r_max, so it needs at
@@ -198,8 +199,8 @@ def shoot_leaf(p, q, s0, side="below", r_max=None):
             f"exit radius {r_max:g} needs at least {(r_max - s0) / ds:.3g} "
             f"samples, over the budget of {_MAX_LEAF_SAMPLES}")
 
-    # Shot at unit scale, every absolute tolerance, the stepper's event
-    # location among them, meets the same numbers at every s0.
+    # Shot at unit scale, every absolute tolerance meets the same numbers
+    # at every s0.
     r_exit = r_max / s0
     a, b = cone.a, cone.b
     # Taylor start: alpha = pi/2 + c s + c3 s^3 with the axis balance
@@ -211,32 +212,33 @@ def shoot_leaf(p, q, s0, side="below", r_max=None):
              eps - c**2 * eps**3 / 6.0,
              math.pi / 2.0 + c * eps + c3 * eps**3)
 
-    def hit_ray(_s, st):
-        return b * st[0] - a * st[1]
-    hit_ray.terminal = True
-    hit_ray.direction = -1
+    def gap(st):    # positive below the ray and inside the exit radius
+        return min(b * st[0] - a * st[1], r_exit - math.hypot(st[0], st[1]))
 
-    def hit_exit(_s, st):
-        return math.hypot(st[0], st[1]) - r_exit
-    hit_exit.terminal = True
-
-    sol = solve_ivp(_profile_rhs(p, q, 0.0), (eps, 4.0 * r_exit), start,
-                    rtol=1e-10, atol=1e-12, events=(hit_ray, hit_exit))
-    if len(sol.t_events[0]):
-        st = sol.sol(sol.t_events[0][0])
+    # Below the ray, y > 0 makes x > 0 too; a nan fails both tests.
+    if not start[1] > 0 < gap(start):
         raise IntegrationFailure(
-            f"leaf crossed the cone ray at s={sol.t_events[0][0] * s0:.6g}, "
-            f"state (x,y,alpha)=({st[0] * s0:.6g},{st[1] * s0:.6g},"
-            f"{st[2]:.6g})")
+            "Taylor start left the open quadrant below the cone ray")
+    sol = solve_ivp(_profile_rhs(p, q, 0.0), (eps, 4.0 * r_exit), start,
+                    1e-10, 1e-12, lambda st: gap(st) <= 0)
     if sol.status < 0:
         raise IntegrationFailure(f"profile integration failed: {sol.message}")
-    if not len(sol.t_events[1]):
+    if sol.status == 0:
         raise IntegrationFailure("leaf never reached the exit radius")
+    # The leaf ends at the earlier of the ray's and the exit's zero in the
+    # last step, at the ray's on a tie.
+    s_end = first_zero(sol.sol, gap)
+    st = sol.sol(s_end)
+    if b * st[0] - a * st[1] <= 0:
+        raise IntegrationFailure(
+            f"leaf crossed the cone ray at s={s_end * s0:.6g}, "
+            f"state (x,y,alpha)=({st[0] * s0:.6g},{st[1] * s0:.6g},"
+            f"{st[2]:.6g})")
 
     # The dense output is read _BLOCK samples at a time into the curve's
     # five arrays, at unit scale and with the angle held in tx, then
     # scaled in place; sample 0 is the axis point.
-    n = int(sol.t_events[1][0] / _LEAF_DS) + 1
+    n = int(s_end / _LEAF_DS) + 1
     s = np.arange(n) * ds
     x, y, tx, ty = (np.empty(n) for _ in range(4))
     for i in range(1, n, _BLOCK):

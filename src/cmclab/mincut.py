@@ -242,7 +242,6 @@ class _Linearized:
     const: int
     node: np.ndarray
     coeffs: tuple
-    band: np.ndarray = None     # flow nodes of the first stage, or None
 
 
 def _reversed_axis(fixed_in, fixed_out):
@@ -374,7 +373,7 @@ def _mirrors(d):
 
 def _mirror_merged(problem, lin):
     """lin on the orbit graph of the first reflection that leaves the
-    problem unchanged, or None when none does.
+    problem unchanged, or lin itself when none does.
 
     A reflection sigma leaves the energy unchanged when it maps fixed_in,
     fixed_out and the cell weights onto themselves; every stencil maps
@@ -395,7 +394,7 @@ def _mirror_merged(problem, lin):
         if all(np.array_equal(a, mirror(a)) for a in arrays):
             break
     else:
-        return None
+        return lin
     m = lin.theta.shape[1]
     # image[i] is the node of the mirror image of free node i's cell: at
     # each free cell, node holds i and its mirror image holds image[i].
@@ -418,17 +417,6 @@ def _mirror_merged(problem, lin):
     node = np.concatenate([orbit, [k, k + 1]])[lin.node]
     return _Linearized(theta, oi[apart], oj[apart], lin.ew[apart], lin.const,
                        node, lin.coeffs)
-
-
-def _banded(lin, band):
-    """lin with its band set to the free nodes that hold a cell of the
-    region band, or left unset when band is None; returns lin."""
-    if band is not None:
-        m = lin.theta.shape[1]
-        nodes = lin.node[band.bits.ravel()]
-        lin.band = np.zeros(m, dtype=bool)
-        lin.band[nodes[nodes < m]] = True
-    return lin
 
 
 def _max_flow(graph, s, t):
@@ -518,15 +506,15 @@ def _band_residual(graph, band):
     return graph - lifted, value
 
 
-def _flow_solve(problem, lin):
+def _flow_solve(problem, lin, band=None):
     """solve on the flow graph of lin, as it stands.
 
-    Arcs that join the same two nodes are summed into one.  When lin has a
-    band that holds a free node, max-flow runs first on the band's
-    sub-graph, then on the full graph's residual under that flow (see the
-    module docstring); otherwise it runs once on the full graph.  Either
-    stage runs through _max_flow, so capacities past int32 are solved by
-    capacity scaling, exactly.
+    Arcs that join the same two nodes are summed into one.  When the
+    RegionMask band holds a free node, max-flow runs first on the
+    sub-graph of the free nodes holding a band cell, then on the full
+    graph's residual under that flow (see the module docstring); otherwise
+    it runs once on the full graph.  Either stage runs through _max_flow,
+    so capacities past int32 are solved by capacity scaling, exactly.
     """
     m = lin.theta.shape[1]
     if m == 0:
@@ -551,9 +539,13 @@ def _flow_solve(problem, lin):
     arcs = int(graph.nnz)
 
     flow_value = 0
-    if lin.band is not None and lin.band.any():
-        # The full graph is dropped once its band residual stands.
-        graph, flow_value = _band_residual(graph, lin.band)
+    if band is not None:
+        # The nodes of the band's cells, of which the first m are free.
+        in_band = np.zeros(m + 2, dtype=bool)
+        in_band[lin.node[band.bits.ravel()]] = True
+        if in_band[:m].any():
+            # The full graph is dropped once its band residual stands.
+            graph, flow_value = _band_residual(graph, in_band[:m])
     value, residual = _max_flow(graph, s, t)
     del graph
     flow_value += value
@@ -604,12 +596,9 @@ def solve(problem, band=None):
         _instance(band, RegionMask, "band")
         if not band.grid.compatible(problem.grid):
             raise UsageError("band lives on a different grid")
-    lin = _linearized(problem)
-    merged = _mirror_merged(problem, lin)
-    if merged is not None:
-        # The unmerged arcs are freed before max-flow runs.
-        lin = merged
-    return _flow_solve(problem, _banded(lin, band))
+    # The unmerged arcs are freed before max-flow runs.
+    return _flow_solve(problem, _mirror_merged(problem, _linearized(problem)),
+                       band)
 
 
 def brute_force(problem):

@@ -14,20 +14,19 @@ package's offset slices.  A leaf's arrays are read from the dense output
 in one call and its mean curvature formed over every node at once, where
 the package works in blocks.  The leaf CSV and the SVG are written one
 f-string per row and per point, with repr(round(v, 9)) for every SVG
-number.  Leaves are integrated by scipy's
-own solve_ivp (RK45 with dense output), whose event location is scipy's
-brentq, in place of the package's port of both.  Depths in a cell set come
-from scipy's distance_transform_edt and Hausdorff distances from cKDTree
-queries, in place of the package's bounded transform and pairwise blocks.
+number.  Leaves are integrated by scipy's own RK45 stepper, its steps
+gathered into an OdeSolution, in place of the package's port of both.
+Depths in a cell set come from scipy's distance_transform_edt and
+Hausdorff distances from cKDTree queries, in place of the package's
+bounded transform and pairwise blocks.
 """
 
-import sys
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, OdeSolution
 from scipy.linalg import eigh_tridiagonal
 from scipy.ndimage import distance_transform_edt
-from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
 from cmclab import (CellSet, MinCutProblem, RegionMask, cell_weights,
@@ -205,11 +204,11 @@ def independent_thresholds(r, resolution, lams):
     return [threshold_experiment(r, resolution, [lam])[0] for lam in lams]
 
 
-def whole_leaf_arrays(sol, s0):
-    """shoot_leaf's five curve arrays, s, x, y, tx and ty, from its
-    unit-scale integration sol, with the dense output read in one call over
-    every sample and each array built whole."""
-    k = np.arange(int(sol.t_events[1][0] / 5e-4) + 1)
+def whole_leaf_arrays(sol, s0, n):
+    """shoot_leaf's five curve arrays, s, x, y, tx and ty, of n samples
+    from its unit-scale integration sol, with the dense output read in one
+    call over every sample and each array built whole."""
+    k = np.arange(n)
     xs, ys, alphas = sol.sol(k[1:] * 5e-4)
     return (k * (5e-4 * s0), np.concatenate([[1.0], xs]) * s0,
             np.concatenate([[0.0], ys]) * s0,
@@ -262,14 +261,24 @@ def svg_document(polylines, bbox, stroke_width):
             f"{body}\n</svg>\n")
 
 
-def scipy_solve_ivp(fun, t_span, y0, rtol, atol, events=()):
+def scipy_solve_ivp(fun, t_span, y0, rtol, atol, stop):
     """shoot_leaf's integration, in the package stepper's signature, by
-    scipy's solve_ivp with method RK45 and dense output."""
-    return solve_ivp(fun, t_span, y0, method="RK45", rtol=rtol, atol=atol,
-                     dense_output=True, events=events)
-
-
-def scipy_brentq(f, a, b):
-    """scipy's brentq at solve_ivp's event tolerances, xtol = rtol = 4 eps."""
-    eps = sys.float_info.epsilon
-    return brentq(f, a, b, xtol=4 * eps, rtol=4 * eps)
+    scipy's RK45 stepped until the end state of a step passes stop, the
+    steps' dense outputs gathered into an OdeSolution."""
+    t0, tf = map(float, t_span)
+    solver = RK45(fun, t0, y0, tf, rtol=rtol, atol=atol)
+    ts, interpolants = [solver.t], []
+    status = message = None
+    while status is None:
+        message = solver.step()
+        if solver.status == "failed":
+            status = -1
+            break
+        ts.append(solver.t)
+        interpolants.append(solver.dense_output())
+        if stop(solver.y):
+            status = 1
+        elif solver.status == "finished":
+            status = 0
+    return SimpleNamespace(sol=OdeSolution(ts, interpolants), y=solver.y,
+                           status=status, message=message)

@@ -108,8 +108,11 @@ def test_criterion_03():
 
 
 def test_criterion_04():
-    """Obstacle filling threshold: the half-plane data fills the upper disk
-    at lambda = 2/r and detaches cleanly at lambda = 0.5/r."""
+    """Obstacle filling threshold at r = 16: the half-plane data fill the
+    upper disk at lambda = 2/r, because the discrete threshold there is
+    lambda*_h = 1.57/r, and detach cleanly at lambda = 0.5/r.  lambda = 2/r
+    is not a threshold in general: it does not fill at r = 32 or 64, where
+    lambda*_h = 3.55/r (ROADMAP item 19)."""
     t0 = time.perf_counter()
     rows = threshold_experiment(16.0, 48, [2.0 / 16.0])
     t1 = time.perf_counter()

@@ -146,9 +146,9 @@ class TestPlateau2d:
         nodes = []
         real = cmclab.mincut._flow_solve
 
-        def spy(problem, lin):
+        def spy(problem, lin, band=None):
             nodes.append(lin.theta.shape[1])
-            return real(problem, lin)
+            return real(problem, lin, band)
 
         def artifacts(name):
             out = tmp_path / name
@@ -160,7 +160,7 @@ class TestPlateau2d:
         merged = artifacts("merged")
         assert len(calls) > 1
         monkeypatch.setattr(cmclab.mincut, "_mirror_merged",
-                            lambda problem, lin: None)
+                            lambda problem, lin: lin)
         assert artifacts("unmerged") == merged
         # One solve each: the orbit graph has half the unmerged nodes.
         assert len(nodes) == 2 and 2 * nodes[0] == nodes[1]
@@ -324,6 +324,22 @@ class TestLeaf:
                        "--rmax", "1e9", "--csv",
                        str(tmp_path / "leaf.csv")) == 2
         assert "budget" in capsys.readouterr().err
+        assert not (tmp_path / "leaf.csv").exists()
+
+    @pytest.mark.parametrize("p", ["50000", "100000", "1000000",
+                                   "1000000000"])
+    def test_taylor_start_outside_the_quadrant_is_numerical_failure(
+            self, tmp_path, capsys, p):
+        # These once integrated a start below the axis for seconds, or past
+        # a minute, before ProfileCurve refused the samples as a config
+        # error.
+        start = time.perf_counter()
+        assert run_cli("leaf", "--p", p, "--q", "1", "--s0", "1.0",
+                       "--csv", str(tmp_path / "leaf.csv")) == 3
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["detail"].startswith("Taylor start left")
         assert not (tmp_path / "leaf.csv").exists()
 
 

@@ -17,9 +17,9 @@ from cmclab import (
     quadrant_grid, shoot_leaf, solve, stability, weighted_minimize,
 )
 from cmclab import _rk45, equivariant, mincut
-from oracles import (cold_solve, kdtree_hausdorff, scipy_band, scipy_brentq,
-                     scipy_depth, scipy_solve_ivp, unrestricted_steps,
-                     whole_leaf_arrays, whole_mean_curvature)
+from oracles import (cold_solve, kdtree_hausdorff, scipy_band, scipy_depth,
+                     scipy_solve_ivp, unrestricted_steps, whole_leaf_arrays,
+                     whole_mean_curvature)
 from support import count_arc_builds, count_flows, forbid_wrapping
 
 
@@ -322,8 +322,9 @@ class TestShootLeaf:
     @pytest.mark.parametrize("s0", [1e-100, 1e-15, 1e-14, 1e100])
     def test_ends_at_the_exit_radius_at_every_scale(self, leaf33, s0):
         # The last sample lies within one spacing inside the exit radius,
-        # with the sample count of the unit leaf, also at s0 <= 1e-14,
-        # where the stepper's absolute event tolerance exceeds a spacing.
+        # with the sample count of the unit leaf, also at s0 <= 1e-14, where
+        # a spacing is below the stepper's absolute tolerances: the leaf is
+        # shot, and its exit bisected, at unit scale.
         assert abs(leaf33.n_nodes - 98851) <= 1
         leaf = shoot_leaf(3, 3, s0)
         r_max, ds = 50.0 * s0, 5e-4 * s0
@@ -363,18 +364,59 @@ class TestShootLeaf:
         assert [c[:2] for c in crossed] == [(5, 1)]
         assert crossed[0][2].startswith("leaf crossed the cone ray at s=5.57,")
 
+    def test_taylor_start_below_the_axis_is_refused(self, monkeypatch):
+        # The cubic start's y = eps - c^2 eps^3 / 6, c = -p / (1 + q), falls
+        # to 0 or below from p = 48990 on at q = 1: refused before a step
+        # is taken.  p = 48989 still starts above the axis and shoots.
+        def no_stepper(*_args):
+            raise AssertionError("integrated a start outside the quadrant")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(equivariant, "solve_ivp", no_stepper)
+            with pytest.raises(IntegrationFailure, match="^Taylor start left "
+                               "the open quadrant below the cone ray$"):
+                shoot_leaf(48990, 1, 1.0)
+        leaf = shoot_leaf(48989, 1, 1.0, r_max=2.0001)
+        assert leaf.y[1] > 0 and leaf.n_nodes == 2001
+
+    @staticmethod
+    def one_step(monkeypatch, path, end):
+        """Make shoot_leaf's stepper return one stopped step from s = 0 to
+        end, whose state at s is path(s)."""
+        sol = _rk45._Solution(np.array([0.0, end]), [path])
+        monkeypatch.setattr(equivariant, "solve_ivp", lambda *_args: (
+            SimpleNamespace(sol=sol, y=sol(end), status=1, message=None)))
+
     def test_radius_that_stops_increasing_is_refused(self, monkeypatch):
-        # A stepper whose samples turn back toward the origin, staying
-        # below the cone ray, from s = 2.02 to its exit event at s = 3.
-        def turning_back(*_args, **_kwargs):
-            def sol(s):
-                return 1.0 + s - s * s / 4.0, 0.1 * s, np.zeros_like(s)
-            return SimpleNamespace(t_events=[np.array([]), np.array([3.0])],
-                                   status=0, message="", sol=sol)
-        monkeypatch.setattr(equivariant, "solve_ivp", turning_back)
+        # Samples that turn back toward the origin from s = 2.02, staying
+        # below the cone ray and inside the exit radius to the step's end.
+        self.one_step(monkeypatch, lambda s: np.array(
+            [1.0 + s - s * s / 4.0, 0.1 * s, 0.0 * s]), 3.0)
         with pytest.raises(IntegrationFailure,
                            match=r"radius stopped increasing at s=2\.02"):
             shoot_leaf(3, 3, 1.0)
+
+    @pytest.mark.parametrize("r_max", [3.0, 4.0])
+    def test_earlier_zero_of_the_last_step_wins(self, monkeypatch, r_max):
+        # One straight step at 60 degrees from (1, 0) to s = 4, past both
+        # the diagonal, the cone ray of C(3,3), at s = 1 + sqrt(3) = 2.732
+        # and the exit radius: radius 3 (s = 2.372) comes first, so the
+        # leaf ends there, and radius 4 (s = 3.405) second, so the ray
+        # crossing is reported.
+        theta = math.pi / 3
+        self.one_step(monkeypatch, lambda s: np.array(
+            [1.0 + s * math.cos(theta), s * math.sin(theta),
+             theta + 0.0 * s]), 4.0)
+        if r_max == 4.0:
+            with pytest.raises(IntegrationFailure, match=(
+                    r"leaf crossed the cone ray at s=2\.73205, state "
+                    r"\(x,y,alpha\)=\(2\.36603,2\.36603,1\.0472\)$")):
+                shoot_leaf(3, 3, 1.0, r_max=r_max)
+        else:
+            leaf = shoot_leaf(3, 3, 1.0, r_max=r_max)
+            assert leaf.n_nodes == int((math.sqrt(33) - 1) / 2 / 5e-4) + 1
+            r = math.hypot(leaf.x[-1], leaf.y[-1])
+            assert r_max - 5e-4 <= r <= r_max
 
     @pytest.mark.parametrize("p,q,s0", [(3, 3, 1.0), (3, 3, 2.5),
                                         (2, 4, 1e-14), (6, 1, 1e80)])
@@ -393,7 +435,7 @@ class TestShootLeaf:
         leaf = shoot_leaf(p, q, s0)
         (sol,) = sols
         for name, want in zip(("s", "x", "y", "tx", "ty"),
-                              whole_leaf_arrays(sol, s0)):
+                              whole_leaf_arrays(sol, s0, leaf.n_nodes)):
             assert getattr(leaf, name).tobytes() == want.tobytes(), name
 
     def test_stays_below_cone_ray(self, leaf33, cone33):
@@ -449,42 +491,34 @@ class TestStepperMatchesScipy:
         def fun(_t, y):
             return y * y
 
-        ours = _rk45.solve_ivp(fun, (0.0, 2.0), [1.0], 1e-10, 1e-12)
-        theirs = scipy_solve_ivp(fun, (0.0, 2.0), [1.0], 1e-10, 1e-12)
+        def never(_y):
+            return False
+
+        ours = _rk45.solve_ivp(fun, (0.0, 2.0), [1.0], 1e-10, 1e-12, never)
+        theirs = scipy_solve_ivp(fun, (0.0, 2.0), [1.0], 1e-10, 1e-12, never)
         assert (ours.status, ours.message) == (-1, theirs.message)
         assert theirs.status == -1
         t = np.linspace(0.0, 0.999, 1000)
         assert np.array_equal(ours.sol(t), theirs.sol(t))
 
-    @pytest.mark.parametrize("terminal", [None, False, 0, 2])
-    def test_non_terminal_event_is_refused(self, terminal):
-        def event(t, _y):
-            return t - 1.0
-        if terminal is not None:
-            event.terminal = terminal
-        with pytest.raises(ValueError, match="every event must be terminal"):
-            _rk45.solve_ivp(lambda _t, y: -y, (0.0, 2.0), [1.0], 1e-10,
-                            1e-12, events=(event,))
+    @pytest.mark.parametrize("solve", [_rk45.solve_ivp, scipy_solve_ivp])
+    def test_first_zero_is_the_first_float_of_the_last_step(self, solve):
+        # y' = y from y(0) = 1, stopped on the first step that ends past
+        # 3: first_zero gives the first float of that step at which
+        # 3 - y <= 0, near log 3, and the step's end for a function that
+        # stays positive.  It reads scipy's OdeSolution as well.
+        sol = solve(lambda _t, y: y, (0.0, 5.0), [1.0], 1e-10, 1e-12,
+                    lambda y: y[0] >= 3.0).sol
+        t0, t1 = sol.ts[-2:]
 
-    def test_brentq_takes_scipys_steps(self):
-        # Same root and the same evaluation points on random brackets of
-        # smooth, steep, flat and numpy-valued functions with one root.
-        rng = np.random.default_rng(7)
-        for k in range(1200):
-            c, r = rng.normal(), rng.normal()
-            f = [lambda x: c * c * (x - r) + (x - r) ** 3,
-                 lambda x: math.tanh(c * (x - r)),
-                 lambda x: (x - r) * abs(x - r) ** 0.3,
-                 lambda x: np.float64(x - r) * (1 + math.exp(c * x))][k % 4]
-            a, b = r + rng.uniform(-3, 0), r + rng.uniform(0, 3)
-            if rng.random() < 0.5:
-                a, b = b, a
-            calls = [], []
-            roots = [root(lambda x, log=log: log.append(x) or f(x), a, b)
-                     for root, log in zip((_rk45._brentq, scipy_brentq),
-                                          calls)]
-            assert roots[0] == roots[1] and type(roots[0]) is float
-            assert calls[0] == calls[1]
+        def gap(y):
+            return 3.0 - y[0]
+
+        t = _rk45.first_zero(sol, gap)
+        assert type(t) is float and t0 < t <= t1
+        assert gap(sol(t)) <= 0 < gap(sol(math.nextafter(t, t0)))
+        assert abs(t - math.log(3.0)) < 1e-9
+        assert _rk45.first_zero(sol, lambda _y: 1.0) == t1
 
 
 class TestDepthAndHausdorffMatchScipy:
@@ -696,7 +730,7 @@ class TestGraphResidual:
         a, b = cone33.a, cone33.b
         sol = scipy_solve_ivp(equivariant._profile_rhs(3, 3, lam),
                               (0.0, 30.0), [3 * a, 3 * b, math.atan2(b, a)],
-                              rtol=1e-12, atol=1e-12)
+                              1e-12, 1e-12, lambda _y: False)
         s = np.arange(0.0, 30.0, 1e-3)
         x, y, alpha = sol.sol(s)
         curve = ProfileCurve(3, 3, s, x, y, np.cos(alpha), np.sin(alpha))
