@@ -188,12 +188,14 @@ def _instance(value, cls, name):
 
 
 # Most cells a grid may have.  At 2^24 cells a bit array takes 16.8 MB and
-# a float64 or int64 per-cell array 134 MB.  The arc table holds one int64
-# capacity per arc, 8 bytes per stencil offset and cell: 32 bytes per cell
-# (537 MB) on the 2-D cc stencil's 4 offsets, 104 (1.7 GB) on the 3-D
-# one's 13.  A solve holds several per-cell arrays beside it.  The check
-# runs before any per-cell array exists, so an extent read from a flag or
-# a cell-set header cannot ask for terabytes.
+# a float64 or int64 per-cell array 134 MB, and every flow node number
+# fits int32.  The arc table holds one capacity per arc, int32 when every
+# capacity fits and int64 otherwise, so 4 or 8 bytes per stencil offset
+# and cell: 16 or 32 bytes per cell (268 or 537 MB) on the 2-D cc
+# stencil's 4 offsets, 52 or 104 (872 MB or 1.7 GB) on the 3-D one's 13.
+# A solve holds several per-cell arrays beside it.  The check runs before
+# any per-cell array exists, so an extent read from a flag or a cell-set
+# header cannot ask for terabytes.
 _MAX_CELLS = 2**24
 
 

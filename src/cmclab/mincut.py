@@ -9,16 +9,20 @@ All exactness statements (solver vs. brute force, lattice identities) are
 about the quantized energy.
 
 The arc capacities depend only on the grid and the cell weights, so a
-problem builds them once, as one int64 array in arc order, and shares them
-with every problem derived from it by MinCutProblem.relabeled: one arc
-build per run of solves that differ only in fixed labels or lambda.  No
+problem builds them once, as one array in arc order, and shares them with
+every problem derived from it by MinCutProblem.relabeled: one arc build per
+run of solves that differ only in fixed labels or lambda.  The capacities
+and the volume gains are each held as int32 when every value fits, as
+int64 otherwise, and every sum over them accumulates in int64.  No
 end-cell index is stored: the arcs of one stencil offset join the cells of
 its two offset slices elementwise (_arc_slices), and every reader of the
 arcs (the fold, the energy re-check) takes their ends through those
 slices.  Each solve prices its own volume gains and folds into unary terms
 only the arcs that touch a free cell, so its set-up work scales with the
 free cells; the energy re-check of the minimizers stays on the full
-coefficients.
+coefficients.  Flow nodes are numbered in int32, which the grid's cell
+budget of 2^24 keeps in range, and the fold's arrays are dropped once the
+flow graph holds their values, so none of them lives through max-flow.
 
 The free cells are numbered as flow nodes in raster order, backwards along
 the one axis on which the fixed-out cells lie farthest past the fixed-in
@@ -172,10 +176,18 @@ def _across(grid, op, a):
                            for _w, (sa, sb) in _arc_slices(grid)])
 
 
+def _narrowest(a):
+    """The integer-valued floats a as int32 when every magnitude is at most
+    2^31 - 1, so each value and its negation fit, as int64 otherwise."""
+    fits = a.min(initial=0) >= -_INT32_MAX and a.max(initial=0) <= _INT32_MAX
+    return a.astype(np.int32 if fits else np.int64)
+
+
 def _arc_table(grid, cell_weight):
-    """The int64 capacities of the stencil arcs of grid under cell_weight
-    (None for unit weights), in arc order, and their float total.  An
-    arc's end cells are not stored: they are its offset's slices.
+    """The capacities of the stencil arcs of grid under cell_weight (None
+    for unit weights), in arc order, int32 when every one fits and int64
+    otherwise (_narrowest), and their float total.  An arc's end cells are
+    not stored: they are its offset's slices.
 
     Each arc costs ceil(weight * 2^20 * mean incident cell weight) quanta,
     so no cut arc is ever free.  The capacities are None when their total
@@ -187,7 +199,7 @@ def _arc_table(grid, cell_weight):
             np.ceil(w * 2**QUANT_BITS * (0.5 * (cw[sa] + cw[sb]))).ravel()
             for w, (sa, sb) in _arc_slices(grid)])
         total = caps.sum()
-    return caps.astype(np.int64) if total < 2.0**62 else None, total
+    return _narrowest(caps) if total < 2.0**62 else None, total
 
 
 def _gains(lam, grid, cell_weight):
@@ -198,8 +210,9 @@ def _gains(lam, grid, cell_weight):
 
 
 def _coefficients(problem):
-    """The problem's int64 arc capacities and its int64 volume gain per
-    cell.
+    """The problem's arc capacities and its volume gain per cell, each
+    int32 when every value fits and int64 otherwise (_narrowest); sums over
+    them are taken in int64.
 
     CapacityOverflowError unless the capacities and the gain magnitudes,
     summed in floats, stay below 2^62 quanta, so every energy sum fits
@@ -215,14 +228,15 @@ def _coefficients(problem):
         raise CapacityOverflowError(
             f"energy coefficients total {total:.3g} quanta, over the int64 "
             f"budget of 2^62; shrink the grid or rescale lambda")
-    return caps, gains.astype(np.int64).ravel()
+    return caps, _narrowest(gains).ravel()
 
 
 def _quanta(coeffs, D):
     """Quantized energy of D under coefficients built by _coefficients."""
     caps, gains = coeffs
     cut = _across(D.grid, np.not_equal, D.bits)
-    return int(caps[cut].sum()) - int(gains[D.bits.ravel()].sum())
+    return (int(caps[cut].sum(dtype=np.int64))
+            - int(gains[D.bits.ravel()].sum(dtype=np.int64)))
 
 
 def evaluate_quanta(problem, D):
@@ -274,13 +288,14 @@ def _reversed_axis(fixed_in, fixed_out):
 def _linearized(problem):
     """Fold fixed labels into unary terms over free cells plus a constant.
 
-    Cells are numbered as flow nodes: the m free cells 0..m-1, every fixed-in
-    cell m (the source) and every fixed-out cell m+1 (the sink), so node n
-    carries label 1 for n = m and 0 for n = m+1.  theta[x, i] is what free
-    cell i pays for label x: the arcs to fixed cells of the other label,
-    less its gain when x = 1.  Arcs between free cells stay as (ei, ej, ew).
-    The energy of free labels x is const + theta[x, arange(m)].sum() plus
-    ew over the arcs whose ends differ, and theta.min(axis=0) is zero.
+    Cells are numbered as int32 flow nodes: the m free cells 0..m-1, every
+    fixed-in cell m (the source) and every fixed-out cell m+1 (the sink), so
+    node n carries label 1 for n = m and 0 for n = m+1.  theta[x, i], int64,
+    is what free cell i pays for label x: the arcs to fixed cells of the
+    other label, less its gain when x = 1.  Arcs between free cells stay as
+    (ei, ej, ew), ew in the capacities' dtype.  The energy of free labels x
+    is const + theta[x, arange(m)].sum() plus ew over the arcs whose ends
+    differ, and theta.min(axis=0) is zero.
 
     The free cells are numbered in raster order, except backwards along
     the axis _reversed_axis names, so the free cells nearest the fixed-out
@@ -302,12 +317,12 @@ def _linearized(problem):
     fixed_in = problem.fixed_in.bits.ravel()
     free = ~(fixed_in | problem.fixed_out.bits.ravel())
     m = int(np.count_nonzero(free))
-    node = np.where(fixed_in, m, m + 1)
+    node = np.where(fixed_in, np.int32(m), np.int32(m + 1))
     # Raster order of a view reversed along one axis is the node order.
     k = _reversed_axis(problem.fixed_in.bits, problem.fixed_out.bits)
     view = (lambda a: a.reshape(dims)) if k is None else (
         lambda a: np.flip(a.reshape(dims), k))
-    view(node)[view(free)] = np.arange(m)
+    view(node)[view(free)] = np.arange(m, dtype=np.int32)
     # Cell codes: 1 fixed in, 0 fixed out, 2 free.
     code = (fixed_in.view(np.uint8)
             | (free.view(np.uint8) << 1)).reshape(dims)
@@ -321,20 +336,24 @@ def _linearized(problem):
         na.append(cells[sa][touch])
         nb.append(cells[sb][touch])
         c.append(arc_caps[touch.ravel()])
-        cross += int(arc_caps[(code[sa] ^ code[sb]).ravel() == 1].sum())
+        cross += int(arc_caps[(code[sa] ^ code[sb]).ravel() == 1].sum(
+            dtype=np.int64))
     na, nb, c = np.concatenate(na), np.concatenate(nb), np.concatenate(c)
 
     theta = np.zeros((2, m), dtype=np.int64)
     theta[1] = -view(gains)[view(free)]
-    # Row node - m of a fixed end is the label that differs from it.
+    # Row node - m of a fixed end is the label that differs from it.  The
+    # values are added as int64: np.add.at runs several times slower when
+    # it casts them into theta.
     sel = nb >= m
-    np.add.at(theta, (nb[sel] - m, na[sel]), c[sel])
+    np.add.at(theta, (nb[sel] - m, na[sel]), c[sel].astype(np.int64))
     sel = na >= m
-    np.add.at(theta, (na[sel] - m, nb[sel]), c[sel])
+    np.add.at(theta, (na[sel] - m, nb[sel]), c[sel].astype(np.int64))
     both = (na < m) & (nb < m)
     shift = theta.min(axis=0)
     theta -= shift
-    const = cross - int(gains[fixed_in].sum()) + int(shift.sum())
+    const = (cross - int(gains[fixed_in].sum(dtype=np.int64))
+             + int(shift.sum()))
     return _Linearized(theta, na[both], nb[both], c[both], const, node,
                        coeffs)
 
@@ -384,8 +403,9 @@ def _mirror_merged(problem, lin):
     is a cut of the orbit graph: each free cell and its mirror image are
     one node, unary terms add over the orbit, arcs between two orbits add
     up, and arcs inside one orbit are never cut, so they are dropped.
-    node maps every cell to its orbit, so _minimizer unfolds the labels
-    and re-checks the energy on the full coefficients.
+    node maps every cell to its orbit, in int32 as _linearized's, so
+    _minimizer unfolds the labels and re-checks the energy on the full
+    coefficients.
     """
     arrays = [problem.fixed_in.bits, problem.fixed_out.bits]
     if problem.cell_weight is not None:
@@ -403,9 +423,10 @@ def _mirror_merged(problem, lin):
     free = node < m
     image = np.empty(m, dtype=node.dtype)
     image[node[free]] = mirror(node)[free]
-    rep = np.minimum(np.arange(m), image)
-    first = rep == np.arange(m)
-    orbit = (np.cumsum(first) - 1)[rep]
+    nodes = np.arange(m, dtype=np.int32)
+    rep = np.minimum(nodes, image)
+    first = rep == nodes
+    orbit = (np.cumsum(first, dtype=np.int32) - 1)[rep]
     reps = np.flatnonzero(first)
     k = len(reps)
     # An orbit is a free cell and its image, or a cell the mirror fixes.
@@ -414,7 +435,7 @@ def _mirror_merged(problem, lin):
     theta[:, pair] += lin.theta[:, image[reps[pair]]]
     oi, oj = orbit[lin.ei], orbit[lin.ej]
     apart = oi != oj
-    node = np.concatenate([orbit, [k, k + 1]])[lin.node]
+    node = np.concatenate([orbit, [k, k + 1]], dtype=np.int32)[lin.node]
     return _Linearized(theta, oi[apart], oj[apart], lin.ew[apart], lin.const,
                        node, lin.coeffs)
 
@@ -515,6 +536,10 @@ def _flow_solve(problem, lin, band=None):
     graph's residual under that flow (see the module docstring); otherwise
     it runs once on the full graph.  Either stage runs through _max_flow,
     so capacities past int32 are solved by capacity scaling, exactly.
+
+    The graph takes lin's fold: once it holds their values, lin's theta,
+    ei, ej and ew are set to None, so none of them lives through max-flow.
+    lin keeps const, node and coeffs, which the read-out needs.
     """
     m = lin.theta.shape[1]
     if m == 0:
@@ -535,7 +560,9 @@ def _flow_solve(problem, lin, band=None):
                            lin.theta[1, snk]])
     graph = csr_matrix((vals, (rows, cols)), shape=(m + 2, m + 2),
                        dtype=np.int64)
-    del rows, cols, vals    # the graph holds its own copies
+    # The graph holds its own copies: drop them and lin's fold.
+    del rows, cols, vals, src, snk
+    lin.theta = lin.ei = lin.ej = lin.ew = None
     arcs = int(graph.nnz)
 
     flow_value = 0
@@ -613,6 +640,8 @@ def brute_force(problem):
         raise UsageError(f"brute force supports at most 24 free cells, got {m}")
     shifts = np.arange(m, dtype=np.uint32)
     dtheta = lin.theta[1] - lin.theta[0]
+    # Cut capacities add up in int64, whatever dtype they are held in.
+    ew = lin.ew.astype(np.int64)
     base = lin.const + int(lin.theta[0].sum())
 
     best = None
@@ -622,9 +651,9 @@ def brute_force(problem):
                           dtype=np.uint32)
         bits = (codes[:, None] >> shifts[None, :]) & 1
         e = base + bits.astype(np.int64) @ dtheta
-        if len(lin.ew):
+        if len(ew):
             cut = bits[:, lin.ei] != bits[:, lin.ej]
-            e += cut @ lin.ew
+            e += cut @ ew
         lo = int(e.min())
         if best is None or lo < best:
             best = lo

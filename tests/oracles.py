@@ -146,8 +146,8 @@ def unmerged_solve(problem):
 def gathered_fold(problem):
     """_linearized's fold of problem, with each arc's end cells gathered
     through flat cell indices ai, bi, built per offset in arc order: its
-    theta, ei, ej, ew, const and node by name.  The free cells are
-    numbered as _linearized numbers them."""
+    theta, ei, ej, ew, const and node by name, in _linearized's dtypes.
+    The free cells are numbered as _linearized numbers them, in int32."""
     grid = problem.grid
     caps, gains = mincut._coefficients(problem)
     flat = np.arange(grid.ncells).reshape(grid.dims)
@@ -163,7 +163,8 @@ def gathered_fold(problem):
     fixed_out = problem.fixed_out.bits.ravel()
     free = ~(fixed_in | fixed_out)
     m = int(np.count_nonzero(free))
-    node = np.where(fixed_in, m, m + 1)
+    node = np.full(grid.ncells, m + 1, dtype=np.int32)
+    node[fixed_in] = m
     k = mincut._reversed_axis(problem.fixed_in.bits, problem.fixed_out.bits)
     order = flat if k is None else np.flip(flat, k)
     node[order.ravel()[free[order.ravel()]]] = np.arange(m)
@@ -180,8 +181,8 @@ def gathered_fold(problem):
     both = (na < m) & (nb < m)
     shift = theta.min(axis=0)
     theta -= shift
-    const = (int(caps[cross].sum()) - int(gains[fixed_in].sum())
-             + int(shift.sum()))
+    const = (int(caps[cross].sum(dtype=np.int64))
+             - int(gains[fixed_in].sum(dtype=np.int64)) + int(shift.sum()))
     return {"theta": theta, "ei": na[both], "ej": nb[both], "ew": c[both],
             "const": const, "node": node}
 

@@ -165,6 +165,18 @@ class TestPlateau2d:
         # One solve each: the orbit graph has half the unmerged nodes.
         assert len(nodes) == 2 and 2 * nodes[0] == nodes[1]
 
+    def test_sweep_memory_peak(self, tmp_path):
+        # The benchmark's sweep: radius 64, 8 lambdas from 0 to 1/16.
+        # 6.13 MB while the capacities and node numbers were int64 and the
+        # fold's arrays lived through max-flow, 5.09 MB since.
+        argv = ["plateau2d", "--radius", "64", "--resolution", "136",
+                "--outdir", str(tmp_path)]
+        for k in range(8):
+            argv += ["--lambda", repr(2.0 * (2.0 / 64) * k / 7)]
+        rcs = []
+        assert traced_peak(lambda: rcs.append(main(argv))) < 5.6
+        assert rcs == [0]
+
     def test_sweep_builds_the_arcs_once(self, tmp_path, monkeypatch):
         # Every lambda's problem is relabeled from the first one's.
         builds = count_arc_builds(monkeypatch)
@@ -399,6 +411,18 @@ class TestApprox:
             if prev is not None:
                 assert np.all(prev.bits <= D.bits)
             prev = D
+
+    def test_memory_peak_at_n256(self, tmp_path):
+        # The benchmark's (3,3) run at n=256 with four t: 11.47 MB while
+        # the capacities and node numbers were int64 and the fold's arrays
+        # lived through max-flow, 8.47 MB since.
+        cfg = self.write_config(tmp_path, {
+            "p": 3, "q": 3, "lambda": 0.0, "grid": {"n": 256, "box": 1.0},
+            "t_list": [1 / 16, 1 / 32, 1 / 64, 1 / 128]})
+        argv = ["approx", "--config", cfg, "--outdir", str(tmp_path)]
+        rcs = []
+        assert traced_peak(lambda: rcs.append(main(argv))) < 9.5
+        assert rcs == [0]
 
     def test_a_limit_set_filling_the_grid(self, tmp_path):
         # One cell, in the limit set: no cell lies outside it, so its depth

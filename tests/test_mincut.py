@@ -1,4 +1,6 @@
+import math
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -390,6 +392,31 @@ class TestSolve:
         with pytest.raises(UsageError):
             brute_force(MinCutProblem(g, 0.0, fixed_in=none, fixed_out=none))
 
+    def test_cut_sums_past_int32_of_int32_capacities(self, no_wrap):
+        # Weight 1536 makes every face arc 1.5 * 2^30 quanta, so the
+        # capacities are held as int32, and the checkerboard labeling of
+        # the 3 x 2 free cells cuts all 7 arcs between them, 10.5 * 2^30
+        # quanta.  brute_force adds each labeling's cut in int64, and
+        # solve, by capacity scaling, finds the same minimizers.
+        g = GridGeometry((5, 4), h=1.0, stencil="face")
+        ring = np.ones((5, 4), dtype=bool)
+        ring[1:-1, 1:-1] = False
+        fin = np.zeros((5, 4), dtype=bool)
+        fin[:, 0] = True
+        prob = MinCutProblem(g, 0.0, fixed_in=RegionMask(g, fin),
+                             fixed_out=RegionMask(g, ring & ~fin),
+                             cell_weight=np.full((5, 4), 1536.0))
+        lin = cmclab.mincut._linearized(prob)
+        assert lin.ew.dtype == np.int32
+        assert lin.ew.tolist() == [3 * 2**29] * 7
+        want = brute_force(prob)
+        got = solve(prob)
+        assert len(no_wrap) > 1
+        assert got.set_min == want.set_min
+        assert got.set_max == want.set_max
+        assert got.energy_quanta == want.energy_quanta
+        assert got.unique == want.unique
+
 
 def reflections(dims):
     """Every axis flip and every swap of two equal-extent axes, by name."""
@@ -761,29 +788,93 @@ class TestFold:
                                     0.5)
         self.assert_gathered_fold(prob)
 
-    @pytest.mark.parametrize("d,stencil", [(2, "face"), (2, "cc"),
-                                           (3, "face"), (3, "cc")])
-    def test_arc_table_holds_only_the_capacities(self, rng, d, stencil):
+    # Weights of 0.5 to 2 keep every capacity inside int32, 2^12 times
+    # that puts some past it.
+    @pytest.mark.parametrize("d,stencil,scale,dtype", [
+        (2, "face", 1.0, np.int32), (2, "cc", 1.0, np.int32),
+        (3, "face", 1.0, np.int32), (3, "cc", 1.0, np.int32),
+        (2, "cc", 2.0**12, np.int64)],
+        ids=["2-face", "2-cc", "3-face", "3-cc", "2-cc-past-int32"])
+    def test_arc_table_holds_only_the_capacities(self, rng, d, stencil,
+                                                 scale, dtype):
         dims = (5, 4, 3)[:d]
         grid = GridGeometry(dims, stencil=stencil)
         none = RegionMask(grid, np.zeros(dims, dtype=bool))
-        prob = MinCutProblem(grid, 0.5, none, none,
-                             cell_weight=rng.uniform(0.5, 2.0, size=dims))
+        prob = MinCutProblem(
+            grid, 0.5, none, none,
+            cell_weight=scale * rng.uniform(0.5, 2.0, size=dims))
         arcs = sum(int(np.prod([n - abs(o) for n, o in zip(dims, off)]))
                    for _w, offsets in grid.levels() for off in offsets)
         arrays = [a for a in prob._arcs if isinstance(a, np.ndarray)]
         assert len(arrays) == 1
-        assert arrays[0].dtype == np.int64
-        assert arrays[0].nbytes == 8 * arcs
+        assert arrays[0].dtype == dtype
+        assert arrays[0].nbytes == np.dtype(dtype).itemsize * arcs
+
+    # On unit face arcs, a cell weight w gives every capacity
+    # ceil(w * 2^20) and lambda every gain rint(lambda * 2^20 * w).
+    @pytest.mark.parametrize("w,lam,caps,gains", [
+        ((2**31 - 1) / 2**20, 1.0, np.int32, np.int32),
+        (2.0**11, 0.0, np.int64, np.int32),
+        (1.0, (2**31 - 1) / 2**20, np.int32, np.int32),
+        (1.0, -(2**31 - 1) / 2**20, np.int32, np.int32),
+        (1.0, -2.0**11, np.int32, np.int64)],
+        ids=["caps-at-int32-max", "caps-past-int32", "gains-at-int32-max",
+             "gains-at-minus-int32-max", "gains-past-minus-int32-max"])
+    def test_coefficients_are_int32_while_they_fit(self, w, lam, caps,
+                                                    gains):
+        g = GridGeometry((3, 3), stencil="face")
+        none = RegionMask.whole(g).invert()
+        prob = MinCutProblem(g, lam, none, none,
+                             cell_weight=np.full((3, 3), w))
+        got = cmclab.mincut._coefficients(prob)
+        assert [a.dtype for a in got] == [caps, gains]
+        assert abs(int(got[0].max())) == math.ceil(w * 2**QUANT_BITS)
+        assert abs(int(got[1].max())) == abs(round(lam * w * 2**QUANT_BITS))
+
+    @pytest.mark.parametrize("merged", [False, True])
+    def test_no_fold_array_lives_through_max_flow(self, monkeypatch,
+                                                  merged):
+        # Spies hold weak references to the arrays of every fold and every
+        # orbit merge; each max-flow call, of the band and of the whole
+        # graph, finds them all freed.  The quadrant base problem is solved
+        # unmerged, the half-plane disk on its orbit graph.
+        refs, dead = [], []
+        for name in ("_linearized", "_mirror_merged"):
+            def spy(*args, real=getattr(cmclab.mincut, name)):
+                lin = real(*args)
+                refs.extend(weakref.ref(getattr(lin, field))
+                            for field in ("theta", "ei", "ej", "ew"))
+                return lin
+            monkeypatch.setattr(cmclab.mincut, name, spy)
+        real_flow = cmclab.mincut.maximum_flow
+
+        def flow(graph, s, t):
+            dead.append(all(ref() is None for ref in refs))
+            return real_flow(graph, s, t)
+
+        monkeypatch.setattr(cmclab.mincut, "maximum_flow", flow)
+        if merged:
+            prob = half_plane_disk_problem(24, 8, 0.1)
+            band = prob.free
+        else:
+            g = quadrant_grid(64)
+            prob, band = _base_problem(3, 3, g, 0.0,
+                                       diagonal_wedge(g, 3, 3), 0.5)
+        nodes = solve(prob, band).flow_stats["nodes"]
+        assert (nodes < np.count_nonzero(prob.free.bits) + 2) == merged
+        assert len(refs) == 8
+        assert dead == [True, True]
 
     def test_base_solve_memory_peak(self):
         # The n=256 weighted base solve with its band, arc build included:
         # 15.56 MB while the arc table also held flat end-cell indices and
-        # the full flow graph outlived its band residual, 10.12 MB since.
+        # the full flow graph outlived its band residual, 10.15 MB while
+        # the capacities and node numbers were int64 and the fold's arrays
+        # lived through max-flow, 7.15 MB since.
         g = quadrant_grid(256)
         prob, band = _base_problem(3, 3, g, 0.0, diagonal_wedge(g, 3, 3),
                                    0.5)
-        assert traced_peak(lambda: solve(prob, band)) < 11.0
+        assert traced_peak(lambda: solve(prob, band)) < 8.0
 
 
 @pytest.mark.usefixtures("no_wrap")
