@@ -145,7 +145,7 @@ def link_spectrum(cone, K):
 def stability(cone):
     """Whether the first-eigenvalue defect fits under the Hardy threshold:
     max(-lambda_1, 0) <= (n-2)^2 / 4, decided in integers."""
-    s = cone.p + cone.q
+    s = _instance(cone, CliffordCone, "cone").p + cone.q
     return 4 * s <= (s - 1) ** 2
 
 

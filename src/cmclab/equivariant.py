@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rk45 import first_zero, solve_ivp
-from .cones import (RadialFunction, _jacobi_operator, _radial_derivatives,
-                    _radii, _sphere_dimensions, gamma_pm, make_cone,
-                    stability)
+from .cones import (CliffordCone, RadialFunction, _jacobi_operator,
+                    _radial_derivatives, _radii, _sphere_dimensions,
+                    gamma_pm, make_cone, stability)
 from .grid import (_MAX_CELLS, CellSet, GridGeometry, NumericalError,
                    RegionMask, UsageError, _BLOCK, _finite, _finite_array,
                    _frozen_array, _hausdorff, _instance, _integer, _positive,
@@ -265,6 +265,8 @@ def shoot_leaf(p, q, s0, side="below", r_max=None):
 def _graph_coordinates(curve, cone):
     """Cone-adapted coordinates: radius along the ray, signed offset along
     the ray's left normal (-b, a)."""
+    _instance(curve, ProfileCurve, "leaf")
+    _instance(cone, CliffordCone, "cone")
     rr = cone.a * curve.x + cone.b * curve.y
     uu = cone.a * curve.y - cone.b * curve.x
     return rr, uu
@@ -277,6 +279,7 @@ def fit_decay_exponent(leaf, cone):
     names the indicial exponent within 5 percent, or 'none'.  Which mode a
     leaf selects is recorded, never presumed.
     """
+    rr, uu = _graph_coordinates(leaf, cone)
     if (leaf.p, leaf.q) != (cone.p, cone.q):
         raise UsageError("leaf and cone disagree on (p, q)")
     radius = np.hypot(leaf.x, leaf.y)
@@ -284,7 +287,6 @@ def fit_decay_exponent(leaf, cone):
     if radius.max() < 40.0 * s0:
         raise UsageError(
             "need a decade of radius beyond 4 s0; extend the leaf")
-    rr, uu = _graph_coordinates(leaf, cone)
     hi = rr.max()
     window = (rr >= hi / 10.0) & (np.abs(uu) > 0)
     slope, _ = np.polyfit(np.log(rr[window]), np.log(np.abs(uu[window])), 1)
@@ -346,6 +348,7 @@ def cmc_graph_residual(cone, u, lam):
     nodes: zero for the graph of a hypersurface of constant mean curvature
     lam.  The mean curvature is the closed form of _graph_mean_curvature
     on central differences."""
+    _instance(cone, CliffordCone, "cone")
     lam = _finite(lam, "lambda")
     r, g, g1, g2 = _radial_derivatives(u)
     H = _graph_mean_curvature(cone, r, g, g1, g2)
@@ -379,6 +382,9 @@ def linearization_check(cone, u, v):
     A2 by 1.001 in L_C drops the slopes over acceptance criterion 10's
     amplitudes to 0.375 on C(2,4) and 0.176 on C(3,3).
     """
+    _instance(cone, CliffordCone, "cone")
+    _instance(u, RadialFunction, "radial function u")
+    _instance(v, RadialFunction, "radial function v")
     if (u.r_min, u.r_max, u.n_nodes) != (v.r_min, v.r_max, v.n_nodes):
         raise UsageError("u and v must share the radial grid")
     if np.array_equal(u.values, v.values):
@@ -424,6 +430,7 @@ def quadrant_grid(n, box=1.0):
 def cell_weights(grid, p, q):
     """The reduction weight x^p y^q at cell centers.  A weight past the
     float range is inf, without a warning; MinCutProblem refuses it."""
+    _instance(grid, GridGeometry, "grid")
     p, q = _sphere_dimensions(p, q, 0)
     X, Y = grid.center_mesh()
     with np.errstate(over="ignore"):
@@ -432,6 +439,7 @@ def cell_weights(grid, p, q):
 
 def diagonal_wedge(grid, p, q):
     """Cells below the cone ray of the (p, q) cone: a y < b x."""
+    _instance(grid, GridGeometry, "grid")
     p, q = _sphere_dimensions(p, q, 0)
     cone = make_cone(p, q) if min(p, q) >= 1 else None
     a, b = (cone.a, cone.b) if cone else (math.sqrt(0.5), math.sqrt(0.5))

@@ -70,8 +70,8 @@ def stencil_levels(d, stencil):
     Every level, its offsets taken up to sign, maps onto itself under each
     axis flip and each swap of two axes.  So a grid reflection that leaves
     the per-cell data of a problem unchanged leaves its energy unchanged,
-    which is what lets mincut.solve merge mirror-image cells after checking
-    only those per-cell arrays.
+    which is what lets mincut.solve number mirror-image cells as one flow
+    node after checking only those per-cell arrays.
     """
     if _integer(d, "grid dimension") not in _FACE_OFFSETS:
         raise UsageError(f"grid dimension must be 2 or 3, got {_shown(d)}")
@@ -267,6 +267,7 @@ class _FrozenBits:
     bits: np.ndarray
 
     def __post_init__(self):
+        _instance(self.grid, GridGeometry, "grid")
         bits = self.bits
         if not (isinstance(bits, np.ndarray) and bits.dtype == bool
                 and bits.shape == self.grid.dims):
@@ -287,7 +288,14 @@ class _FrozenBits:
     @classmethod
     def from_predicate(cls, grid, pred):
         """Membership from a predicate over cell center coordinate arrays."""
-        return cls(grid, pred(*grid.center_mesh()))
+        return cls(grid, pred(*_instance(grid, GridGeometry,
+                                         "grid").center_mesh()))
+
+    @classmethod
+    def _filled(cls, grid, value):
+        """Every cell of grid set to the bool value."""
+        return cls(grid, np.full(_instance(grid, GridGeometry, "grid").dims,
+                                 value))
 
 
 class CellSet(_FrozenBits):
@@ -299,11 +307,11 @@ class CellSet(_FrozenBits):
 
     @classmethod
     def empty(cls, grid):
-        return cls(grid, np.zeros(grid.dims, dtype=bool))
+        return cls._filled(grid, False)
 
     @classmethod
     def full(cls, grid):
-        return cls(grid, np.ones(grid.dims, dtype=bool))
+        return cls._filled(grid, True)
 
     def count(self):
         return int(np.count_nonzero(self.bits))
@@ -314,18 +322,19 @@ class RegionMask(_FrozenBits):
 
     @classmethod
     def whole(cls, grid):
-        return cls(grid, np.ones(grid.dims, dtype=bool))
+        return cls._filled(grid, True)
 
     @classmethod
     def ball(cls, grid, center, r):
         """Cells whose centers lie within Euclidean distance r of center."""
+        _instance(grid, GridGeometry, "grid")
         return cls(grid, _ball_bits(grid, *_ball(grid, center, r)))
 
     def invert(self):
         return RegionMask(self.grid, ~self.bits)
 
     def intersect(self, other):
-        _require_shared_grid(self, other)
+        _require_shared_grid(self, _instance(other, RegionMask, "region"))
         return RegionMask(self.grid, self.bits & other.bits)
 
 
@@ -348,12 +357,14 @@ def _ball_bits(grid, center, r):
 
 def complement(D):
     """The complementary cell set on the same grid."""
+    _instance(D, CellSet, "cell set D")
     return CellSet(D.grid, ~D.bits)
 
 
 def lattice(D1, D2):
     """Intersection and union of two cell sets."""
-    _require_shared_grid(D1, D2)
+    _instance(D1, CellSet, "cell set D1")
+    _require_shared_grid(D1, _instance(D2, CellSet, "cell set D2"))
     return (CellSet(D1.grid, D1.bits & D2.bits),
             CellSet(D1.grid, D1.bits | D2.bits))
 
@@ -407,7 +418,8 @@ def perimeter(D, R):
 
 def volume(D, R):
     """Member cell count inside R times h^d."""
-    _require_shared_grid(D, R)
+    _instance(D, CellSet, "cell set D")
+    _require_shared_grid(D, _instance(R, RegionMask, "region R"))
     n = int(np.count_nonzero(D.bits & R.bits))
     return n * D.grid.h ** D.grid.d
 
@@ -433,7 +445,7 @@ def split_perimeter(D, r, center):
     The three parts partition the boundary faces, and with power-of-two h the
     reconstructed total equals perimeter(D, whole grid) exactly.
     """
-    grid = D.grid
+    grid = _instance(D, CellSet, "cell set D").grid
     center, r = _ball(grid, center, r)
     lo = [grid.origin[k] - 0.5 * grid.h for k in range(grid.d)]
     hi = [grid.origin[k] + (grid.dims[k] - 0.5) * grid.h for k in range(grid.d)]
@@ -462,7 +474,7 @@ def boundary_faces(D):
     Only axis-aligned faces define the geometric interface; diagonal stencil
     edges contribute to weighted perimeter but not to interface geometry.
     """
-    grid = D.grid
+    grid = _instance(D, CellSet, "cell set D").grid
     mids = []
     axes = []
     mesh = grid.center_mesh()
@@ -586,7 +598,8 @@ def rle_encode(flat_bits):
 
 
 def rle_decode(text, size):
-    tokens = text.split()
+    size = _integer(size, "cell count", 0, _MAX_CELLS)
+    tokens = _instance(text, str, "run text").split()
     out = np.empty(size, dtype=bool)
     pos = 0
     for tok in tokens:
@@ -604,14 +617,14 @@ def rle_decode(text, size):
 
 
 def cellset_to_text(D):
-    grid = D.grid
+    grid = _instance(D, CellSet, "cell set D").grid
     ext = ",".join(str(n) for n in grid.dims)
     header = f"cmcgrid v1 d={grid.d} ext={ext} h={grid.h!r} stencil={grid.stencil}"
     return header + "\n" + rle_encode(D.bits) + "\n"
 
 
 def cellset_from_text(text):
-    lines = text.splitlines()
+    lines = _instance(text, str, "cell set text").splitlines()
     if not lines:
         raise UsageError("empty cell set document")
     m = _HEADER_RE.match(lines[0].strip())

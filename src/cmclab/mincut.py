@@ -21,8 +21,8 @@ slices.  Each solve prices its own volume gains and folds into unary terms
 only the arcs that touch a free cell, so its set-up work scales with the
 free cells; the energy re-check of the minimizers stays on the full
 coefficients.  Flow nodes are numbered in int32, which the grid's cell
-budget of 2^24 keeps in range, and the fold's arrays are dropped once the
-flow graph holds their values, so none of them lives through max-flow.
+budget of 2^24 keeps in range.  A solve folds its arcs once, straight into
+the flow graph (_flow_graph), so no fold array lives through max-flow.
 
 The free cells are numbered as flow nodes in raster order, backwards along
 the one axis on which the fixed-out cells lie farthest past the fixed-in
@@ -33,9 +33,10 @@ speed of the max-flow backend, whose searches take arcs in index order.
 Extremal minimizers come from residual reachability: cells reachable from the
 source form the smallest minimizer, cells not reaching the sink form the
 largest.  Uniqueness is their coincidence.  A problem unchanged by a grid
-reflection is solved on the orbit graph of that reflection, each free cell
-merged with its mirror image; both extremal minimizers are invariant, so they
-are the full problem's.
+reflection is solved on the orbit graph of that reflection: the free cells
+are numbered by orbit, each with its mirror image, before the fold
+(_orbit_numbering).  Both extremal minimizers are invariant, so they are
+the full problem's.
 
 Given a band of cells, max-flow runs in two stages: first on the sub-graph
 of the band's free nodes and the two terminals, then on the residual of the
@@ -104,6 +105,7 @@ class MinCutProblem:
     cell_weight: np.ndarray = None
 
     def __post_init__(self):
+        _instance(self.grid, GridGeometry, "grid")
         object.__setattr__(self, "lam", _finite(self.lam, "lambda"))
         self._check_labels()
         if self.cell_weight is not None:
@@ -119,7 +121,8 @@ class MinCutProblem:
             object.__setattr__(self, "cell_weight", w)
 
     def _check_labels(self):
-        for mask in (self.fixed_in, self.fixed_out):
+        for name in ("fixed_in", "fixed_out"):
+            mask = _instance(getattr(self, name), RegionMask, name)
             if not mask.grid.compatible(self.grid):
                 raise UsageError("fixed-label masks live on a different grid")
         if np.any(self.fixed_in.bits & self.fixed_out.bits):
@@ -242,28 +245,18 @@ def _quanta(coeffs, D):
 def evaluate_quanta(problem, D):
     """Quantized energy of an arbitrary cell set under this problem's
     coefficients; the arithmetic path shared by solve and brute_force."""
-    if not D.grid.compatible(problem.grid):
+    _instance(problem, MinCutProblem, "problem")
+    if not _instance(D, CellSet, "cell set D").grid.compatible(problem.grid):
         raise UsageError("cell set lives on a different grid")
     return _quanta(_coefficients(problem), D)
 
 
-@dataclass
-class _Linearized:
-    theta: np.ndarray
-    ei: np.ndarray
-    ej: np.ndarray
-    ew: np.ndarray
-    const: int
-    node: np.ndarray
-    coeffs: tuple
-
-
 def _reversed_axis(fixed_in, fixed_out):
-    """The axis along which _linearized numbers the free cells backwards,
-    or None: the axis on which the mean index of the fixed-out cells lies
-    farthest from that of the fixed-in cells, the lowest such axis on a
-    tie, when fixed-out lies toward its far end.  None when either label
-    set is empty.
+    """The axis along which _node_numbering numbers the free cells
+    backwards, or None: the axis on which the mean index of the fixed-out
+    cells lies farthest from that of the fixed-in cells, the lowest such
+    axis on a tie, when fixed-out lies toward its far end.  None when
+    either label set is empty.
 
     The mean gap on axis k is D_k / (N_in N_out), with the integer
     D_k = N_in S_out,k - N_out S_in,k over the cell counts N and index sums
@@ -285,34 +278,21 @@ def _reversed_axis(fixed_in, fixed_out):
     return k if gaps[k] > 0 else None
 
 
-def _linearized(problem):
-    """Fold fixed labels into unary terms over free cells plus a constant.
-
-    Cells are numbered as int32 flow nodes: the m free cells 0..m-1, every
-    fixed-in cell m (the source) and every fixed-out cell m+1 (the sink), so
-    node n carries label 1 for n = m and 0 for n = m+1.  theta[x, i], int64,
-    is what free cell i pays for label x: the arcs to fixed cells of the
-    other label, less its gain when x = 1.  Arcs between free cells stay as
-    (ei, ej, ew), ew in the capacities' dtype.  The energy of free labels x
-    is const + theta[x, arange(m)].sum() plus ew over the arcs whose ends
-    differ, and theta.min(axis=0) is zero.
+def _node_numbering(problem):
+    """(node, m): the int32 flow node of every cell, flat, and the number
+    m of free cells, nodes 0..m-1; every fixed-in cell is node m (the
+    source, label 1) and every fixed-out cell m+1 (the sink, label 0).
 
     The free cells are numbered in raster order, except backwards along
     the axis _reversed_axis names, so the free cells nearest the fixed-out
     cells come first.  The numbering decides no result: every reader of
-    the nodes (the band, the orbit merge, the read-out of the minimizers)
-    goes through node.  It decides the speed of scipy's Dinic max-flow,
-    whose searches take each node's arcs in index order: the same 8-lambda
-    half-plane sweep ran max-flow 2.5 to 3 times slower, at disk radii 64
-    to 128 cells, with its fixed-out cells numbered last than first.
-
-    Only the arcs that touch a free cell are folded, their end nodes taken
-    from the node array through each offset's (tail, head) slices.  Of the
-    others, those joining a fixed-in to a fixed-out cell go into the
-    constant.
+    the nodes (the band, the orbit numbering, the read-out of the
+    minimizers) goes through node.  It decides the speed of scipy's Dinic
+    max-flow, whose searches take each node's arcs in index order: the
+    same 8-lambda half-plane sweep ran max-flow 2.5 to 3 times slower, at
+    disk radii 64 to 128 cells, with its fixed-out cells numbered last
+    than first.
     """
-    coeffs = _coefficients(problem)
-    caps, gains = coeffs
     dims = problem.grid.dims
     fixed_in = problem.fixed_in.bits.ravel()
     free = ~(fixed_in | problem.fixed_out.bits.ravel())
@@ -323,6 +303,82 @@ def _linearized(problem):
     view = (lambda a: a.reshape(dims)) if k is None else (
         lambda a: np.flip(a.reshape(dims), k))
     view(node)[view(free)] = np.arange(m, dtype=np.int32)
+    return node, m
+
+
+def _mirrors(d):
+    """The grid reflections a problem may be invariant under, in a fixed
+    order: each axis flip, then each swap of two axes.  Each maps a
+    cell-shaped array to its mirror image; a swap of two axes of unequal
+    extent changes the shape, so no array equals its image under it."""
+    for k in range(d):
+        yield lambda a, k=k: np.flip(a, k)
+    for i, j in combinations(range(d), 2):
+        yield lambda a, i=i, j=j: np.swapaxes(a, i, j)
+
+
+def _orbit_numbering(problem, node, m):
+    """(node, m) renumbered by the orbits of the first reflection that
+    leaves problem unchanged, or as given when none does: each free cell
+    and its mirror image are one node, in the order of their lower node.
+
+    A reflection sigma leaves the energy unchanged when it maps fixed_in,
+    fixed_out and the cell weights onto themselves; every stencil maps
+    onto itself under sigma (see stencil_levels), so the arc capacities
+    and gains follow.  sigma then maps the largest minimizer to a
+    minimizer, which lies inside the largest one, so both extremal
+    minimizers are sigma-invariant.  On sigma-invariant labels the energy
+    is a cut of the orbit graph _flow_graph folds through this numbering:
+    unary terms add over each orbit, arcs between two orbits add up, and
+    arcs inside one orbit are never cut, so they are dropped.
+    """
+    arrays = [problem.fixed_in.bits, problem.fixed_out.bits]
+    if problem.cell_weight is not None:
+        arrays.append(problem.cell_weight)
+    for mirror in _mirrors(problem.grid.d):
+        if all(np.array_equal(a, mirror(a)) for a in arrays):
+            break
+    else:
+        return node, m
+    # image[i] is the node of the mirror image of free node i's cell: at
+    # each free cell, node holds i and its mirror image holds image[i].
+    # The node order need not be raster order, so this goes cell by cell.
+    cells = node.reshape(problem.grid.dims)
+    free = cells < m
+    image = np.empty(m, dtype=np.int32)
+    image[cells[free]] = mirror(cells)[free]
+    nodes = np.arange(m, dtype=np.int32)
+    rep = np.minimum(nodes, image)
+    first = rep == nodes
+    orbit = (np.cumsum(first, dtype=np.int32) - 1)[rep]
+    k = int(np.count_nonzero(first))
+    return np.concatenate([orbit, [k, k + 1]], dtype=np.int32)[node], k
+
+
+def _flow_graph(problem, node, m):
+    """The flow graph of problem under the node numbering (node, m): an
+    int64 CSR matrix of m + 2 nodes, m the source and m + 1 the sink; the
+    constant of its energy; and the coefficients.  Free labels x cost the
+    constant plus the cut between the source with the nodes labeled 1 and
+    the rest.
+
+    Each arc that touches a free cell is folded once, through node and its
+    offset's (tail, head) slices; of the others, those joining a fixed-in
+    to a fixed-out cell go into the constant.  theta[x, i], int64, is what
+    node i pays for label x, added per node: the arcs to fixed cells of the
+    other label, less its gain when x = 1.  It is shifted to
+    theta.min(axis=0) = 0 and becomes the source (theta[0]) and sink
+    (theta[1]) arcs.  Arcs between two free nodes join them both ways,
+    summed per pair; arcs inside one orbit are dropped.  On an orbit
+    numbering a cell and its mirror image have equal unmerged theta
+    columns, so shifting their sum equals summing their shifts: the graph
+    and the constant are the unmerged ones contracted by the orbit map.
+    """
+    coeffs = _coefficients(problem)
+    caps, gains = coeffs
+    dims = problem.grid.dims
+    fixed_in = problem.fixed_in.bits.ravel()
+    free = node < m
     # Cell codes: 1 fixed in, 0 fixed out, 2 free.
     code = (fixed_in.view(np.uint8)
             | (free.view(np.uint8) << 1)).reshape(dims)
@@ -340,35 +396,51 @@ def _linearized(problem):
             dtype=np.int64))
     na, nb, c = np.concatenate(na), np.concatenate(nb), np.concatenate(c)
 
+    # The values are added as int64: np.add.at runs several times slower
+    # when it casts them into theta.
     theta = np.zeros((2, m), dtype=np.int64)
-    theta[1] = -view(gains)[view(free)]
-    # Row node - m of a fixed end is the label that differs from it.  The
-    # values are added as int64: np.add.at runs several times slower when
-    # it casts them into theta.
+    np.subtract.at(theta[1], node[free], gains[free].astype(np.int64))
+    # Row node - m of a fixed end is the label that differs from it.
     sel = nb >= m
     np.add.at(theta, (nb[sel] - m, na[sel]), c[sel].astype(np.int64))
     sel = na >= m
     np.add.at(theta, (na[sel] - m, nb[sel]), c[sel].astype(np.int64))
-    both = (na < m) & (nb < m)
     shift = theta.min(axis=0)
     theta -= shift
     const = (cross - int(gains[fixed_in].sum(dtype=np.int64))
              + int(shift.sum()))
-    return _Linearized(theta, na[both], nb[both], c[both], const, node,
-                       coeffs)
+    apart = (na < m) & (nb < m) & (na != nb)
+    ei, ej, ew = na[apart], nb[apart], c[apart]
+    del na, nb, c, sel, apart
+
+    s, t = m, m + 1
+    src = np.flatnonzero(theta[0])
+    snk = np.flatnonzero(theta[1])
+    # In the index type scipy stores, so the matrix takes no copy of them;
+    # the grid's cell budget keeps t <= 2^24 + 1.
+    rows = np.concatenate([ei, ej, np.full(len(src), s), snk],
+                          dtype=np.int32)
+    cols = np.concatenate([ej, ei, src, np.full(len(snk), t)],
+                          dtype=np.int32)
+    vals = np.concatenate([ew, ew, theta[0, src], theta[1, snk]])
+    del ei, ej, ew, theta, src, snk
+    graph = csr_matrix((vals, (rows, cols)), shape=(m + 2, m + 2),
+                       dtype=np.int64)
+    return graph, const, coeffs
 
 
-def _minimizer(problem, lin, q, x_min, x_max, stats):
-    """The result for the extremal free labels x_min and x_max of energy q
-    quanta; each distinct set is re-evaluated from the full coefficients,
-    and a NumericalError raised unless it gives q."""
+def _minimizer(problem, node, coeffs, q, x_min, x_max, stats):
+    """The result for the extremal free labels x_min and x_max, unfolded
+    to cells through node, of energy q quanta; each distinct set is
+    re-evaluated from the full coefficients, and a NumericalError raised
+    unless it gives q."""
     grid = problem.grid
     unique = bool(np.array_equal(x_min, x_max))
     sets = []
     for x in (x_min,) if unique else (x_min, x_max):
-        bits = np.concatenate([x, [True, False]])[lin.node]
+        bits = np.concatenate([x, [True, False]])[node]
         D = CellSet(grid, bits.reshape(grid.dims))
-        got = _quanta(lin.coeffs, D)
+        got = _quanta(coeffs, D)
         if got != q:
             raise NumericalError(
                 f"energy bookkeeping broke: cut gives {q} quanta, "
@@ -377,67 +449,6 @@ def _minimizer(problem, lin, q, x_min, x_max, stats):
     quantum = grid.h ** (grid.d - 1) / 2**QUANT_BITS
     return MinimizerResult(sets[0], sets[-1], q * quantum, q, quantum, unique,
                            stats)
-
-
-def _mirrors(d):
-    """The grid reflections a problem may be invariant under, in a fixed
-    order: each axis flip, then each swap of two axes.  Each maps a
-    cell-shaped array to its mirror image; a swap of two axes of unequal
-    extent changes the shape, so no array equals its image under it."""
-    for k in range(d):
-        yield lambda a, k=k: np.flip(a, k)
-    for i, j in combinations(range(d), 2):
-        yield lambda a, i=i, j=j: np.swapaxes(a, i, j)
-
-
-def _mirror_merged(problem, lin):
-    """lin on the orbit graph of the first reflection that leaves the
-    problem unchanged, or lin itself when none does.
-
-    A reflection sigma leaves the energy unchanged when it maps fixed_in,
-    fixed_out and the cell weights onto themselves; every stencil maps
-    onto itself under sigma (see stencil_levels), so the arc capacities
-    and gains follow.  sigma then maps the largest minimizer to a
-    minimizer, which lies inside the largest one, so both extremal
-    minimizers are sigma-invariant.  On sigma-invariant labels the energy
-    is a cut of the orbit graph: each free cell and its mirror image are
-    one node, unary terms add over the orbit, arcs between two orbits add
-    up, and arcs inside one orbit are never cut, so they are dropped.
-    node maps every cell to its orbit, in int32 as _linearized's, so
-    _minimizer unfolds the labels and re-checks the energy on the full
-    coefficients.
-    """
-    arrays = [problem.fixed_in.bits, problem.fixed_out.bits]
-    if problem.cell_weight is not None:
-        arrays.append(problem.cell_weight)
-    for mirror in _mirrors(problem.grid.d):
-        if all(np.array_equal(a, mirror(a)) for a in arrays):
-            break
-    else:
-        return lin
-    m = lin.theta.shape[1]
-    # image[i] is the node of the mirror image of free node i's cell: at
-    # each free cell, node holds i and its mirror image holds image[i].
-    # The node order need not be raster order, so this goes cell by cell.
-    node = lin.node.reshape(problem.grid.dims)
-    free = node < m
-    image = np.empty(m, dtype=node.dtype)
-    image[node[free]] = mirror(node)[free]
-    nodes = np.arange(m, dtype=np.int32)
-    rep = np.minimum(nodes, image)
-    first = rep == nodes
-    orbit = (np.cumsum(first, dtype=np.int32) - 1)[rep]
-    reps = np.flatnonzero(first)
-    k = len(reps)
-    # An orbit is a free cell and its image, or a cell the mirror fixes.
-    theta = lin.theta[:, reps]
-    pair = image[reps] != reps
-    theta[:, pair] += lin.theta[:, image[reps[pair]]]
-    oi, oj = orbit[lin.ei], orbit[lin.ej]
-    apart = oi != oj
-    node = np.concatenate([orbit, [k, k + 1]], dtype=np.int32)[lin.node]
-    return _Linearized(theta, oi[apart], oj[apart], lin.ew[apart], lin.const,
-                       node, lin.coeffs)
 
 
 def _max_flow(graph, s, t):
@@ -527,51 +538,29 @@ def _band_residual(graph, band):
     return graph - lifted, value
 
 
-def _flow_solve(problem, lin, band=None):
-    """solve on the flow graph of lin, as it stands.
+def _flow_solve(problem, node, m, band=None):
+    """solve on the flow graph of problem under the numbering (node, m).
 
-    Arcs that join the same two nodes are summed into one.  When the
-    RegionMask band holds a free node, max-flow runs first on the
+    When the RegionMask band holds a free node, max-flow runs first on the
     sub-graph of the free nodes holding a band cell, then on the full
-    graph's residual under that flow (see the module docstring); otherwise
-    it runs once on the full graph.  Either stage runs through _max_flow,
-    so capacities past int32 are solved by capacity scaling, exactly.
-
-    The graph takes lin's fold: once it holds their values, lin's theta,
-    ei, ej and ew are set to None, so none of them lives through max-flow.
-    lin keeps const, node and coeffs, which the read-out needs.
+    graph's residual under that flow (see the module docstring), and the
+    full graph is freed once that residual stands; otherwise it runs once
+    on the full graph.  Either stage runs through _max_flow, exactly.
     """
-    m = lin.theta.shape[1]
+    graph, const, coeffs = _flow_graph(problem, node, m)
     if m == 0:
         x = np.zeros(0, dtype=bool)
-        return _minimizer(problem, lin, lin.const, x, x,
+        return _minimizer(problem, node, coeffs, const, x, x,
                           {"backend": "none", "free_cells": 0})
 
     s, t = m, m + 1
-    src = np.flatnonzero(lin.theta[0])
-    snk = np.flatnonzero(lin.theta[1])
-    # In the index type scipy stores, so the matrix takes no copy of them;
-    # the grid's cell budget keeps t <= 2^24 + 1.
-    rows = np.concatenate([lin.ei, lin.ej, np.full(len(src), s), snk],
-                          dtype=np.int32)
-    cols = np.concatenate([lin.ej, lin.ei, src, np.full(len(snk), t)],
-                          dtype=np.int32)
-    vals = np.concatenate([lin.ew, lin.ew, lin.theta[0, src],
-                           lin.theta[1, snk]])
-    graph = csr_matrix((vals, (rows, cols)), shape=(m + 2, m + 2),
-                       dtype=np.int64)
-    # The graph holds its own copies: drop them and lin's fold.
-    del rows, cols, vals, src, snk
-    lin.theta = lin.ei = lin.ej = lin.ew = None
     arcs = int(graph.nnz)
-
     flow_value = 0
     if band is not None:
         # The nodes of the band's cells, of which the first m are free.
         in_band = np.zeros(m + 2, dtype=bool)
-        in_band[lin.node[band.bits.ravel()]] = True
+        in_band[node[band.bits.ravel()]] = True
         if in_band[:m].any():
-            # The full graph is dropped once its band residual stands.
             graph, flow_value = _band_residual(graph, in_band[:m])
     value, residual = _max_flow(graph, s, t)
     del graph
@@ -588,7 +577,7 @@ def _flow_solve(problem, lin, band=None):
 
     stats = {"backend": "scipy.maximum_flow", "flow_value": flow_value,
              "nodes": m + 2, "arcs": arcs}
-    return _minimizer(problem, lin, lin.const + flow_value,
+    return _minimizer(problem, node, coeffs, const + flow_value,
                       x_min, x_max, stats)
 
 
@@ -598,11 +587,12 @@ def solve(problem, band=None):
     Returns the inclusion-smallest and inclusion-largest minimizers, the
     minimum energy (quantized), and whether the minimizer is unique.  A
     problem unchanged by a grid reflection is solved on its orbit graph,
-    each free cell merged with its mirror image (_mirror_merged).
-    flow_stats "nodes" and "arcs" count the whole graph that max-flow ran
-    on.  Capacities past the flow backend's int32 are solved exactly by
-    capacity scaling (_max_flow); only coefficients totalling 2^62 quanta
-    or more are refused, with CapacityOverflowError.
+    its free cells numbered by orbit, each with its mirror image
+    (_orbit_numbering), before the fold.  flow_stats "nodes" and "arcs"
+    count the whole graph that max-flow ran on.  Capacities past the flow
+    backend's int32 are solved exactly by capacity scaling (_max_flow);
+    only coefficients totalling 2^62 quanta or more are refused, with
+    CapacityOverflowError.
 
     band, a RegionMask, warm-starts max-flow: it runs first on the free
     nodes holding a band cell, then on the residual of the whole graph,
@@ -612,19 +602,20 @@ def solve(problem, band=None):
 
     Each extremal minimizer is re-priced on the full coefficients and a
     NumericalError raised unless it costs the cut's energy.  That guards
-    the bookkeeping of the fold, the merge and the flow value, not
-    optimality: an orbit graph that paired the wrong cells would still be
-    a valid contraction pricing its own labelings right, and only the
-    comparisons with the unmerged solve and brute_force in the tests
-    catch it.
+    the bookkeeping of the fold and the flow value, not optimality: an
+    orbit graph that paired the wrong cells would still be a valid
+    contraction pricing its own labelings right.  The tests check the
+    pairing itself: the orbit graph must equal the unmerged graph
+    contracted by the orbit map, and its solve the unmerged solve and
+    brute_force.
     """
     _instance(problem, MinCutProblem, "problem")
     if band is not None:
         _instance(band, RegionMask, "band")
         if not band.grid.compatible(problem.grid):
             raise UsageError("band lives on a different grid")
-    # The unmerged arcs are freed before max-flow runs.
-    return _flow_solve(problem, _mirror_merged(problem, _linearized(problem)),
+    return _flow_solve(problem,
+                       *_orbit_numbering(problem, *_node_numbering(problem)),
                        band)
 
 
@@ -632,17 +623,21 @@ def brute_force(problem):
     """Exhaustive minimization over all labelings of the free cells.
 
     Returns the same contract as solve, with set_min/set_max the intersection
-    and union of the whole argmin family.
+    and union of the whole argmin family, priced on the unmerged flow graph.
     """
-    lin = _linearized(problem)
-    m = lin.theta.shape[1]
+    _instance(problem, MinCutProblem, "problem")
+    node, m = _node_numbering(problem)
     if m > 24:
         raise UsageError(f"brute force supports at most 24 free cells, got {m}")
+    graph, const, coeffs = _flow_graph(problem, node, m)
+    dense = graph.toarray()
+    # Node i pays its source arc for label 0 and its sink arc for label 1.
+    theta0, theta1 = dense[m, :m], dense[:m, m + 1]
+    ei, ej = np.nonzero(np.triu(dense[:m, :m]))
+    ew = dense[ei, ej]
     shifts = np.arange(m, dtype=np.uint32)
-    dtheta = lin.theta[1] - lin.theta[0]
-    # Cut capacities add up in int64, whatever dtype they are held in.
-    ew = lin.ew.astype(np.int64)
-    base = lin.const + int(lin.theta[0].sum())
+    dtheta = theta1 - theta0
+    base = const + int(theta0.sum())
 
     best = None
     and_bits = or_bits = None
@@ -652,7 +647,7 @@ def brute_force(problem):
         bits = (codes[:, None] >> shifts[None, :]) & 1
         e = base + bits.astype(np.int64) @ dtheta
         if len(ew):
-            cut = bits[:, lin.ei] != bits[:, lin.ej]
+            cut = bits[:, ei] != bits[:, ej]
             e += cut @ ew
         lo = int(e.min())
         if best is None or lo < best:
@@ -664,7 +659,7 @@ def brute_force(problem):
             and_bits &= argm.all(axis=0)
             or_bits |= argm.any(axis=0)
 
-    return _minimizer(problem, lin, best, and_bits, or_bits,
+    return _minimizer(problem, node, coeffs, best, and_bits, or_bits,
                       {"backend": "exhaustive", "evaluations": 1 << m})
 
 
@@ -765,6 +760,7 @@ def result_to_json(result):
     whole graph max-flow ran on, never a warm start's band sub-graph: the
     orbit graph when solve merged mirror-image cells, arcs between the
     same two nodes counted once."""
+    _instance(result, MinimizerResult, "result")
     return {
         "schema_version": 1,
         "energy": result.energy,

@@ -8,7 +8,7 @@ without the band restriction, over the whole obstacle ball, and the lambdas
 of a threshold sweep one at a time, each on the whole free disk.  A
 mirror-symmetric problem is solved with one flow node per free cell, no
 cell merged with its mirror image, and the weighted base problem with
-max-flow in one stage, from no band.  The fold of fixed labels gathers
+max-flow in one stage, from no band.  The flow graph of a problem gathers
 each arc's end cells through arrays of flat cell indices, in place of the
 package's offset slices.  A leaf's arrays are read from the dense output
 in one call and its mean curvature formed over every node at once, where
@@ -27,6 +27,7 @@ import numpy as np
 from scipy.integrate import RK45, OdeSolution
 from scipy.linalg import eigh_tridiagonal
 from scipy.ndimage import distance_transform_edt
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from cmclab import (CellSet, MinCutProblem, RegionMask, cell_weights,
@@ -140,14 +141,24 @@ def kdtree_hausdorff(a, b):
 def unmerged_solve(problem):
     """solve's result from max-flow on the unmerged graph, one node per
     free cell, whatever reflection leaves the problem unchanged."""
-    return mincut._flow_solve(problem, mincut._linearized(problem))
+    return mincut._flow_solve(problem, *mincut._node_numbering(problem))
 
 
-def gathered_fold(problem):
-    """_linearized's fold of problem, with each arc's end cells gathered
-    through flat cell indices ai, bi, built per offset in arc order: its
-    theta, ei, ej, ew, const and node by name, in _linearized's dtypes.
-    The free cells are numbered as _linearized numbers them, in int32."""
+def unmerged_graph(problem):
+    """The flow graph of problem with one node per free cell, as
+    _flow_graph folds it: the CSR graph, its constant, every cell's node
+    and the number m of free nodes."""
+    node, m = mincut._node_numbering(problem)
+    graph, const, _coeffs = mincut._flow_graph(problem, node, m)
+    return graph, const, node, m
+
+
+def gathered_graph(problem):
+    """The unmerged flow graph of problem, with each arc's end cells
+    gathered through flat cell indices ai, bi, built per offset in arc
+    order: the CSR graph, its constant and every cell's node by name, in
+    _flow_graph's dtypes.  The free cells are numbered as _node_numbering
+    numbers them, in int32."""
     grid = problem.grid
     caps, gains = mincut._coefficients(problem)
     flat = np.arange(grid.ncells).reshape(grid.dims)
@@ -183,8 +194,14 @@ def gathered_fold(problem):
     theta -= shift
     const = (int(caps[cross].sum(dtype=np.int64))
              - int(gains[fixed_in].sum(dtype=np.int64)) + int(shift.sum()))
-    return {"theta": theta, "ei": na[both], "ej": nb[both], "ew": c[both],
-            "const": const, "node": node}
+    src, snk = np.flatnonzero(theta[0]), np.flatnonzero(theta[1])
+    rows = np.concatenate([na[both], nb[both], np.full(len(src), m), snk])
+    cols = np.concatenate([nb[both], na[both], src,
+                           np.full(len(snk), m + 1)])
+    vals = np.concatenate([c[both], c[both], theta[0, src], theta[1, snk]])
+    graph = csr_matrix((vals, (rows, cols)), shape=(m + 2, m + 2),
+                       dtype=np.int64)
+    return {"graph": graph, "const": const, "node": node}
 
 
 def cold_solve(p, q, grid, lam, boundary, r):

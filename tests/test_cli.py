@@ -2,6 +2,7 @@
 codes, parameter echo, and the concurrency switch."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -146,9 +147,9 @@ class TestPlateau2d:
         nodes = []
         real = cmclab.mincut._flow_solve
 
-        def spy(problem, lin, band=None):
-            nodes.append(lin.theta.shape[1])
-            return real(problem, lin, band)
+        def spy(problem, node, m, band=None):
+            nodes.append(m)
+            return real(problem, node, m, band)
 
         def artifacts(name):
             out = tmp_path / name
@@ -159,8 +160,8 @@ class TestPlateau2d:
         monkeypatch.setattr(cmclab.mincut, "_flow_solve", spy)
         merged = artifacts("merged")
         assert len(calls) > 1
-        monkeypatch.setattr(cmclab.mincut, "_mirror_merged",
-                            lambda problem, lin: lin)
+        # No reflection to look for: the free cells keep one node each.
+        monkeypatch.setattr(cmclab.mincut, "_mirrors", lambda d: iter(()))
         assert artifacts("unmerged") == merged
         # One solve each: the orbit graph has half the unmerged nodes.
         assert len(nodes) == 2 and 2 * nodes[0] == nodes[1]
@@ -168,7 +169,8 @@ class TestPlateau2d:
     def test_sweep_memory_peak(self, tmp_path):
         # The benchmark's sweep: radius 64, 8 lambdas from 0 to 1/16.
         # 6.13 MB while the capacities and node numbers were int64 and the
-        # fold's arrays lived through max-flow, 5.09 MB since.
+        # fold's arrays lived through max-flow, 5.09 MB while the arcs
+        # between free nodes outlived the graph build, 4.50 MB since.
         argv = ["plateau2d", "--radius", "64", "--resolution", "136",
                 "--outdir", str(tmp_path)]
         for k in range(8):
@@ -1037,6 +1039,34 @@ class TestDeterminism:
          "--output", "approx_limit.svg"),
     ]
 
+    # The sha256 of every JSON and cell-set artifact RUNS writes.  A rerun
+    # alone would pass a deterministic change to every artifact; a change
+    # that alters one on purpose says why in CHANGES.md and updates it here.
+    DIGESTS = {
+        "approx.json": "3e001d4eed59d083eb7ca754b89e036d"
+                       "8ca305a6cde4922ba1cbb18795be5ebc",
+        "approx_limit.csl": "9bf2cb0abce3b51693212136b0fa3654"
+                            "18e6740bdb15ac5982f1149ab5ea3a8d",
+        "approx_step_00.csl": "87eaca01809951c78fa168ade996b328"
+                              "0f2a05ee5de77e165a2dfd652b599b57",
+        "approx_step_01.csl": "755ff4cb383ae928ea5456dd4262330a"
+                              "8ff542ddeedcb9b583eb79b49e5ce1be",
+        "approx_step_02.csl": "75484508e5bb20b73aade590648c1e6c"
+                              "89af62fb40ac3f00d87a550e32c8a4ef",
+        "equivariant.json": "64682faa6aeaf892ce62518f7adbd356"
+                            "ae2afaf871611bbb44489b39ec5b4531",
+        "equivariant_largest.csl": "9bf2cb0abce3b51693212136b0fa3654"
+                                   "18e6740bdb15ac5982f1149ab5ea3a8d",
+        "plateau2d.json": "e09d88a5af1327ac163b25805f9bd1ed"
+                          "b5d4cb147d9eecb66f600e5d30946c71",
+        "plateau2d_00.csl": "bddbc166680967f7ce045739835de987"
+                            "ca65abedf21d92b464dd749e35eac316",
+        "plateau2d_01.csl": "a21f21fb474b8b1483f485010976fcb3"
+                            "ed5ca6fe3e0cb403e1b4684d7a40898f",
+        "spectra_p2_q4.json": "4696056c76c0a7d5853281e4d715ecde"
+                              "a9d316f245d4064e77df9b759d379aba",
+    }
+
     @staticmethod
     def write_config(cwd):
         h = 1.0 / 32
@@ -1061,6 +1091,17 @@ class TestDeterminism:
                 "approx_limit.svg"} <= set(first)
         assert sorted(second) == sorted(first)
         assert [name for name in first if second[name] != first[name]] == []
+
+    def test_every_artifact_keeps_its_pinned_digest(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        self.write_config(tmp_path)
+        for args in self.RUNS:
+            assert run_cli(*args) == 0, args
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()
+               if p.suffix in (".json", ".csl") and p.name != "run.json"}
+        assert got == self.DIGESTS
 
     def test_every_json_artifact_is_strict_json(self, tmp_path,
                                                 monkeypatch):

@@ -10,6 +10,7 @@ from cmclab import (
 )
 from cmclab.cli import atomic_write
 from oracles import perimeter_recount
+from support import traced_peak
 
 W2_FACE = 6746518852 / 2**34
 W2_DIAG = 4770509230 / 2**34
@@ -316,6 +317,17 @@ class TestSerialization:
     def test_rle_size_mismatch(self):
         with pytest.raises(UsageError):
             rle_decode("30 21", 6)
+
+    @pytest.mark.parametrize("size", [-1, 2**24 + 1, 1.5, True],
+                             ids=["-1", "2^24+1", "1.5", "True"])
+    def test_rle_size_is_checked_before_any_allocation(self, size):
+        # Refused by name, with no array sized by the unchecked number:
+        # 2^24 + 1 cells would take 16.8 MB.
+        def decode():
+            with pytest.raises(UsageError, match="cell count"):
+                rle_decode("", size)
+
+        assert traced_peak(decode) < 0.1
 
     def test_rle_malformed(self):
         with pytest.raises(UsageError):

@@ -15,7 +15,8 @@ from cmclab import (
     threshold_experiment, result_to_json,
 )
 from cmclab.equivariant import _base_problem, diagonal_wedge, quadrant_grid
-from oracles import gathered_fold, independent_thresholds, unmerged_solve
+from oracles import (gathered_graph, independent_thresholds, unmerged_graph,
+                     unmerged_solve)
 from support import (INT32_MAX, count_arc_builds, count_flows,
                      forbid_wrapping, random_small_problem, traced_peak)
 
@@ -303,14 +304,13 @@ class TestSolve:
     def test_energy_recheck_catches_a_wrong_fold(self, rng, monkeypatch,
                                                  run, all_fixed):
         # Every path re-evaluates its sets, the one with no free cell too.
-        real = cmclab.mincut._linearized
+        real = cmclab.mincut._flow_graph
 
-        def one_quantum_over(problem):
-            lin = real(problem)
-            lin.const += 1
-            return lin
+        def one_quantum_over(problem, node, m):
+            graph, const, coeffs = real(problem, node, m)
+            return graph, const + 1, coeffs
 
-        monkeypatch.setattr(cmclab.mincut, "_linearized", one_quantum_over)
+        monkeypatch.setattr(cmclab.mincut, "_flow_graph", one_quantum_over)
         if all_fixed:
             g = GridGeometry((4, 4))
             top = RegionMask.from_predicate(g, lambda x, y: y > 1.5)
@@ -321,10 +321,10 @@ class TestSolve:
             run(prob)
 
     def test_fold_prices_every_labeling(self, rng):
-        # The folded energy equals the energy of the assembled set for any
-        # labels of the free cells, not only for the minimizers: with the
-        # free cells drawn at random, on the grid's hull only, none of them
-        # and all of them.
+        # The flow graph's cut plus its constant equals the energy of the
+        # assembled set for any labels of the free cells, not only for the
+        # minimizers: with the free cells drawn at random, on the grid's
+        # hull only, none of them and all of them.
         for _ in range(30):
             prob = random_small_problem(rng)
             g = prob.grid
@@ -340,18 +340,18 @@ class TestSolve:
 
     @staticmethod
     def check_fold(rng, prob):
-        lin = cmclab.mincut._linearized(prob)
-        m = lin.theta.shape[1]
+        graph, const, node, m = unmerged_graph(prob)
         assert m == np.count_nonzero(prob.free.bits)
-        assert np.all(lin.theta.min(axis=0) == 0)
+        dense = graph.toarray()
+        # No free node has both a source and a sink arc.
+        assert not np.any((dense[m, :m] > 0) & (dense[:m, m + 1] > 0))
         for _ in range(8):
             x = rng.random(m) < 0.5
+            # The source side: the source and the free nodes labeled 1.
+            side = np.concatenate([x, [True, False]])
             # Through the node map, so any numbering of the free cells does.
-            bits = np.concatenate([x, [True, False]])[lin.node].reshape(
-                prob.grid.dims)
-            folded = (lin.const
-                      + int(lin.theta[x.astype(int), np.arange(m)].sum())
-                      + int(lin.ew[x[lin.ei] != x[lin.ej]].sum()))
+            bits = side[node].reshape(prob.grid.dims)
+            folded = const + int(dense[side][:, ~side].sum())
             assert folded == evaluate_quanta(prob, CellSet(prob.grid, bits))
 
     def test_lambda_past_int32_fills_the_whole_grid(self, no_wrap):
@@ -406,9 +406,10 @@ class TestSolve:
         prob = MinCutProblem(g, 0.0, fixed_in=RegionMask(g, fin),
                              fixed_out=RegionMask(g, ring & ~fin),
                              cell_weight=np.full((5, 4), 1536.0))
-        lin = cmclab.mincut._linearized(prob)
-        assert lin.ew.dtype == np.int32
-        assert lin.ew.tolist() == [3 * 2**29] * 7
+        assert cmclab.mincut._coefficients(prob)[0].dtype == np.int32
+        graph, _const, _node, m = unmerged_graph(prob)
+        pairs = np.triu(graph.toarray()[:m, :m])
+        assert pairs[pairs > 0].tolist() == [3 * 2**29] * 7
         want = brute_force(prob)
         got = solve(prob)
         assert len(no_wrap) > 1
@@ -508,6 +509,35 @@ class TestMirrorMerge:
             orbits = np.count_nonzero(prob.free.bits & (flat <= mirror(flat)))
             assert got.flow_stats["nodes"] == orbits + 2
 
+    @pytest.mark.parametrize("d,name,parity", CASES)
+    def test_orbit_graph_is_the_contracted_unmerged_graph(self, rng, d, name,
+                                                          parity):
+        # The pairing itself, not only the minimizers: the orbit graph is
+        # the unmerged graph with every free node mapped to its orbit,
+        # arcs between the same two orbits summed and arcs inside one
+        # orbit dropped, and its energy constant is the unmerged one.
+        weighted = 0
+        for _ in range(12):
+            prob, _mirror = self.draw(rng, d, name, parity)
+            weighted += prob.cell_weight is not None
+            full, const, node, m = unmerged_graph(prob)
+            orbit_node, k = cmclab.mincut._orbit_numbering(prob, node, m)
+            assert k < m
+            orbit, orbit_const, _coeffs = cmclab.mincut._flow_graph(
+                prob, orbit_node, k)
+            to_orbit = np.empty(m + 2, dtype=np.int64)
+            to_orbit[node] = orbit_node
+            to_orbit[m:] = k, k + 1
+            contract = csr_matrix(
+                (np.ones(m + 2, dtype=np.int64), (np.arange(m + 2), to_orbit)),
+                shape=(m + 2, k + 2))
+            want = (contract.T @ full @ contract).toarray()
+            np.fill_diagonal(want, 0)
+            assert np.array_equal(orbit.toarray(), want)
+            assert orbit.nnz == np.count_nonzero(want)
+            assert orbit_const == const
+        assert weighted
+
     @pytest.mark.parametrize("d,name,parity,axis", REVERSED)
     def test_matches_unmerged_and_brute_force_numbered_backwards(
             self, rng, d, name, parity, axis):
@@ -522,7 +552,7 @@ class TestMirrorMerge:
                                             prob.fixed_out.bits) != axis:
                 continue
             free = prob.free.bits
-            node = cmclab.mincut._linearized(prob).node[free.ravel()]
+            node = cmclab.mincut._node_numbering(prob)[0][free.ravel()]
             unmerged = unmerged_solve(prob)
             split = unmerged.set_max.bits[free]
             if not (np.any(np.diff(node) < 0) and split.any()
@@ -699,12 +729,11 @@ class TestNodeOrder:
     def numbered(prob, axis):
         """Whether the free nodes of prob run in raster order, backwards
         along axis (None: forwards along every axis)."""
-        lin = cmclab.mincut._linearized(prob)
+        node, m = cmclab.mincut._node_numbering(prob)
         view = ((lambda a: a) if axis is None
                 else (lambda a: np.flip(a, axis)))
-        node = view(lin.node.reshape(prob.grid.dims))
+        node = view(node.reshape(prob.grid.dims))
         free = view(prob.free.bits)
-        m = lin.theta.shape[1]
         return (np.array_equal(node[free], np.arange(m))
                 and np.all(node[~free] == np.where(view(prob.fixed_in.bits),
                                                    m, m + 1)[~free]))
@@ -764,14 +793,16 @@ class TestFold:
     arc table holds the capacities alone."""
 
     @staticmethod
-    def assert_gathered_fold(prob):
-        lin = cmclab.mincut._linearized(prob)
-        want = gathered_fold(prob)
-        for name in ("theta", "ei", "ej", "ew", "node"):
-            got = getattr(lin, name)
-            assert got.dtype == want[name].dtype, name
-            assert np.array_equal(got, want[name]), name
-        assert lin.const == want["const"]
+    def assert_gathered_graph(prob):
+        graph, const, node, _m = unmerged_graph(prob)
+        want = gathered_graph(prob)
+        for name in ("indptr", "indices", "data"):
+            got, exp = getattr(graph, name), getattr(want["graph"], name)
+            assert got.dtype == exp.dtype, name
+            assert np.array_equal(got, exp), name
+        assert node.dtype == want["node"].dtype
+        assert np.array_equal(node, want["node"])
+        assert const == want["const"]
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_matches_the_gathered_fold(self, rng, d):
@@ -779,14 +810,14 @@ class TestFold:
         for _ in range(24):
             prob = random_small_problem(rng, d=d)
             stencils.add(prob.grid.stencil)
-            self.assert_gathered_fold(prob)
+            self.assert_gathered_graph(prob)
         assert stencils == {"face", "cc"}
 
     def test_matches_the_gathered_fold_on_the_quadrant_base_problem(self):
         g = quadrant_grid(64)
         prob, _band = _base_problem(3, 3, g, 0.0, diagonal_wedge(g, 3, 3),
                                     0.5)
-        self.assert_gathered_fold(prob)
+        self.assert_gathered_graph(prob)
 
     # Weights of 0.5 to 2 keep every capacity inside int32, 2^12 times
     # that puts some past it.
@@ -834,18 +865,21 @@ class TestFold:
     @pytest.mark.parametrize("merged", [False, True])
     def test_no_fold_array_lives_through_max_flow(self, monkeypatch,
                                                   merged):
-        # Spies hold weak references to the arrays of every fold and every
-        # orbit merge; each max-flow call, of the band and of the whole
-        # graph, finds them all freed.  The quadrant base problem is solved
-        # unmerged, the half-plane disk on its orbit graph.
+        # A spy holds weak references to the full flow graph and its
+        # arrays, the fold's one product.  Max-flow of the band needs the
+        # graph for its residual; max-flow of the whole graph's residual
+        # finds it freed.  The quadrant base problem is solved unmerged,
+        # the half-plane disk on its orbit graph.
         refs, dead = [], []
-        for name in ("_linearized", "_mirror_merged"):
-            def spy(*args, real=getattr(cmclab.mincut, name)):
-                lin = real(*args)
-                refs.extend(weakref.ref(getattr(lin, field))
-                            for field in ("theta", "ei", "ej", "ew"))
-                return lin
-            monkeypatch.setattr(cmclab.mincut, name, spy)
+        real_graph = cmclab.mincut._flow_graph
+
+        def spy(*args):
+            graph, const, coeffs = real_graph(*args)
+            refs.extend(weakref.ref(a) for a in (graph, graph.data,
+                                                 graph.indices, graph.indptr))
+            return graph, const, coeffs
+
+        monkeypatch.setattr(cmclab.mincut, "_flow_graph", spy)
         real_flow = cmclab.mincut.maximum_flow
 
         def flow(graph, s, t):
@@ -862,8 +896,8 @@ class TestFold:
                                        diagonal_wedge(g, 3, 3), 0.5)
         nodes = solve(prob, band).flow_stats["nodes"]
         assert (nodes < np.count_nonzero(prob.free.bits) + 2) == merged
-        assert len(refs) == 8
-        assert dead == [True, True]
+        assert len(refs) == 4
+        assert dead == [False, True]
 
     def test_base_solve_memory_peak(self):
         # The n=256 weighted base solve with its band, arc build included:
@@ -1049,9 +1083,10 @@ class TestBand:
         w = np.ones((4, 3))
         w[fin] = 3000.0
         prob, band = self.two_cell_problem(g, fin, w)
-        lin = cmclab.mincut._linearized(prob)
-        assert 2**30 < lin.theta.max() <= INT32_MAX
-        assert lin.ew.max() <= 2**30
+        graph, _const, _node, m = unmerged_graph(prob)
+        dense = graph.toarray()
+        assert 2**30 < max(dense[m].max(), dense[:, m + 1].max()) <= INT32_MAX
+        assert dense[:m, :m].max() <= 2**30
         self.check_band_against_oracles(no_wrap, prob, band, [4, 4])
 
     def test_a_terminal_arc_past_int32_is_scaled_in_both_stages(self,
@@ -1064,7 +1099,7 @@ class TestBand:
         w = np.ones((4, 3))
         w[fin] = 6000.0
         prob, band = self.two_cell_problem(g, fin, w)
-        assert cmclab.mincut._linearized(prob).theta.max() > INT32_MAX
+        assert unmerged_graph(prob)[0].max() > INT32_MAX
         self.check_band_against_oracles(no_wrap, prob, band, [4, 5, 4, 5])
 
     def test_band_on_another_grid_is_refused(self, rng):

@@ -16,12 +16,15 @@ import cmclab
 from cmclab import cli, cones, equivariant, grid, mincut
 from cmclab import (
     CellSet, GridGeometry, MinCutProblem, ProfileCurve, RadialFunction,
-    RegionMask, UsageError, approximation_sequence, cell_weights,
-    cmc_graph_residual, curve_from_samples, diagonal_wedge,
-    indicial_exponents, lc_residual, leaf_to_radial_graph, link_spectrum,
-    make_cone, mean_curvature_values, perimeter, quadrant_grid, shoot_leaf,
-    solve, split_perimeter, stencil_levels, threshold_experiment,
-    weighted_minimize,
+    RegionMask, UsageError, approximation_sequence, boundary_faces,
+    brute_force, cell_weights, cellset_from_text, cellset_to_text,
+    cmc_graph_residual, complement, curve_from_samples, diagonal_wedge,
+    evaluate_quanta, fit_decay_exponent, gamma_pm, indicial_exponents,
+    lattice, lc_residual, leaf_to_radial_graph, linearization_check,
+    link_spectrum, make_cone, mean_curvature_values, perimeter,
+    quadrant_grid, result_to_json, rle_decode, shoot_leaf, solve,
+    split_perimeter, stability, stencil_levels, threshold_experiment,
+    volume, weighted_minimize,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -117,6 +120,10 @@ def _curve(p):
 
 def _flat(r):
     return 0.0 * r
+
+
+def _radial():
+    return RadialFunction.from_callable(_flat, 1.0, 8.0, 64)
 
 
 # The bad values, by the name a row's id gives them.
@@ -272,6 +279,93 @@ _REFUSALS = [
      "region R must be a RegionMask"),
     ("mean_curvature_values", lambda: mean_curvature_values("x"),
      "curve must be a ProfileCurve"),
+    ("evaluate_quanta-problem",
+     lambda: evaluate_quanta("x", CellSet.full(_GRID)),
+     "problem must be a MinCutProblem"),
+    ("evaluate_quanta-D",
+     lambda: evaluate_quanta(MinCutProblem(_GRID, 0.0, _NONE, _NONE), "x"),
+     "cell set D must be a CellSet"),
+    ("brute_force-problem", lambda: brute_force("x"),
+     "problem must be a MinCutProblem"),
+    ("result_to_json", lambda: result_to_json("x"),
+     "result must be a MinimizerResult"),
+    ("MinCutProblem-grid", lambda: MinCutProblem("g", 0.0, _NONE, _NONE),
+     "grid must be a GridGeometry"),
+    ("MinCutProblem-fixed_in",
+     lambda: MinCutProblem(_GRID, 0.0, "a", _NONE),
+     "fixed_in must be a RegionMask"),
+    ("MinCutProblem-fixed_out",
+     lambda: MinCutProblem(_GRID, 0.0, _NONE, "b"),
+     "fixed_out must be a RegionMask"),
+    ("relabeled-fixed_in",
+     lambda: MinCutProblem(_GRID, 0.0, _NONE, _NONE).relabeled("a", _NONE),
+     "fixed_in must be a RegionMask"),
+    ("relabeled-fixed_out",
+     lambda: MinCutProblem(_GRID, 0.0, _NONE, _NONE).relabeled(_NONE, "b"),
+     "fixed_out must be a RegionMask"),
+    ("CellSet-grid", lambda: CellSet("g", np.zeros((8, 8), dtype=bool)),
+     "grid must be a GridGeometry"),
+    ("RegionMask-grid",
+     lambda: RegionMask("g", np.zeros((8, 8), dtype=bool)),
+     "grid must be a GridGeometry"),
+    ("ball-grid", lambda: RegionMask.ball("g", (1.0, 1.0), 2.0),
+     "grid must be a GridGeometry"),
+    ("intersect", lambda: _NONE.intersect("x"), "region must be a RegionMask"),
+    ("volume-D", lambda: volume("x", _NONE), "cell set D must be a CellSet"),
+    ("volume-R", lambda: volume(CellSet.full(_GRID), "x"),
+     "region R must be a RegionMask"),
+    ("complement", lambda: complement("x"), "cell set D must be a CellSet"),
+    ("lattice-D1", lambda: lattice("x", CellSet.full(_GRID)),
+     "cell set D1 must be a CellSet"),
+    ("lattice-D2", lambda: lattice(CellSet.full(_GRID), "x"),
+     "cell set D2 must be a CellSet"),
+    ("boundary_faces", lambda: boundary_faces("x"),
+     "cell set D must be a CellSet"),
+    ("cellset_to_text", lambda: cellset_to_text("x"),
+     "cell set D must be a CellSet"),
+    ("split_perimeter-D", lambda: split_perimeter("x", 2.0, (1.0, 1.0)),
+     "cell set D must be a CellSet"),
+    ("stability", lambda: stability("x"), "cone must be a CliffordCone"),
+    ("gamma_pm", lambda: gamma_pm("x"), "cone must be a CliffordCone"),
+    ("cmc_graph_residual-cone",
+     lambda: cmc_graph_residual(
+         "x", RadialFunction.from_callable(_flat, 1.0, 8.0, 64), 0.0),
+     "cone must be a CliffordCone"),
+    ("fit_decay_exponent-leaf", lambda: fit_decay_exponent("x", _CONE),
+     "leaf must be a ProfileCurve"),
+    ("fit_decay_exponent-cone", lambda: fit_decay_exponent(_leaf(), "x"),
+     "cone must be a CliffordCone"),
+    ("leaf_to_radial_graph-leaf",
+     lambda: leaf_to_radial_graph("x", _CONE, 3.0, 10.0, 64),
+     "leaf must be a ProfileCurve"),
+    ("leaf_to_radial_graph-cone",
+     lambda: leaf_to_radial_graph(_leaf(), "x", 3.0, 10.0, 64),
+     "cone must be a CliffordCone"),
+    ("linearization_check-cone",
+     lambda: linearization_check("x", _radial(), _radial()),
+     "cone must be a CliffordCone"),
+    ("linearization_check-u",
+     lambda: linearization_check(_CONE, "x", _radial()),
+     "radial function u must be a RadialFunction"),
+    ("linearization_check-v",
+     lambda: linearization_check(_CONE, _radial(), "x"),
+     "radial function v must be a RadialFunction"),
+    ("diagonal_wedge-grid", lambda: diagonal_wedge("g", 3, 3),
+     "grid must be a GridGeometry"),
+    ("cell_weights-grid", lambda: cell_weights("g", 3, 3),
+     "grid must be a GridGeometry"),
+    ("CellSet.empty-grid", lambda: CellSet.empty("g"),
+     "grid must be a GridGeometry"),
+    ("CellSet.full-grid", lambda: CellSet.full("g"),
+     "grid must be a GridGeometry"),
+    ("RegionMask.whole-grid", lambda: RegionMask.whole("g"),
+     "grid must be a GridGeometry"),
+    ("from_predicate-grid",
+     lambda: RegionMask.from_predicate("g", lambda x, y: x > 0),
+     "grid must be a GridGeometry"),
+    ("rle_decode-text", lambda: rle_decode(5, 3), "run text must be a str"),
+    ("cellset_from_text", lambda: cellset_from_text(5),
+     "cell set text must be a str"),
 ]
 
 
