@@ -5,10 +5,12 @@ The link of the cone over S^p(a) x S^q(b) has squared second fundamental form
 p + q when a, b are the minimality radii sqrt(p/(p+q)), sqrt(q/(p+q)).  The
 link operator is the Laplacian plus that constant, so its spectrum separates
 into sphere harmonics; everything here rests on that closed form.  Eigenvalue
-coincidences are decided exactly over the rationals, never by float equality.
+coincidences are decided exactly, on integer keys, never by float equality.
 """
 
 import math
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,8 +20,9 @@ from .grid import (UsageError, _finite, _finite_array, _instance, _integer,
                    _positive)
 
 # Most eigenvalues link_spectrum may list.  Time and memory grow linearly in
-# K: at the limit the enumeration takes about 0.6 s and 60 MB on one core of
-# a 2-core x86 machine, so an unchecked K of 1e9 would ask for tens of GB.
+# K: at the limit, C(3,3) takes about 0.03 s and 34 MB (tracemalloc peak) on
+# one core of a 2-core x86 machine, so an unchecked K of 1e9 would ask for
+# tens of GB.
 _MAX_EIGENVALUES = 10**6
 # Most nodes RadialFunction.from_callable may sample: 80 MB per float64 array.
 _MAX_NODES = 10**7
@@ -51,11 +54,6 @@ def _sphere_dimensions(p, q, least):
 def make_cone(p, q):
     """The minimal product-sphere cone for sphere dimensions p, q >= 1."""
     p, q = _sphere_dimensions(p, q, 1)
-    a2 = Fraction(p, p + q)
-    b2 = Fraction(q, p + q)
-    curv2 = p * b2 / a2 + q * a2 / b2
-    if not (a2 + b2 == 1 and curv2 == p + q):
-        raise UsageError("link radii lost minimality, this is a bug")
     return CliffordCone(p, q, p + q + 1, math.sqrt(p / (p + q)),
                         math.sqrt(q / (p + q)), float(p + q))
 
@@ -88,52 +86,39 @@ def link_spectrum(cone, K):
     """First K eigenvalues (with multiplicity) of minus the link operator.
 
     Separated form: a harmonic of degree i on the first factor and j on the
-    second contributes i(i+p-1)/a^2 + j(j+q-1)/b^2 - (p+q), with multiplicity
-    the product of the harmonic space dimensions.  K is at most
-    _MAX_EIGENVALUES = 10^6; a larger K is refused before any enumeration.
+    second contributes mu = i(i+p-1)/a^2 + j(j+q-1)/b^2 - (p+q), with
+    multiplicity the product of the harmonic space dimensions, grouped and
+    ordered exactly by the integer key (mu + p + q) pq / (p + q).  K is at
+    most _MAX_EIGENVALUES = 10^6; a larger K is refused before any work.
     """
     _instance(cone, CliffordCone, "cone")
     K = _integer(K, "eigenvalue count K", 1, _MAX_EIGENVALUES)
     p, q = cone.p, cone.q
-    inv_a2 = Fraction(p + q, p)
-    inv_b2 = Fraction(p + q, q)
 
-    def mu(i, j):
-        return (i * (i + p - 1) * inv_a2 + j * (j + q - 1) * inv_b2
-                - (p + q))
+    def key(i, j):
+        return q * i * (i + p - 1) + p * j * (j + q - 1)
 
     M = 8
     while True:
-        groups = {}
+        groups = Counter()
         for i in range(M + 1):
             for j in range(M + 1):
-                groups.setdefault(mu(i, j), 0)
-                groups[mu(i, j)] += _sphere_mult(p, i) * _sphere_mult(q, j)
-        distinct = sorted(groups)
-        total = 0
-        cutoff = None
-        for v in distinct:
-            total += groups[v]
-            if total >= K:
-                cutoff = v
-                break
-        # Everything at indices > M is larger than mu(M+1, 0) and mu(0, M+1);
-        # below that bound the enumeration is complete.
-        safe = min(mu(M + 1, 0), mu(0, M + 1))
-        if cutoff is not None and cutoff < safe:
+                groups[key(i, j)] += _sphere_mult(p, i) * _sphere_mult(q, j)
+        # Every pair with i or j > M has a key of at least this bound, so
+        # the groups below it are complete.
+        bound = min(key(M + 1, 0), key(0, M + 1))
+        if sum(m for k, m in groups.items() if k < bound) >= K:
             break
         M *= 2
 
     evs, mults = [], []
-    for v in distinct:
-        m = groups[v]
-        for _ in range(m):
-            evs.append(float(v))
-            mults.append(m)
-            if len(evs) == K:
-                break
+    for k in sorted(groups):
         if len(evs) == K:
             break
+        m = groups[k]
+        take = min(m, K - len(evs))
+        evs += [float(Fraction((p + q) * k, p * q) - (p + q))] * take
+        mults += [m] * take
 
     stable = stability(cone)
     gm = gp = None
@@ -199,7 +184,12 @@ class RadialFunction:
     def from_callable(cls, fn, r_min, r_max, n):
         r_min, r_max = _radii(r_min, r_max)
         n = _integer(n, "node count n", 2, _MAX_NODES)
-        return cls(r_min, r_max, fn(np.geomspace(r_min, r_max, n)))
+        fn = _instance(fn, Callable, "sample function")
+        f = cls(r_min, r_max, fn(np.geomspace(r_min, r_max, n)))
+        if f.n_nodes != n:
+            raise UsageError(f"sample function gave {f.n_nodes} values, "
+                             f"not {n}")
+        return f
 
     @property
     def n_nodes(self):

@@ -648,7 +648,7 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
     depth = grid.h * np.sqrt(_depth2(E.bits, _depth_bound(t_arr[0], grid),
                                      E.bits & (profile > 0)))
     weights = base.cell_weight
-    ball = RegionMask.ball(grid, (0.0, 0.0), r_obs).bits
+    ball = base.free.bits
     E_mids = boundary_faces(E)[0]
     prev = np.zeros(grid.dims, dtype=bool)
     rows = []

@@ -247,6 +247,7 @@ class GridGeometry:
         The origin is presentation metadata and not part of compatibility;
         the cell set file format does not carry it.
         """
+        _instance(other, GridGeometry, "grid")
         return (self.dims == other.dims and self.h == other.h
                 and self.stencil == other.stencil)
 
@@ -481,14 +482,10 @@ def boundary_faces(D):
     for k, off in enumerate(_FACE_OFFSETS[grid.d]):
         sa, sb = _offset_slices(grid.dims, off)
         cut = D.bits[sa] != D.bits[sb]
-        if not cut.any():
-            continue
         pts = np.stack([0.5 * (mesh[j][sa][cut] + mesh[j][sb][cut])
                         for j in range(grid.d)], axis=1)
         mids.append(pts)
         axes.append(np.full(len(pts), k, dtype=np.int64))
-    if not mids:
-        return (np.zeros((0, grid.d)), np.zeros(0, dtype=np.int64))
     return np.concatenate(mids, axis=0), np.concatenate(axes)
 
 

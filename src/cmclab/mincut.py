@@ -172,13 +172,6 @@ def _arc_slices(grid):
             yield w, _offset_slices(grid.dims, off)
 
 
-def _across(grid, op, a):
-    """op(tail value, head value) of the cell-shaped array a over every
-    arc, in arc order, by slices rather than index gathers."""
-    return np.concatenate([op(a[sa], a[sb]).ravel()
-                           for _w, (sa, sb) in _arc_slices(grid)])
-
-
 def _narrowest(a):
     """The integer-valued floats a as int32 when every magnitude is at most
     2^31 - 1, so each value and its negation fit, as int64 otherwise."""
@@ -235,9 +228,11 @@ def _coefficients(problem):
 
 
 def _quanta(coeffs, D):
-    """Quantized energy of D under coefficients built by _coefficients."""
+    """Quantized energy of D under coefficients built by _coefficients; the
+    cut arcs come from offset slices rather than index gathers."""
     caps, gains = coeffs
-    cut = _across(D.grid, np.not_equal, D.bits)
+    cut = np.concatenate([(D.bits[sa] != D.bits[sb]).ravel()
+                          for _w, (sa, sb) in _arc_slices(D.grid)])
     return (int(caps[cut].sum(dtype=np.int64))
             - int(gains[D.bits.ravel()].sum(dtype=np.int64)))
 
@@ -646,9 +641,7 @@ def brute_force(problem):
                           dtype=np.uint32)
         bits = (codes[:, None] >> shifts[None, :]) & 1
         e = base + bits.astype(np.int64) @ dtheta
-        if len(ew):
-            cut = bits[:, ei] != bits[:, ej]
-            e += cut @ ew
+        e += (bits[:, ei] != bits[:, ej]) @ ew
         lo = int(e.min())
         if best is None or lo < best:
             best = lo
@@ -746,8 +739,6 @@ def threshold_experiment(r, resolution, lam_list):
 
 def _contact_excess(D, center, r, band=2.0):
     mids, _axes = boundary_faces(D)
-    if len(mids) == 0:
-        return 0.0
     h = D.grid.h
     dist = np.sqrt(((mids - np.asarray(center)) ** 2).sum(axis=1))
     near_circle = np.abs(dist - r) <= h

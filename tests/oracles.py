@@ -1,26 +1,30 @@
 """Independent recomputations used to cross-check library results.
 
-The perimeter recount walks cells in plain Python, and the link
-eigenvalues come from a one-dimensional Sturm-Liouville discretization per
-sphere factor instead of the separable closed form; neither shares an
-arithmetic path with the package.  The approximation steps are re-solved
-without the band restriction, over the whole obstacle ball, and the lambdas
-of a threshold sweep one at a time, each on the whole free disk.  A
-mirror-symmetric problem is solved with one flow node per free cell, no
-cell merged with its mirror image, and the weighted base problem with
-max-flow in one stage, from no band.  The flow graph of a problem gathers
-each arc's end cells through arrays of flat cell indices, in place of the
-package's offset slices.  A leaf's arrays are read from the dense output
-in one call and its mean curvature formed over every node at once, where
-the package works in blocks.  The leaf CSV and the SVG are written one
-f-string per row and per point, with repr(round(v, 9)) for every SVG
+The perimeter recount walks cells in plain Python, and the link eigenvalues
+come from a one-dimensional Sturm-Liouville discretization per sphere
+factor instead of the separable closed form; neither shares an arithmetic
+path with the package.  The leading link spectrum with multiplicity is also
+enumerated in Fractions over one fixed square of harmonic degrees, in place
+of the package's integer keys and doubling search.  The approximation steps
+are re-solved without the band restriction, over the whole obstacle ball,
+and the lambdas of a threshold sweep one at a time, each on the whole free
+disk.  A mirror-symmetric problem is solved with one flow node per free
+cell, no cell merged with its mirror image, and the weighted base problem
+with max-flow in one stage, from no band.  The flow graph of a problem
+gathers each arc's end cells through arrays of flat cell indices, in place
+of the package's offset slices.  A leaf's arrays are read from the dense
+output in one call and its mean curvature formed over every node at once,
+where the package works in blocks.  The leaf CSV and the SVG are written
+one f-string per row and per point, with repr(round(v, 9)) for every SVG
 number.  Leaves are integrated by scipy's own RK45 stepper, its steps
 gathered into an OdeSolution, in place of the package's port of both.
-Depths in a cell set come from scipy's distance_transform_edt and
-Hausdorff distances from cKDTree queries, in place of the package's
-bounded transform and pairwise blocks.
+Depths in a cell set come from scipy's distance_transform_edt and Hausdorff
+distances from cKDTree queries, in place of the package's bounded transform
+and pairwise blocks.
 """
 
+import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -94,6 +98,33 @@ def link_eigenvalues_oracle(p, q, count, n=2000, cluster_gap=0.1):
         if mu - distinct[-1] > cluster_gap:
             distinct.append(mu)
     return distinct[:count]
+
+
+def rational_link_spectrum(p, q, K):
+    """(eigenvalues, multiplicities) of the first K entries of minus the
+    link operator of the (p, q) cone, as link_spectrum lists them.
+
+    Every pair of harmonic degrees i, j <= K is enumerated: the pairs
+    (i, 0) with i < K give K entries no larger than mu(K - 1, 0), and the
+    pairs (0, j) with j < K K entries no larger than mu(0, K - 1).  A pair
+    with i > K lies above the first bound and one with j > K above the
+    second, so every entry up to the K-th, ties included, is in the square.
+    """
+    def dim(n, i):
+        return 1 if i == 0 else math.comb(i + n, n) - math.comb(i + n - 2, n)
+
+    s = p + q
+    groups = {}
+    for i in range(K + 1):
+        for j in range(K + 1):
+            mu = (Fraction(i * (i + p - 1) * s, p)
+                  + Fraction(j * (j + q - 1) * s, q) - s)
+            groups[mu] = groups.get(mu, 0) + dim(p, i) * dim(q, j)
+    entries = []
+    for mu in sorted(groups):
+        entries += [(float(mu), groups[mu])] * min(groups[mu], K)
+    evs, mults = zip(*entries[:K])
+    return evs, mults
 
 
 def unrestricted_steps(p, q, lam, report):

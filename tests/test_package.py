@@ -366,6 +366,15 @@ _REFUSALS = [
     ("rle_decode-text", lambda: rle_decode(5, 3), "run text must be a str"),
     ("cellset_from_text", lambda: cellset_from_text(5),
      "cell set text must be a str"),
+    ("compatible-grid", lambda: _GRID.compatible("x"),
+     "grid must be a GridGeometry, got str"),
+    # Once a bare TypeError, and a silently short function.
+    ("from_callable-fn",
+     lambda: RadialFunction.from_callable("x", 1.0, 8.0, 64),
+     "sample function must be a Callable, got str"),
+    ("from_callable-samples",
+     lambda: RadialFunction.from_callable(lambda r: r[:3], 1.0, 8.0, 64),
+     "sample function gave 3 values, not 64"),
 ]
 
 
