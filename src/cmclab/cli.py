@@ -173,8 +173,16 @@ def run_leaf(args):
 
 # ------------------------------------------------------------------ approx
 
-_APPROX_KEYS = {"p", "q", "lambda", "grid", "t_list", "annulus"}
-_GRID_KEYS = {"n", "box"}
+def _check_keys(doc, required, optional=(), prefix=""):
+    """UsageError for the first key of doc outside required and optional,
+    in doc's order, else for the first of required missing from doc, in
+    required's order, so the key named never depends on hashing."""
+    for key in doc:
+        if key not in required + optional:
+            raise UsageError(f"unknown config key: {prefix + key!r}")
+    for key in required:
+        if key not in doc:
+            raise UsageError(f"missing config key: {prefix + key!r}")
 
 
 def _load_approx_config(path):
@@ -185,21 +193,11 @@ def _load_approx_config(path):
         raise UsageError(f"config is not valid JSON: {e}")
     if not isinstance(doc, dict):
         raise UsageError("config must be a JSON object")
-    for key in doc:
-        if key not in _APPROX_KEYS:
-            raise UsageError(f"unknown config key: {key!r}")
-    for key in ("p", "q", "lambda", "grid", "t_list"):
-        if key not in doc:
-            raise UsageError(f"missing config key: {key!r}")
+    _check_keys(doc, ("p", "q", "lambda", "grid", "t_list"), ("annulus",))
     gdoc = doc["grid"]
     if not isinstance(gdoc, dict):
         raise UsageError("config key 'grid' must be an object")
-    for key in gdoc:
-        if key not in _GRID_KEYS:
-            raise UsageError(f"unknown config key: 'grid.{key}'")
-    for key in _GRID_KEYS:
-        if key not in gdoc:
-            raise UsageError(f"missing config key: 'grid.{key}'")
+    _check_keys(gdoc, ("n", "box"), prefix="grid.")
     t_list = doc["t_list"]
     if not isinstance(t_list, list) or not t_list:
         raise UsageError("config key 't_list' must be a non-empty list")

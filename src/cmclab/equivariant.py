@@ -30,7 +30,7 @@ from .cones import (CliffordCone, RadialFunction, _jacobi_operator,
                     _radial_derivatives, _radii, _sphere_dimensions,
                     gamma_pm, make_cone, stability)
 from .grid import (_MAX_CELLS, CellSet, GridGeometry, NumericalError,
-                   RegionMask, UsageError, _BLOCK, _finite, _finite_array,
+                   RegionMask, UsageError, _BLOCK, _chords, _finite,
                    _frozen_array, _hausdorff, _instance, _integer, _positive,
                    _real, _sequence, boundary_faces)
 from .mincut import MinCutProblem, solve
@@ -112,9 +112,9 @@ class ProfileCurve:
 
 def curve_from_samples(p, q, x, y):
     """Build a ProfileCurve from bare points: chordal arclength, tangents by
-    central differences (one-sided at the ends)."""
-    x, y = _finite_array(x, "x"), _finite_array(y, "y")
-    ds = np.hypot(np.diff(x), np.diff(y))
+    central differences (one-sided at the ends).  x and y are 1-D, of one
+    length of at least 3, and no point repeats the one before it."""
+    x, y, ds = _chords(x, y)
     s = np.concatenate([[0.0], np.cumsum(ds)])
     tx = np.gradient(x, s)
     ty = np.gradient(y, s)
@@ -516,6 +516,7 @@ def _base_problem(p, q, grid, lam, boundary, r):
     """
     p, q = _sphere_dimensions(p, q, 0)
     _instance(grid, GridGeometry, "grid")
+    lam = _finite(lam, "lambda")
     if grid.d != 2:
         raise UsageError("the reduction lives on 2-D grids")
     if max(abs(o - grid.h / 2) for o in grid.origin) > 1e-12 * grid.h:
@@ -584,7 +585,8 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
                            annulus=None):
     """Re-minimize under inward boundary perturbations of shrinking size.
 
-    t_list, the obstacle radius and the annulus are checked first.  The
+    t_list, the obstacle radius and the annulus are checked first, and
+    lambda with the other base problem arguments before any depth work.  The
     base problem, weighted_minimize's, fixes the labels of `boundary`
     outside the obstacle ball and is solved once; its largest minimizer E
     is the limit set.  Every step problem is relabeled from it, so the
@@ -604,7 +606,8 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
     minimizer of step j then contains step j-1's and is contained in E.
     Fixing labels that a minimizer already has keeps it the largest
     minimizer, with the same energy.  So inclusion_ok is all True by
-    construction, and step_free_cells counts the band of each solve.
+    construction, and so is chain_ok, as the previous step set is fixed
+    in; step_free_cells counts the band of each solve.
 
     Args:
         p, q: rotation multiplicities of the reduction weight.
@@ -660,12 +663,12 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
                                   RegionMask(grid, ~(band | fixed_in)))
                    ).set_max
         mids = boundary_faces(Ej)[0]
-        rows.append((bool(np.all(prev <= Ej.bits)),
-                     float(weights[Ej.bits != E.bits].sum() * grid.h ** 2),
+        rows.append((float(weights[Ej.bits != E.bits].sum() * grid.h ** 2),
                      _hausdorff(mids, E_mids),
                      float(np.hypot(*mids.T).min()) if len(mids) else math.inf,
                      int(np.count_nonzero(band)), Ej))
         prev = Ej.bits
-    chain, sym, haus, dist0, free, sets = zip(*rows)
-    return ApproxRunReport(tuple(t_arr), (True,) * len(rows), chain, sym, haus,
-                           dist0, free, sets, E, r_obs, (r_lo, r_hi))
+    sym, haus, dist0, free, sets = zip(*rows)
+    known = (True,) * len(rows)
+    return ApproxRunReport(tuple(t_arr), known, known, sym, haus, dist0, free,
+                           sets, E, r_obs, (r_lo, r_hi))

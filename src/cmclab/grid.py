@@ -17,6 +17,7 @@ splitting sums agree with perimeter() bit for bit.
 import math
 import numbers
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,6 +180,33 @@ def _frozen_array(value, name):
     return arr
 
 
+def _chords(x, y):
+    """x and y as float arrays, checked as _finite_array checks them, and
+    the lengths of the chords between consecutive points (x, y); UsageError
+    unless x and y are 1-D, of one length of at least 3, and no point
+    repeats the one before it, so that no chord is 0."""
+    x, y = _finite_array(x, "x"), _finite_array(y, "y")
+    if x.ndim != 1 or x.shape != y.shape or len(x) < 3:
+        raise UsageError("x and y must be 1-D, of one length of at least 3")
+    ds = np.hypot(np.diff(x), np.diff(y))
+    if not ds.all():
+        raise UsageError("x and y repeat a point")
+    return x, y, ds
+
+
+def _bool_array(value, name, shape=None):
+    """value; UsageError, naming it, unless it is a bool ndarray, of the
+    grid's extents shape when shape is given.  It is neither cast nor
+    reshaped: a cast would make any nonzero entry a member."""
+    if not (isinstance(value, np.ndarray) and value.dtype == bool
+            and shape in (None, value.shape)):
+        got = (f"a {value.dtype} array of shape {value.shape}"
+               if isinstance(value, np.ndarray) else type(value).__name__)
+        of = "" if shape is None else f" of the grid's extents {shape}"
+        raise UsageError(f"{name} must be a bool array{of}, got {got}")
+    return value
+
+
 def _instance(value, cls, name):
     """value; UsageError, naming it, unless it is an instance of cls."""
     if not isinstance(value, cls):
@@ -269,14 +297,7 @@ class _FrozenBits:
 
     def __post_init__(self):
         _instance(self.grid, GridGeometry, "grid")
-        bits = self.bits
-        if not (isinstance(bits, np.ndarray) and bits.dtype == bool
-                and bits.shape == self.grid.dims):
-            got = (f"a {bits.dtype} array of shape {bits.shape}"
-                   if isinstance(bits, np.ndarray) else type(bits).__name__)
-            raise UsageError(f"cell bits must be a bool array of the grid's "
-                             f"extents {self.grid.dims}, got {got}")
-        arr = np.array(bits)
+        arr = np.array(_bool_array(self.bits, "cell bits", self.grid.dims))
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
 
@@ -289,8 +310,9 @@ class _FrozenBits:
     @classmethod
     def from_predicate(cls, grid, pred):
         """Membership from a predicate over cell center coordinate arrays."""
-        return cls(grid, pred(*_instance(grid, GridGeometry,
-                                         "grid").center_mesh()))
+        _instance(grid, GridGeometry, "grid")
+        return cls(grid, _instance(pred, Callable, "predicate")(
+            *grid.center_mesh()))
 
     @classmethod
     def _filled(cls, grid, value):
@@ -585,7 +607,9 @@ def _parse_count(digits, what):
 
 
 def rle_encode(flat_bits):
-    bits = np.asarray(flat_bits, dtype=np.uint8).ravel()
+    """The run text of a bool array in raster order; the bits are read
+    through a uint8 view, not copied."""
+    bits = _bool_array(flat_bits, "run bits").ravel().view(np.uint8)
     if bits.size == 0:
         return ""
     edges = np.flatnonzero(np.diff(bits)) + 1

@@ -9,8 +9,8 @@ All exactness statements (solver vs. brute force, lattice identities) are
 about the quantized energy.
 
 The arc capacities depend only on the grid and the cell weights, so a
-problem builds them once, as one array in arc order, and shares them with
-every problem derived from it by MinCutProblem.relabeled: one arc build per
+problem builds them on first use, as one array in arc order, and shares
+them with every problem relabeled from it afterwards: one arc build per
 run of solves that differ only in fixed labels or lambda.  The capacities
 and the volume gains are each held as int32 when every value fits, as
 int64 otherwise, and every sum over them accumulates in int64.  No
@@ -95,7 +95,7 @@ class MinCutProblem:
     and optional positive cell weights.
 
     The arcs depend only on the grid and the cell weights; they are built
-    on first use and shared with every problem derived by relabeled.
+    on first use and shared with every problem relabeled derives after it.
     """
 
     grid: GridGeometry
@@ -135,10 +135,10 @@ class MinCutProblem:
     def relabeled(self, fixed_in, fixed_out, lam=None):
         """This problem with new fixed labels and, if given, a new lambda,
         each checked as the constructor checks it.  The grid, the checked
-        cell weights and the arcs are this problem's, shared, not built
-        again."""
-        fields = dict(vars(self), fixed_in=fixed_in, fixed_out=fixed_out,
-                      _arcs=self._arcs)
+        cell weights and the arcs, once built, are this problem's, shared,
+        not built again; a problem relabeled before its first solve builds
+        its own arcs on first use."""
+        fields = dict(vars(self), fixed_in=fixed_in, fixed_out=fixed_out)
         if lam is not None:
             fields["lam"] = _finite(lam, "lambda")
         derived = object.__new__(type(self))
@@ -681,17 +681,19 @@ def threshold_experiment(r, resolution, lam_list):
     Rows come back in the order of lam_list.
 
     Every lambda is checked a finite real number before the first solve.
-    The lambdas are then solved in ascending order, each with the previous
-    solve's largest minimizer fixed in on top of the half-plane data, on a
-    problem relabeled from the previous one, so the arcs are built once per
-    sweep.  This is exact: the cell weights are all 1, so every cell's
-    quantized gain is g = rint(lambda * h * 2^20) (_gains).  If g1 < g2
-    and E1, E2 minimize at g1, g2, submodularity of the perimeter and
-    |E1| + |E2| = |E1 & E2| + |E1 | E2| give (g2 - g1) |E1 \\ E2| <= 0, so
-    every minimizer at g2 contains every minimizer at g1.  Fixing one of
-    them in therefore removes no minimizer, and set_min, set_max and the
-    energy, priced over the whole grid, are those of the unrestricted
-    solve.  A lambda whose gain equals the
+    The half-plane problem is built once: every cell off the disk is
+    labeled, fixed in below the centre row and fixed out from it up, so at
+    odd n the centre row is fixed out.  Each distinct lambda, in ascending
+    order, relabels it with the previous solve's largest minimizer fixed in
+    on top of the half-plane data, so the arcs are built once per sweep,
+    inside the first solve.  This is exact: the cell weights are all 1, so
+    every cell's quantized gain is g = rint(lambda * h * 2^20) (_gains).
+    If g1 < g2 and E1, E2 minimize at g1, g2, submodularity of the
+    perimeter and |E1| + |E2| = |E1 & E2| + |E1 | E2| give
+    (g2 - g1) |E1 \\ E2| <= 0, so every minimizer at g2 contains every
+    minimizer at g1.  Fixing one of them in therefore removes no minimizer,
+    and set_min, set_max and the energy, priced over the whole grid, are
+    those of the unrestricted solve.  A lambda whose gain equals the
     previous one poses the same quantized problem, so its result is reused.
 
     The resolution is an integer n; anything else is refused.  The disk is
@@ -705,30 +707,26 @@ def threshold_experiment(r, resolution, lam_list):
     if not r >= 8:
         raise UsageError(f"disk radius must be at least 8 cells, got {r}")
     n = _integer(resolution, "resolution", 1)
+    if r > n / 2:
+        raise UsageError("obstacle does not fit inside the grid")
     grid = GridGeometry((n, n), h=1.0, stencil="cc")
-    c = ((n - 1) / 2.0,) * 2
-    for k in range(2):
-        if c[k] - r < -0.5 or c[k] + r > n - 0.5:
-            raise UsageError("obstacle does not fit inside the grid")
-    X, Y = grid.center_mesh()
-    ball = RegionMask.ball(grid, c, r).bits
-    fixed_in = RegionMask(grid, ~ball & (Y < c[1]))
-    fixed_out = RegionMask(grid, ~ball & (Y > c[1]))
-    upper = ball & (Y > c[1])
-
-    ball_set = CellSet(grid, ball)
-    circumference = perimeter(ball_set, RegionMask.whole(grid))
+    c = (n - 1) / 2.0
+    ball = RegionMask.ball(grid, (c, c), r).bits
+    y = grid.axis_coords(1)    # the last axis, so it broadcasts over rows
+    below, upper = y < c, ball & (y > c)
+    fixed_in = RegionMask(grid, ~ball & below)
+    fixed_out = RegionMask(grid, ~ball & ~below)
+    problem = MinCutProblem(grid, 0.0, fixed_in, fixed_out)
+    circumference = perimeter(CellSet(grid, ball), RegionMask.whole(grid))
 
     rows = [None] * len(lams)
-    gain = res = None
+    gain = None
     for i in sorted(range(len(lams)), key=lams.__getitem__):
         g = _gains(lams[i], grid, 1.0)
         if g != gain:
-            problem = (MinCutProblem(grid, lams[i], fixed_in, fixed_out)
-                       if res is None else problem.relabeled(
-                           RegionMask(grid, res.set_max.bits), fixed_out,
-                           lam=lams[i]))
+            problem = problem.relabeled(fixed_in, fixed_out, lam=lams[i])
             res = solve(problem)
+            fixed_in = RegionMask(grid, res.set_max.bits)
             gain = g
             filled = bool(np.all(res.set_max.bits[upper]))
             excess = _contact_excess(res.set_min, c, r)
@@ -737,12 +735,12 @@ def threshold_experiment(r, resolution, lam_list):
     return rows
 
 
-def _contact_excess(D, center, r, band=2.0):
+def _contact_excess(D, c, r):
     mids, _axes = boundary_faces(D)
     h = D.grid.h
-    dist = np.sqrt(((mids - np.asarray(center)) ** 2).sum(axis=1))
+    dist = np.sqrt(((mids - c) ** 2).sum(axis=1))
     near_circle = np.abs(dist - r) <= h
-    off_equator = np.abs(mids[:, 1] - center[1]) > band * h
+    off_equator = np.abs(mids[:, 1] - c) > 2 * h
     return float(np.count_nonzero(near_circle & off_equator) * h)
 
 

@@ -8,6 +8,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 from collections import Counter
@@ -471,6 +473,26 @@ class TestApprox:
         err = capsys.readouterr().err
         assert needle in err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_missing_keys_are_named_in_one_order(self, tmp_path):
+        # A config missing both grid keys once named 'grid.box' or
+        # 'grid.n' by the string hash seed (1 and 3 gave one each).
+        doc = self.good_config()
+        doc["grid"] = {}
+        cfg = self.write_config(tmp_path, doc)
+        errs = []
+        for seed in ("1", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.path.dirname(os.path.dirname(
+                           os.path.abspath(cli.__file__))))
+            proc = subprocess.run(
+                [sys.executable, "-m", "cmclab.cli", "approx", "--config",
+                 cfg, "--outdir", str(tmp_path)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 2
+            errs.append(proc.stderr)
+        assert errs[0] == errs[1]
+        assert "missing config key: 'grid.n'" in errs[0]
 
     def test_non_object_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

@@ -908,6 +908,21 @@ class TestQuadrantReduction:
         with pytest.raises(UsageError, match="radius"):
             weighted_minimize(3, 3, g, 0.0, wedge, -1.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, "0.5"])
+    def test_lambda_is_refused_before_any_depth_work(self, monkeypatch, lam):
+        # Once refused by MinCutProblem after both depth passes, which take
+        # about 2 s at n = 2048.
+        def no_depth(*_args):
+            raise AssertionError("depth work before the lambda check")
+
+        monkeypatch.setattr(equivariant, "_depth2", no_depth)
+        g = quadrant_grid(16)
+        wedge = diagonal_wedge(g, 3, 3)
+        with pytest.raises(UsageError, match="lambda must be a finite"):
+            weighted_minimize(3, 3, g, lam, wedge, 0.5)
+        with pytest.raises(UsageError, match="lambda must be a finite"):
+            approximation_sequence(3, 3, lam, wedge, [0.1], 0.5)
+
     @pytest.mark.parametrize("r", ["0.5", None], ids=["str", "None"])
     def test_weighted_minimize_refuses_a_radius_that_is_not_real(self, r):
         # These once raised TypeError from the comparison with 0.

@@ -972,6 +972,23 @@ class TestRelabeled:
                        prob.fixed_out.bits | (pick & ~up),
                        self.new_lambda(rng, new_lam))
 
+    def test_a_problem_relabeled_before_its_first_solve_builds_its_own_arcs(
+            self, rng, monkeypatch):
+        # Only an arc table already built is shared: relabeling an unsolved
+        # problem builds none, its first solve builds one, and the problems
+        # relabeled from it afterwards share that one.
+        prob = random_small_problem(rng)
+        builds = count_arc_builds(monkeypatch)
+        derived = prob.relabeled(prob.fixed_in, prob.fixed_out, lam=0.5)
+        assert builds == [] and "_arcs" not in vars(derived)
+        solve(derived)
+        assert builds == [prob.grid.dims]
+        assert "_arcs" not in vars(prob)
+        again = derived.relabeled(prob.fixed_in, prob.fixed_out, lam=-0.5)
+        solve(again)
+        assert builds == [prob.grid.dims]
+        assert again._arcs is derived._arcs
+
     def test_bad_labels_and_lambdas_are_refused(self, rng):
         prob = random_small_problem(rng)
         g = prob.grid
@@ -1302,6 +1319,20 @@ class TestThreshold:
         assert np.array_equal(rows[0].largest.bits, Y < (24 - 1) / 2.0)
         assert rows[0].filled is False
         assert rows[0].contact_excess == 0.0
+
+    def test_every_cell_off_the_disk_is_labeled_at_odd_n(self):
+        # At odd n the centre row lies on the equator; off the disk it is
+        # fixed out with the upper half-plane.  It was once left free: at
+        # lambda = 0.1 its 4 cells off the disk came out in the largest
+        # minimizer, and at lambda = 0 the whole row did.
+        rows = threshold_experiment(8, 21, [0.0, 0.1])
+        g = rows[0].largest.grid
+        _, Y = g.center_mesh()
+        below = Y < 10.0
+        off = ~RegionMask.ball(g, (10.0, 10.0), 8).bits
+        assert np.array_equal(rows[0].largest.bits, below)
+        assert np.array_equal(rows[1].largest.bits[off], below[off])
+        assert rows[1].largest.bits[~off & ~below].any()
 
     @staticmethod
     def count_solves(monkeypatch):

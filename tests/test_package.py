@@ -22,7 +22,7 @@ from cmclab import (
     evaluate_quanta, fit_decay_exponent, gamma_pm, indicial_exponents,
     lattice, lc_residual, leaf_to_radial_graph, linearization_check,
     link_spectrum, make_cone, mean_curvature_values, perimeter,
-    quadrant_grid, result_to_json, rle_decode, shoot_leaf, solve,
+    quadrant_grid, result_to_json, rle_decode, rle_encode, shoot_leaf, solve,
     split_perimeter, stability, stencil_levels, threshold_experiment,
     volume, weighted_minimize,
 )
@@ -375,6 +375,26 @@ _REFUSALS = [
     ("from_callable-samples",
      lambda: RadialFunction.from_callable(lambda r: r[:3], 1.0, 8.0, 64),
      "sample function gave 3 values, not 64"),
+    # Once a bare ValueError or TypeError, a text rle_decode refuses
+    # ("11 12 13"), or a silent cast of floats ("10 11").
+    *[(f"rle_encode-{k}", lambda v=v: rle_encode(v),
+       f"run bits must be a bool array, got {got}")
+      for k, v, got in (("str", "abc", "str"), ("None", None, "NoneType"),
+                        ("int-list", [1, 2, 3], "list"),
+                        ("float", np.array([0.5, 1.5]), "a float64 array"))],
+    ("from_predicate-pred", lambda: CellSet.from_predicate(_GRID, 5),
+     "predicate must be a Callable, got int"),
+    # Once a bare IndexError, a bare ValueError, and a RuntimeWarning
+    # (an error under this suite's filter) before the refusal.
+    ("curve_from_samples-one-point",
+     lambda: curve_from_samples(3, 3, [1.0], [1.0]),
+     "x and y must be 1-D, of one length of at least 3"),
+    ("curve_from_samples-lengths",
+     lambda: curve_from_samples(3, 3, [1.0, 2.0, 3.0], [1.0, 2.0]),
+     "x and y must be 1-D, of one length of at least 3"),
+    ("curve_from_samples-repeat",
+     lambda: curve_from_samples(3, 3, [1.0, 1.0, 2.0], [1.0, 1.0, 2.0]),
+     "x and y repeat a point"),
 ]
 
 
