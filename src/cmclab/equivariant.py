@@ -590,9 +590,10 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
     base problem, weighted_minimize's, fixes the labels of `boundary`
     outside the obstacle ball and is solved once; its largest minimizer E
     is the limit set.  Every step problem is relabeled from it, so the
-    arcs are built once per run.  The
-    annulus profile is 0 off (r_lo, r_hi), 1 on its middle half and linear
-    on the quarter-width ramps between.  For each t in t_list the step data
+    arcs are built once per run.  The annulus profile, built after the base
+    solve so that its peak holds none of it, is 0 off (r_lo, r_hi), 1 on
+    its middle half and linear on the quarter-width ramps between.  For
+    each t in t_list the step data
     is E less the cells whose depth in E is at most t times the profile,
     and the largest minimizer of that data is the step set.  A cell's depth
     is its center distance to the nearest cell outside E, infinite when E
@@ -640,11 +641,13 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
     else:
         r_lo, r_hi = (_real(a, f"annulus[{i}]") for i, a in
                       enumerate(_sequence(annulus, "annulus", 2)))
-    with np.errstate(over="ignore"):    # past the float range: inf, clipped
-        profile = _annulus_profile(np.hypot(*grid.center_mesh()), r_lo, r_hi)
+    _annulus_profile(r_lo, r_lo, r_hi)    # a bad annulus fails before a solve
 
     base, warm = _base_problem(p, q, grid, lam, boundary, r_obs)
     E = solve(base, band=warm).set_max
+    del warm
+    with np.errstate(over="ignore"):    # past the float range: inf, clipped
+        profile = _annulus_profile(np.hypot(*grid.center_mesh()), r_lo, r_hi)
     # A cell of E deeper than K cells lies deeper than every t * profile,
     # and one where the profile is 0 passes at every depth, so neither
     # needs its depth.
@@ -654,7 +657,7 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
     ball = base.free.bits
     E_mids = boundary_faces(E)[0]
     prev = np.zeros(grid.dims, dtype=bool)
-    rows = []
+    rows = []    # per step, the report's fields from sym_diff_volume to sets
     for t in t_arr:
         data = E.bits & (depth > t * profile)
         band = E.bits & ball & ~prev
@@ -668,7 +671,6 @@ def approximation_sequence(p, q, lam, boundary, t_list, obstacle_radius,
                      float(np.hypot(*mids.T).min()) if len(mids) else math.inf,
                      int(np.count_nonzero(band)), Ej))
         prev = Ej.bits
-    sym, haus, dist0, free, sets = zip(*rows)
     known = (True,) * len(rows)
-    return ApproxRunReport(tuple(t_arr), known, known, sym, haus, dist0, free,
-                           sets, E, r_obs, (r_lo, r_hi))
+    return ApproxRunReport(tuple(t_arr), known, known, *zip(*rows), E, r_obs,
+                           (r_lo, r_hi))

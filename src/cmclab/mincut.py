@@ -47,8 +47,11 @@ the residual of every maximum flow has the same source-reachable and
 sink-reaching sets; so the band decides only the speed.
 
 The max-flow backend works on int32 capacities and wraps silently past 2^31;
-_max_flow is its one caller.  A graph fits when its largest arc-pair sum
-c(u, v) + c(v, u), which bounds every residual arc, and the smaller of its
+_max_flow is its one caller.  The flow graph is summed in int64 and stored
+as int32 when twice its largest capacity fits, and the backend gets such a
+graph itself, not a copy; flow leaves every arc-pair sum c(u, v) + c(v, u)
+unchanged, so no residual of it wraps.  A graph fits when its largest
+arc-pair sum, which bounds every residual arc, and the smaller of its
 terminal totals, which bounds every flow, pass int32; it is solved in one
 call.  A graph that does not fit is solved exactly by capacity scaling
 (Gabow 1985): max-flow runs on the capacities shifted right by b bits, so
@@ -183,17 +186,22 @@ def _arc_table(grid, cell_weight):
     """The capacities of the stencil arcs of grid under cell_weight (None
     for unit weights), in arc order, int32 when every one fits and int64
     otherwise (_narrowest), and their float total.  An arc's end cells are
-    not stored: they are its offset's slices.
+    not stored: they are its offset's slices.  One float array is filled
+    offset by offset, then narrowed.
 
     Each arc costs ceil(weight * 2^20 * mean incident cell weight) quanta,
     so no cut arc is ever free.  The capacities are None when their total
     is not below 2^62, so no cast wraps; _coefficients refuses them.
     """
     cw = np.ones(grid.dims) if cell_weight is None else cell_weight
+    caps = np.empty(sum(cw[sa].size for _w, (sa, _sb) in _arc_slices(grid)))
+    start = 0
     with np.errstate(over="ignore"):
-        caps = np.concatenate([
-            np.ceil(w * 2**QUANT_BITS * (0.5 * (cw[sa] + cw[sb]))).ravel()
-            for w, (sa, sb) in _arc_slices(grid)])
+        for w, (sa, sb) in _arc_slices(grid):
+            stop = start + cw[sa].size
+            caps[start:stop] = np.ceil(
+                w * 2**QUANT_BITS * (0.5 * (cw[sa] + cw[sb]))).ravel()
+            start = stop
         total = caps.sum()
     return _narrowest(caps) if total < 2.0**62 else None, total
 
@@ -351,11 +359,11 @@ def _orbit_numbering(problem, node, m):
 
 
 def _flow_graph(problem, node, m):
-    """The flow graph of problem under the node numbering (node, m): an
-    int64 CSR matrix of m + 2 nodes, m the source and m + 1 the sink; the
-    constant of its energy; and the coefficients.  Free labels x cost the
-    constant plus the cut between the source with the nodes labeled 1 and
-    the rest.
+    """The flow graph of problem under the node numbering (node, m): a CSR
+    matrix of m + 2 nodes, m the source and m + 1 the sink, int32 when
+    twice its largest capacity fits and int64 otherwise; the constant of
+    its energy; and the coefficients.  Free labels x cost the constant
+    plus the cut between the source with the nodes labeled 1 and the rest.
 
     Each arc that touches a free cell is folded once, through node and its
     offset's (tail, head) slices; of the others, those joining a fixed-in
@@ -421,6 +429,8 @@ def _flow_graph(problem, node, m):
     del ei, ej, ew, theta, src, snk
     graph = csr_matrix((vals, (rows, cols)), shape=(m + 2, m + 2),
                        dtype=np.int64)
+    if 2 * int(graph.data.max(initial=0)) <= _INT32_MAX:
+        graph.data = graph.data.astype(np.int32)
     return graph, const, coeffs
 
 
@@ -452,7 +462,7 @@ def _max_flow(graph, s, t):
     entries are exactly the positive residual arcs.
 
     The one caller of the max-flow backend.  A graph that fits int32 (see
-    the module docstring) is cast to int32 once and solved in one call.
+    the module docstring) is solved in one call, an int32 one uncopied.
     Otherwise each round solves the graph shifted right by the fewest bits
     b that make it fit, lifts that flow by 2^b, and clips the residual
     under it at U + 1 for the next round, U that residual's capacity out of
@@ -477,8 +487,8 @@ def _max_flow(graph, s, t):
             pair = int((graph + graph.T).max())
         b = max(pair, total).bit_length() - 31
         coarse = csr_matrix(
-            ((data if b <= 0 else data >> b).astype(np.int32), indices,
-             indptr), shape=graph.shape)
+            ((data if b <= 0 else data >> b).astype(np.int32, copy=False),
+             indices, indptr), shape=graph.shape)
         res = maximum_flow(coarse, source, t)
         # scipy's sparse subtraction stores no zeros, and the flow stays
         # within each arc's capacity, so the stored entries are exactly
@@ -625,7 +635,7 @@ def brute_force(problem):
     if m > 24:
         raise UsageError(f"brute force supports at most 24 free cells, got {m}")
     graph, const, coeffs = _flow_graph(problem, node, m)
-    dense = graph.toarray()
+    dense = graph.astype(np.int64).toarray()    # so no cut sum wraps
     # Node i pays its source arc for label 0 and its sink arc for label 1.
     theta0, theta1 = dense[m, :m], dense[:m, m + 1]
     ei, ej = np.nonzero(np.triu(dense[:m, :m]))

@@ -419,13 +419,15 @@ class TestApprox:
     def test_memory_peak_at_n256(self, tmp_path):
         # The benchmark's (3,3) run at n=256 with four t: 11.47 MB while
         # the capacities and node numbers were int64 and the fold's arrays
-        # lived through max-flow, 8.47 MB since.
+        # lived through max-flow, 8.52 MB while the flow graph was int64
+        # with an int32 copy for scipy and the annulus profile was built
+        # before the base solve, 7.07 MB since.
         cfg = self.write_config(tmp_path, {
             "p": 3, "q": 3, "lambda": 0.0, "grid": {"n": 256, "box": 1.0},
             "t_list": [1 / 16, 1 / 32, 1 / 64, 1 / 128]})
         argv = ["approx", "--config", cfg, "--outdir", str(tmp_path)]
         rcs = []
-        assert traced_peak(lambda: rcs.append(main(argv))) < 9.5
+        assert traced_peak(lambda: rcs.append(main(argv))) < 8.0
         assert rcs == [0]
 
     def test_a_limit_set_filling_the_grid(self, tmp_path):

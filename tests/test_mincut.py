@@ -418,6 +418,33 @@ class TestSolve:
         assert got.energy_quanta == want.energy_quanta
         assert got.unique == want.unique
 
+    def test_cut_sums_past_int32_of_an_int32_graph(self, no_wrap):
+        # Free cells of weight 1000 among fixed cells of weight 2^-20: the
+        # arcs between free cells carry 1000 * 2^20 quanta, and no node
+        # pays more to a terminal, so the graph is stored as int32; the
+        # checkerboard labeling of the 3 x 2 free cells cuts 7 of those
+        # arcs, past 2^31.  brute_force sums each cut in int64 and finds
+        # the minimizers of solve, on the x flip's orbit graph, and of the
+        # unmerged solve.
+        g = GridGeometry((5, 4), h=1.0, stencil="face")
+        ring = np.ones((5, 4), dtype=bool)
+        ring[1:-1, 1:-1] = False
+        fin = np.zeros((5, 4), dtype=bool)
+        fin[:, 0] = True
+        prob = MinCutProblem(g, 0.0, fixed_in=RegionMask(g, fin),
+                             fixed_out=RegionMask(g, ring & ~fin),
+                             cell_weight=np.where(ring, 2.0**-20, 1000.0))
+        graph, _const, _node, m = unmerged_graph(prob)
+        assert graph.dtype == np.int32
+        pairs = np.triu(graph.toarray()[:m, :m])
+        assert pairs[pairs > 0].tolist() == [1000 * 2**20] * 7
+        want = brute_force(prob)
+        for got in (solve(prob), unmerged_solve(prob)):
+            assert got.set_min == want.set_min
+            assert got.set_max == want.set_max
+            assert got.energy_quanta == want.energy_quanta
+            assert got.unique == want.unique
+
 
 def reflections(dims):
     """Every axis flip and every swap of two equal-extent axes, by name."""
@@ -794,12 +821,17 @@ class TestFold:
 
     @staticmethod
     def assert_gathered_graph(prob):
+        # The oracle sums in int64; the fold stores its capacities as int32
+        # exactly when every arc-pair sum is bounded inside int32.
         graph, const, node, _m = unmerged_graph(prob)
         want = gathered_graph(prob)
         for name in ("indptr", "indices", "data"):
             got, exp = getattr(graph, name), getattr(want["graph"], name)
-            assert got.dtype == exp.dtype, name
+            if name != "data":
+                assert got.dtype == exp.dtype, name
             assert np.array_equal(got, exp), name
+        fits = 2 * int(want["graph"].data.max(initial=0)) <= 2**31 - 1
+        assert graph.data.dtype == (np.int32 if fits else np.int64)
         assert node.dtype == want["node"].dtype
         assert np.array_equal(node, want["node"])
         assert const == want["const"]
@@ -899,16 +931,66 @@ class TestFold:
         assert len(refs) == 4
         assert dead == [False, True]
 
+    @pytest.mark.parametrize("config", ["base-solve", "plateau-sweep"])
+    def test_max_flow_hands_scipy_the_int32_graph_itself(self, monkeypatch,
+                                                         config):
+        # Every graph these runs fold fits int32, so scipy receives each
+        # graph _max_flow is given, not an int32 copy of an int64 graph.
+        given, received = [], []
+        real_max_flow = cmclab.mincut._max_flow
+
+        def spy(graph, s, t):
+            given.append(graph)
+            return real_max_flow(graph, s, t)
+
+        def flow(graph, s, t):
+            received.append((graph.dtype,
+                             np.shares_memory(graph.data, given[-1].data)))
+            return real_flow(graph, s, t)
+
+        real_flow = cmclab.mincut.maximum_flow
+        monkeypatch.setattr(cmclab.mincut, "_max_flow", spy)
+        monkeypatch.setattr(cmclab.mincut, "maximum_flow", flow)
+        if config == "base-solve":
+            g = quadrant_grid(256)
+            solve(*_base_problem(3, 3, g, 0.0, diagonal_wedge(g, 3, 3), 0.5))
+            assert len(given) == 2    # the band, then the whole residual
+        else:
+            threshold_experiment(64, 136, [4 / 64 * k / 7 for k in range(8)])
+            assert len(given) == 8
+        assert received == [(np.int32, True)] * len(given)
+
+    def test_band_residual_past_2_30_solves_in_one_call(self, no_wrap):
+        # Free nodes 0 and 1 in the band, 2 outside it, source 3, sink 4;
+        # every arc holds x, so 2x fits int32.  The band's flow x along
+        # s -> 0 -> 1 -> t leaves the residual arc 1 -> 0 at 2x, past 2^30:
+        # only its exact pair sum, 2x, keeps the second stage in one call.
+        x = 2**30 - 1
+        rows, cols = [3, 0, 1, 1, 3, 2], [0, 1, 0, 4, 2, 4]
+        got = []
+        for dtype in (np.int32, np.int64):
+            graph = csr_matrix((np.full(6, x, dtype=dtype), (rows, cols)),
+                               shape=(5, 5))
+            residual, value = cmclab.mincut._band_residual(
+                graph, np.array([True, True, False]))
+            assert residual.dtype == dtype and residual.max() == 2 * x
+            more, residual = cmclab.mincut._max_flow(residual, 3, 4)
+            got.append((value + more, residual.toarray()))
+        assert no_wrap == [4, 5] * 2
+        assert got[0][0] == got[1][0] == 2 * x
+        assert np.array_equal(got[0][1], got[1][1])
+
     def test_base_solve_memory_peak(self):
         # The n=256 weighted base solve with its band, arc build included:
         # 15.56 MB while the arc table also held flat end-cell indices and
         # the full flow graph outlived its band residual, 10.15 MB while
         # the capacities and node numbers were int64 and the fold's arrays
-        # lived through max-flow, 7.15 MB since.
+        # lived through max-flow, 7.15 MB while the int64 graph and its
+        # int32 copy for scipy were both alive, 6.20 MB since.
         g = quadrant_grid(256)
         prob, band = _base_problem(3, 3, g, 0.0, diagonal_wedge(g, 3, 3),
                                    0.5)
-        assert traced_peak(lambda: solve(prob, band)) < 8.0
+        assert traced_peak(lambda: solve(prob, band)) < 7.0
 
 
 @pytest.mark.usefixtures("no_wrap")
@@ -1237,6 +1319,24 @@ class TestMaxFlow:
         assert np.flatnonzero(reach(residual, s)).tolist() == [*a, s]
         assert np.flatnonzero(reach(residual.T.tocsr(), t)).tolist() == [
             *b, t]
+
+    def test_an_int32_graph_past_int32_in_total_is_scaled(self, no_wrap):
+        # 1,000 paths s -> a_i -> b_i -> t of 2^29, 2^24 and 2^29, stored
+        # as int32: every arc-pair sum fits, but the terminal totals do
+        # not, so the int32 graph is shifted 8 bits, and the clipped
+        # residual fits.  Value and residual are those of its int64 copy.
+        n = 1000
+        a, b, s, t = np.arange(n), n + np.arange(n), 2 * n, 2 * n + 1
+        graph = flow_graph(np.concatenate([np.full(n, s), a, b]),
+                           np.concatenate([a, b, np.full(n, t)]),
+                           [2**29] * n + [2**24] * n + [2**29] * n,
+                           2 * n + 2)
+        got = [cmclab.mincut._max_flow(g, s, t)
+               for g in (graph.astype(np.int32), graph)]
+        assert no_wrap == [2 * n + 2, 2 * n + 3] * 2
+        assert got[0][0] == got[1][0] == n * 2**24
+        assert np.array_equal(got[0][1].toarray(), got[1][1].toarray())
+        check_max_flow(graph.astype(np.int32), s, t)
 
     @staticmethod
     def heavier(prob, k):
