@@ -44,7 +44,14 @@ full graph under that flow.  This is exact for every band.  A flow on a
 sub-graph with the same terminals is feasible on the full graph, a maximum
 flow on the residual of a feasible flow completes it to a maximum flow, and
 the residual of every maximum flow has the same source-reachable and
-sink-reaching sets; so the band decides only the speed.
+sink-reaching sets; so the band decides only the speed.  The band's
+residual is written into the full graph's data array (_band_residual).
+
+Every flow graph stores each arc's reverse, as an explicit zero if need
+be, so the max-flow backend adds no arc and returns its flow on the
+graph's own structure; _max_flow raises NumericalError otherwise.  Each
+residual is then the graph's data less the flow's, written into the
+flow's own data array, not a sparse difference.
 
 The max-flow backend works on int32 capacities and wraps silently past 2^31;
 _max_flow is its one caller.  The flow graph is summed in int64 and stored
@@ -53,21 +60,19 @@ graph itself, not a copy; flow leaves every arc-pair sum c(u, v) + c(v, u)
 unchanged, so no residual of it wraps.  A graph fits when its largest
 arc-pair sum, which bounds every residual arc, and the smaller of its
 terminal totals, which bounds every flow, pass int32; it is solved in one
-call.  A graph that does not fit is solved exactly by capacity scaling
-(Gabow 1985): max-flow runs on the capacities shifted right by b bits, so
-that they fit, and its flow f1 lifted by 2^b is feasible on the graph, as
-2^b floor(c / 2^b) <= c.  With S1 the source side of the shifted graph's
-residual, U = c(S1) - 2^b |f1| bounds the flow left to find, and the
-residual under the lifted flow, clipped at U + 1, is solved the same way,
-its source fed from one new node by an arc of U + 1.  A cut through a
-clipped arc or the new arc costs more than U, so the clipped residual has
-the true residual's minimum cuts and maximum flow value; a maximum flow of
-it is feasible on the true residual, so with the lifted flow it makes a
-maximum flow of the graph.  The residual returned is the graph's own under
-that flow, and the residual of every maximum flow has the same
-source-reachable and sink-reaching sets, so the scaling decides neither
-minimizer.  Before all that, the coefficients are refused unless their
-total magnitude stays below 2^62 quanta, so no int64 energy sum can wrap.
+call.  Otherwise it is solved exactly by capacity scaling (Gabow 1985):
+max-flow runs on the capacities shifted right by b bits, and its flow f1
+lifted by 2^b is feasible, as 2^b floor(c / 2^b) <= c.  With S1 the source
+side of the shifted graph's residual, U = c(S1) - 2^b |f1| bounds the flow
+left to find, and the residual under the lifted flow, clipped at U + 1, is
+solved the same way, its source fed from one new node by an arc of U + 1,
+stored both ways.  A cut through a clipped arc or the new arc costs more
+than U, so the clipped residual has the true residual's minimum cuts and
+maximum flow value, and a maximum flow of it completes the lifted flow to
+a maximum flow of the graph, whose own residual is returned; as with the
+band, the scaling decides neither minimizer.  Before all that, the
+coefficients are refused unless their total magnitude stays below 2^62
+quanta, so no int64 energy sum can wrap.
 """
 
 from dataclasses import dataclass
@@ -376,6 +381,8 @@ def _flow_graph(problem, node, m):
     numbering a cell and its mirror image have equal unmerged theta
     columns, so shifting their sum equals summing their shifts: the graph
     and the constant are the unmerged ones contracted by the orbit map.
+    Each terminal arc's reverse is stored as an explicit zero, so the
+    structure is symmetric, as _max_flow requires.
     """
     coeffs = _coefficients(problem)
     caps, gains = coeffs
@@ -404,28 +411,29 @@ def _flow_graph(problem, node, m):
     theta = np.zeros((2, m), dtype=np.int64)
     np.subtract.at(theta[1], node[free], gains[free].astype(np.int64))
     # Row node - m of a fixed end is the label that differs from it.
-    sel = nb >= m
-    np.add.at(theta, (nb[sel] - m, na[sel]), c[sel].astype(np.int64))
-    sel = na >= m
-    np.add.at(theta, (na[sel] - m, nb[sel]), c[sel].astype(np.int64))
+    for a, b in ((na, nb), (nb, na)):
+        sel = b >= m
+        np.add.at(theta, (b[sel] - m, a[sel]), c[sel].astype(np.int64))
     shift = theta.min(axis=0)
     theta -= shift
     const = (cross - int(gains[fixed_in].sum(dtype=np.int64))
              + int(shift.sum()))
     apart = (na < m) & (nb < m) & (na != nb)
     ei, ej, ew = na[apart], nb[apart], c[apart]
-    del na, nb, c, sel, apart
+    del na, nb, c, sel, apart, a, b
 
-    s, t = m, m + 1
     src = np.flatnonzero(theta[0])
     snk = np.flatnonzero(theta[1])
-    # In the index type scipy stores, so the matrix takes no copy of them;
-    # the grid's cell budget keeps t <= 2^24 + 1.
-    rows = np.concatenate([ei, ej, np.full(len(src), s), snk],
-                          dtype=np.int32)
-    cols = np.concatenate([ej, ei, src, np.full(len(snk), t)],
-                          dtype=np.int32)
-    vals = np.concatenate([ew, ew, theta[0, src], theta[1, snk]])
+    # The terminal arcs s -> src and snk -> t, each stored both ways, the
+    # reverse as an explicit zero.  In the index type scipy stores, so the
+    # matrix takes no copy of them; the grid's cell budget keeps
+    # t <= 2^24 + 1.
+    tail = np.append(np.full(len(src), m), snk)
+    head = np.append(src, np.full(len(snk), m + 1))
+    rows = np.concatenate([ei, ej, tail, head], dtype=np.int32)
+    cols = np.concatenate([ej, ei, head, tail], dtype=np.int32)
+    vals = np.concatenate([ew, ew, theta[0, src], theta[1, snk],
+                           0 * tail])
     del ei, ej, ew, theta, src, snk
     graph = csr_matrix((vals, (rows, cols)), shape=(m + 2, m + 2),
                        dtype=np.int64)
@@ -458,30 +466,29 @@ def _minimizer(problem, node, coeffs, q, x_min, x_max, stats):
 
 def _max_flow(graph, s, t):
     """A maximum s-t flow of graph, a CSR matrix of non-negative integer
-    capacities: its value, and graph's residual under it, whose stored
-    entries are exactly the positive residual arcs.
+    capacities on a symmetric structure with sorted indices: its value,
+    and graph's residual under it on that structure, zeros stored.
 
-    The one caller of the max-flow backend.  A graph that fits int32 (see
-    the module docstring) is solved in one call, an int32 one uncopied.
-    Otherwise each round solves the graph shifted right by the fewest bits
-    b that make it fit, lifts that flow by 2^b, and clips the residual
-    under it at U + 1 for the next round, U that residual's capacity out of
-    the shifted graph's source side; the capacity clipped off is added back
-    at the end.
+    The one caller of the max-flow backend; NumericalError if a flow comes
+    back on another structure.  A graph that fits int32 (see the module
+    docstring) is solved in one call, an int32 one uncopied.  Otherwise
+    each round solves the graph shifted right by the fewest bits b that
+    make it fit, and clips the residual under the lifted flow at U + 1 for
+    the next round; the capacity clipped off is added back at the end.
     From the second round on, s is fed from a new node n by one arc, also
     clipped at U + 1, so that the smaller terminal total, like every arc,
-    is at most U + 1.  Then 2^b <= (U + 1) / 2^29, and the lift leaves
-    each of the k arcs out of the source side below 2^b: each later round
+    is at most U + 1.  Then 2^b <= (U + 1) / 2^29, and the lift leaves each
+    of the k arcs out of the source side below 2^b: each later round
     shrinks U + 1 by the factor k / 2^29, below 1/2 for any graph of fewer
     than 2^27 arcs, whose residual has fewer than 2^28, so the rounds end.
     """
     n = graph.shape[0]
     value, source, clipped = 0, s, None
+    data, indices, indptr = graph.data, graph.indices, graph.indptr
     # The smaller terminal total, or a bound on it: U + 1 after a clip.
-    total = min(int(graph.data[graph.indptr[s]:graph.indptr[s + 1]].sum()),
-                int(graph.data[graph.indices == t].sum()))
+    total = min(int(data[indptr[s]:indptr[s + 1]].sum(dtype=np.int64)),
+                int(data[indices == t].sum(dtype=np.int64)))
     while True:
-        data, indices, indptr = graph.data, graph.indices, graph.indptr
         pair = 2 * int(data.max(initial=0))
         if pair > _INT32_MAX:    # the exact pair sums, formed only past 2^30
             pair = int((graph + graph.T).max())
@@ -490,57 +497,55 @@ def _max_flow(graph, s, t):
             ((data if b <= 0 else data >> b).astype(np.int32, copy=False),
              indices, indptr), shape=graph.shape)
         res = maximum_flow(coarse, source, t)
-        # scipy's sparse subtraction stores no zeros, and the flow stays
-        # within each arc's capacity, so the stored entries are exactly
-        # the positive residual arcs.
-        residual = coarse - res.flow
-        if b <= 0:
-            value += int(res.flow_value)
-            if clipped is not None:
-                residual = (residual + clipped)[:n, :n]
-            return value, residual
+        flow = res.flow
+        if not (np.array_equal(flow.indptr, indptr)
+                and np.array_equal(flow.indices, indices)):
+            raise NumericalError("max-flow returned its flow on another "
+                                 "structure than its graph's")
+        value += int(res.flow_value) << max(b, 0)
+        if b > 0:    # the residual under the lifted flow, c - 2^b f
+            lifted = data - (flow.data.astype(np.int64) << b)
+        # The shifted graph's residual, in the flow's own data array: no
+        # entry passes the pair sum c(u, v) + c(v, u), which fits int32.
+        np.subtract(coarse.data, flow.data, out=flow.data)
+        if b <= 0:    # with the capacity clipped off, node n dropped
+            return value, flow if clipped is None else csr_matrix(
+                (flow.data + clipped, flow.indices, flow.indptr))[:n, :n]
 
-        # The residual under the lifted flow: the low b bits of each
-        # capacity plus the shifted graph's residual, lifted by 2^b.
-        side = np.zeros(graph.shape[0], dtype=bool)
-        side[breadth_first_order(residual, source, directed=True,
-                                 return_predecessors=False)] = True
-        residual = residual.astype(np.int64)
-        residual.data <<= b
-        residual = residual + csr_matrix(
-            (data & ((1 << b) - 1), indices, indptr), shape=graph.shape)
-        value += int(res.flow_value) << b
-        rows = np.repeat(side, np.diff(residual.indptr))
+        side = np.bincount(breadth_first_order(
+            flow > 0, source, return_predecessors=False),
+            minlength=len(indptr) - 1) > 0
+        arcs = flow.tocoo()
         # U, the residual capacity out of the source side, bounds the flow
         # left to find.
-        total = int(residual.data[rows & ~side[residual.indices]].sum()) + 1
-        if clipped is None:    # feed s from node n by one arc
-            residual = csr_matrix(
-                (np.append(residual.data, total),
-                 np.append(residual.indices, s),
-                 np.append(residual.indptr, residual.nnz + 1)),
-                shape=(n + 1, n + 1))
-            source = n
-        kept = np.minimum(residual.data, total)
-        over = csr_matrix((residual.data - kept, residual.indices,
-                           residual.indptr), shape=residual.shape)
-        clipped = over if clipped is None else clipped + over
-        graph = csr_matrix((kept, residual.indices, residual.indptr),
-                           shape=residual.shape)
+        total = int(lifted[side[arcs.row] & ~side[arcs.col]].sum(
+            dtype=np.int64)) + 1
+        if clipped is None:    # feed s from node n by one arc, both ways
+            graph = csr_matrix((np.append(lifted, [total, 0]),
+                                (np.append(arcs.row, [n, s]),
+                                 np.append(arcs.col, [s, n]))))
+            lifted, indices, indptr = graph.data, graph.indices, graph.indptr
+            clipped, source = np.zeros_like(lifted), n
+        # The fed graph, never the caller's:
+        graph.data = data = np.minimum(lifted, total)
+        clipped += lifted - data
 
 
 def _band_residual(graph, band):
-    """The residual of graph under a maximum flow of its sub-graph on the
-    free nodes in band and the two terminals (the last two nodes), and
-    that flow's value.  The sub-graph and its flow are freed on return."""
+    """Turn graph's data into its residual under a maximum flow of its
+    sub-graph on the free nodes in band and the two terminals (the last
+    two nodes), and return that flow's value.  The sub-graph is cut out
+    holding each entry's position in graph.data, the map its residual is
+    written back through."""
     keep = np.flatnonzero(np.append(band, [True, True]))
-    k = len(keep)
-    sub = graph[keep][:, keep]
-    value, sub_residual = _max_flow(sub, k - 2, k - 1)
-    f = (sub - sub_residual).tocoo()
-    lifted = csr_matrix((f.data, (keep[f.row], keep[f.col])),
-                        shape=graph.shape)
-    return graph - lifted, value
+    sub = csr_matrix((np.arange(graph.nnz, dtype=graph.indptr.dtype),
+                      graph.indices, graph.indptr),
+                     shape=graph.shape)[keep][:, keep]
+    where = sub.data
+    sub.data = graph.data[where]
+    value, residual = _max_flow(sub, len(keep) - 2, len(keep) - 1)
+    graph.data[where] = residual.data
+    return value
 
 
 def _flow_solve(problem, node, m, band=None):
@@ -548,9 +553,10 @@ def _flow_solve(problem, node, m, band=None):
 
     When the RegionMask band holds a free node, max-flow runs first on the
     sub-graph of the free nodes holding a band cell, then on the full
-    graph's residual under that flow (see the module docstring), and the
-    full graph is freed once that residual stands; otherwise it runs once
-    on the full graph.  Either stage runs through _max_flow, exactly.
+    graph's residual under that flow (see the module docstring); otherwise
+    it runs once on the full graph.  Either stage runs through _max_flow,
+    exactly.  The full graph is freed once the last residual stands, and
+    the searches follow stored entries, so its zeros are dropped first.
     """
     graph, const, coeffs = _flow_graph(problem, node, m)
     if m == 0:
@@ -559,24 +565,23 @@ def _flow_solve(problem, node, m, band=None):
                           {"backend": "none", "free_cells": 0})
 
     s, t = m, m + 1
-    arcs = int(graph.nnz)
+    arcs = int(np.count_nonzero(graph.data))
     flow_value = 0
     if band is not None:
         # The nodes of the band's cells, of which the first m are free.
         in_band = np.zeros(m + 2, dtype=bool)
         in_band[node[band.bits.ravel()]] = True
         if in_band[:m].any():
-            graph, flow_value = _band_residual(graph, in_band[:m])
+            flow_value = _band_residual(graph, in_band[:m])
     value, residual = _max_flow(graph, s, t)
     del graph
     flow_value += value
+    residual.eliminate_zeros()
 
-    order = breadth_first_order(residual, s, directed=True,
-                                return_predecessors=False)
+    order = breadth_first_order(residual, s, return_predecessors=False)
     x_min = np.zeros(m, dtype=bool)
     x_min[order[order < m]] = True
-    order_t = breadth_first_order(residual.T, t, directed=True,
-                                  return_predecessors=False)
+    order_t = breadth_first_order(residual.T, t, return_predecessors=False)
     x_max = np.ones(m, dtype=bool)
     x_max[order_t[order_t < m]] = False
 
@@ -594,10 +599,10 @@ def solve(problem, band=None):
     problem unchanged by a grid reflection is solved on its orbit graph,
     its free cells numbered by orbit, each with its mirror image
     (_orbit_numbering), before the fold.  flow_stats "nodes" and "arcs"
-    count the whole graph that max-flow ran on.  Capacities past the flow
-    backend's int32 are solved exactly by capacity scaling (_max_flow);
-    only coefficients totalling 2^62 quanta or more are refused, with
-    CapacityOverflowError.
+    count the whole graph that max-flow ran on, "arcs" its positive
+    entries.  Capacities past the flow backend's int32 are solved exactly
+    by capacity scaling (_max_flow); only coefficients totalling 2^62
+    quanta or more are refused, with CapacityOverflowError.
 
     band, a RegionMask, warm-starts max-flow: it runs first on the free
     nodes holding a band cell, then on the residual of the whole graph,
@@ -758,7 +763,7 @@ def result_to_json(result):
     """The result's JSON document.  flow_stats "nodes" and "arcs" count the
     whole graph max-flow ran on, never a warm start's band sub-graph: the
     orbit graph when solve merged mirror-image cells, arcs between the
-    same two nodes counted once."""
+    same two nodes counted once, stored zeros not at all."""
     _instance(result, MinimizerResult, "result")
     return {
         "schema_version": 1,

@@ -1,14 +1,29 @@
-"""Shared builders for randomized solver instances, spies on max-flow
-and on the arc build, and a traced memory peak."""
+"""Shared builders for randomized solver instances and symmetric flow
+graphs, spies on max-flow and on the arc build, and a traced memory
+peak."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 import cmclab.mincut
 from cmclab import GridGeometry, RegionMask, MinCutProblem
 
 INT32_MAX = 2**31 - 1
+
+
+def symmetric(graph):
+    """The CSR capacity matrix graph with the reverse of every arc stored,
+    an explicit zero where graph has none: its capacities and dtype kept,
+    its indices sorted, the structure _max_flow requires."""
+    coo = graph.tocoo()
+    return csr_matrix(
+        (np.concatenate([coo.data, np.zeros_like(coo.data)]),
+         (np.concatenate([coo.row, coo.col]),
+          np.concatenate([coo.col, coo.row]))),
+        shape=graph.shape, dtype=graph.dtype)
 
 
 def count_flows(monkeypatch):
@@ -22,6 +37,24 @@ def count_flows(monkeypatch):
 
     monkeypatch.setattr(cmclab.mincut, "maximum_flow", counted)
     return calls
+
+
+def prune_flows(monkeypatch):
+    """Make max-flow return each flow without its zero entries, so on
+    another structure than its graph's.  Returns, call by call, whether
+    that dropped an entry."""
+    dropped = []
+    real = cmclab.mincut.maximum_flow
+
+    def pruned(graph, s, t):
+        res = real(graph, s, t)
+        flow = res.flow.copy()
+        flow.eliminate_zeros()
+        dropped.append(flow.nnz < res.flow.nnz)
+        return SimpleNamespace(flow=flow, flow_value=res.flow_value)
+
+    monkeypatch.setattr(cmclab.mincut, "maximum_flow", pruned)
+    return dropped
 
 
 def forbid_wrapping(monkeypatch):

@@ -18,7 +18,8 @@ from cmclab.equivariant import _base_problem, diagonal_wedge, quadrant_grid
 from oracles import (gathered_graph, independent_thresholds, unmerged_graph,
                      unmerged_solve)
 from support import (INT32_MAX, count_arc_builds, count_flows,
-                     forbid_wrapping, random_small_problem, traced_peak)
+                     forbid_wrapping, prune_flows, random_small_problem,
+                     symmetric, traced_peak)
 
 
 def half_plane_disk_problem(resolution, r, lam, h=1.0, stencil="cc"):
@@ -561,7 +562,11 @@ class TestMirrorMerge:
             want = (contract.T @ full @ contract).toarray()
             np.fill_diagonal(want, 0)
             assert np.array_equal(orbit.toarray(), want)
-            assert orbit.nnz == np.count_nonzero(want)
+            assert np.count_nonzero(orbit.data) == np.count_nonzero(want)
+            # Stored: the contracted arcs and their reverses, no more.
+            both = symmetric(csr_matrix(want))
+            assert np.array_equal(orbit.indptr, both.indptr)
+            assert np.array_equal(orbit.indices, both.indices)
             assert orbit_const == const
         assert weighted
 
@@ -822,14 +827,21 @@ class TestFold:
     @staticmethod
     def assert_gathered_graph(prob):
         # The oracle sums in int64; the fold stores its capacities as int32
-        # exactly when every arc-pair sum is bounded inside int32.
+        # exactly when every arc-pair sum is bounded inside int32.  The
+        # fold's positive entries are the oracle's, and it stores exactly
+        # the oracle's structure plus its transpose, zero where the oracle
+        # has no arc.
         graph, const, node, _m = unmerged_graph(prob)
         want = gathered_graph(prob)
-        for name in ("indptr", "indices", "data"):
-            got, exp = getattr(graph, name), getattr(want["graph"], name)
-            if name != "data":
-                assert got.dtype == exp.dtype, name
-            assert np.array_equal(got, exp), name
+        positive = graph.copy()
+        positive.eliminate_zeros()
+        for got, exp in ((positive, want["graph"]),
+                         (graph, symmetric(want["graph"]))):
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(exp, name)
+                if name != "data":
+                    assert a.dtype == b.dtype, name
+                assert np.array_equal(a, b), name
         fits = 2 * int(want["graph"].data.max(initial=0)) <= 2**31 - 1
         assert graph.data.dtype == (np.int32 if fits else np.int64)
         assert node.dtype == want["node"].dtype
@@ -897,25 +909,30 @@ class TestFold:
     @pytest.mark.parametrize("merged", [False, True])
     def test_no_fold_array_lives_through_max_flow(self, monkeypatch,
                                                   merged):
-        # A spy holds weak references to the full flow graph and its
-        # arrays, the fold's one product.  Max-flow of the band needs the
-        # graph for its residual; max-flow of the whole graph's residual
-        # finds it freed.  The quadrant base problem is solved unmerged,
-        # the half-plane disk on its orbit graph.
-        refs, dead = [], []
+        # A spy holds weak references to the arrays of the full flow
+        # graph, the fold's one product.  Max-flow of the band finds them
+        # alive and apart from the band's sub-graph, as the band's residual
+        # is written back into the graph's data array; max-flow of the
+        # whole graph's residual finds each one handed to scipy itself, so
+        # no copy of it, and no other fold array, lives beside it.  The
+        # quadrant base problem is solved unmerged, the half-plane disk on
+        # its orbit graph.
+        names = ("data", "indices", "indptr")
+        refs, seen = [], []
         real_graph = cmclab.mincut._flow_graph
 
         def spy(*args):
             graph, const, coeffs = real_graph(*args)
-            refs.extend(weakref.ref(a) for a in (graph, graph.data,
-                                                 graph.indices, graph.indptr))
+            refs.extend(weakref.ref(getattr(graph, a)) for a in names)
             return graph, const, coeffs
 
         monkeypatch.setattr(cmclab.mincut, "_flow_graph", spy)
         real_flow = cmclab.mincut.maximum_flow
 
         def flow(graph, s, t):
-            dead.append(all(ref() is None for ref in refs))
+            seen.append([ref() is not None and np.shares_memory(
+                ref(), getattr(graph, a)) for ref, a in zip(refs, names)])
+            assert all(ref() is not None for ref in refs)
             return real_flow(graph, s, t)
 
         monkeypatch.setattr(cmclab.mincut, "maximum_flow", flow)
@@ -928,14 +945,16 @@ class TestFold:
                                        diagonal_wedge(g, 3, 3), 0.5)
         nodes = solve(prob, band).flow_stats["nodes"]
         assert (nodes < np.count_nonzero(prob.free.bits) + 2) == merged
-        assert len(refs) == 4
-        assert dead == [False, True]
+        assert len(refs) == 3
+        assert seen == [[False] * 3, [True] * 3]
 
     @pytest.mark.parametrize("config", ["base-solve", "plateau-sweep"])
     def test_max_flow_hands_scipy_the_int32_graph_itself(self, monkeypatch,
                                                          config):
         # Every graph these runs fold fits int32, so scipy receives each
         # graph _max_flow is given, not an int32 copy of an int64 graph.
+        # Each is structurally symmetric, so scipy adds no reverse arc and
+        # returns its flow on the graph's own indices and indptr.
         given, received = [], []
         real_max_flow = cmclab.mincut._max_flow
 
@@ -944,9 +963,15 @@ class TestFold:
             return real_max_flow(graph, s, t)
 
         def flow(graph, s, t):
-            received.append((graph.dtype,
-                             np.shares_memory(graph.data, given[-1].data)))
-            return real_flow(graph, s, t)
+            both = symmetric(graph)
+            res = real_flow(graph, s, t)
+            received.append((
+                graph.dtype, np.shares_memory(graph.data, given[-1].data),
+                np.array_equal(both.indptr, graph.indptr)
+                and np.array_equal(both.indices, graph.indices),
+                np.array_equal(res.flow.indptr, graph.indptr)
+                and np.array_equal(res.flow.indices, graph.indices)))
+            return res
 
         real_flow = cmclab.mincut.maximum_flow
         monkeypatch.setattr(cmclab.mincut, "_max_flow", spy)
@@ -958,7 +983,16 @@ class TestFold:
         else:
             threshold_experiment(64, 136, [4 / 64 * k / 7 for k in range(8)])
             assert len(given) == 8
-        assert received == [(np.int32, True)] * len(given)
+        assert received == [(np.int32, True, True, True)] * len(given)
+
+    def test_a_flow_on_another_structure_is_refused(self, monkeypatch):
+        # A backend that returned its flow on other arcs than its graph's,
+        # here without the arcs that carry none, would misalign the
+        # elementwise residual: solve refuses it.
+        dropped = prune_flows(monkeypatch)
+        with pytest.raises(NumericalError, match="another structure"):
+            solve(half_plane_disk_problem(24, 8, 0.1))
+        assert dropped == [True]
 
     def test_band_residual_past_2_30_solves_in_one_call(self, no_wrap):
         # Free nodes 0 and 1 in the band, 2 outside it, source 3, sink 4;
@@ -966,15 +1000,18 @@ class TestFold:
         # s -> 0 -> 1 -> t leaves the residual arc 1 -> 0 at 2x, past 2^30:
         # only its exact pair sum, 2x, keeps the second stage in one call.
         x = 2**30 - 1
+        # The band's residual is written into the graph's own data array.
         rows, cols = [3, 0, 1, 1, 3, 2], [0, 1, 0, 4, 2, 4]
         got = []
         for dtype in (np.int32, np.int64):
-            graph = csr_matrix((np.full(6, x, dtype=dtype), (rows, cols)),
-                               shape=(5, 5))
-            residual, value = cmclab.mincut._band_residual(
+            graph = symmetric(csr_matrix(
+                (np.full(6, x, dtype=dtype), (rows, cols)), shape=(5, 5)))
+            data = graph.data
+            value = cmclab.mincut._band_residual(
                 graph, np.array([True, True, False]))
-            assert residual.dtype == dtype and residual.max() == 2 * x
-            more, residual = cmclab.mincut._max_flow(residual, 3, 4)
+            assert graph.data is data
+            assert graph.dtype == dtype and graph.max() == 2 * x
+            more, residual = cmclab.mincut._max_flow(graph, 3, 4)
             got.append((value + more, residual.toarray()))
         assert no_wrap == [4, 5] * 2
         assert got[0][0] == got[1][0] == 2 * x
@@ -986,11 +1023,12 @@ class TestFold:
         # the full flow graph outlived its band residual, 10.15 MB while
         # the capacities and node numbers were int64 and the fold's arrays
         # lived through max-flow, 7.15 MB while the int64 graph and its
-        # int32 copy for scipy were both alive, 6.20 MB since.
+        # int32 copy for scipy were both alive, 6.20 MB while each residual
+        # was a sparse difference, 5.44 MB since.
         g = quadrant_grid(256)
         prob, band = _base_problem(3, 3, g, 0.0, diagonal_wedge(g, 3, 3),
                                    0.5)
-        assert traced_peak(lambda: solve(prob, band)) < 7.0
+        assert traced_peak(lambda: solve(prob, band)) < 6.0
 
 
 @pytest.mark.usefixtures("no_wrap")
@@ -1209,29 +1247,40 @@ class TestBand:
 
 
 def flow_graph(rows, cols, caps, n):
-    """The int64 CSR capacity matrix of n nodes with arcs rows -> cols."""
-    return csr_matrix((np.asarray(caps, dtype=np.int64), (rows, cols)),
-                      shape=(n, n))
+    """The int64 CSR capacity matrix of n nodes with arcs rows -> cols,
+    every reverse arc stored."""
+    return symmetric(csr_matrix(
+        (np.asarray(caps, dtype=np.int64), (rows, cols)), shape=(n, n)))
 
 
 def reach(graph, start):
-    """The nodes breadth-first search reaches from start along the stored
-    entries of graph, as a boolean mask."""
+    """The nodes breadth-first search reaches from start along the
+    positive entries of graph, as a boolean mask."""
+    graph = graph.tocsr(copy=True)
+    graph.eliminate_zeros()
     mask = np.zeros(graph.shape[0], dtype=bool)
     mask[breadth_first_order(graph, start, directed=True,
                              return_predecessors=False)] = True
     return mask
 
 
+def assert_on_the_structure_of(residual, graph):
+    """residual is stored on graph's structure, and no entry is negative."""
+    assert np.array_equal(residual.indptr, graph.indptr)
+    assert np.array_equal(residual.indices, graph.indices)
+    assert residual.data.min(initial=0) >= 0
+
+
 def check_max_flow(graph, s, t):
     """_max_flow of graph, checked to return a maximum flow: its residual
-    stores only positive entries, graph minus it is a skew-symmetric flow
-    that is conserved off the terminals and carries the value out of s,
-    and no residual path joins s to t.  Returns the value, the
-    source-reachable set and the sink-reaching set."""
+    is stored on graph's structure with no negative entry, graph minus it
+    is a skew-symmetric flow that is conserved off the terminals and
+    carries the value out of s, and no positive residual path joins s to
+    t.  Returns the value, the source-reachable set and the sink-reaching
+    set."""
     value, residual = cmclab.mincut._max_flow(graph, s, t)
     residual = residual.astype(np.int64)
-    assert np.all(residual.data > 0)
+    assert_on_the_structure_of(residual, graph)
     flow = (graph - residual).toarray()
     assert np.array_equal(flow, -flow.T)
     out = flow.sum(axis=1)
@@ -1315,7 +1364,7 @@ class TestMaxFlow:
         value, residual = cmclab.mincut._max_flow(graph, s, t)
         assert no_wrap == [2 * n + 2, 2 * n + 3, 2 * n + 3]
         assert value == n * 2**24
-        assert np.all(residual.data > 0)
+        assert_on_the_structure_of(residual, graph)
         assert np.flatnonzero(reach(residual, s)).tolist() == [*a, s]
         assert np.flatnonzero(reach(residual.T.tocsr(), t)).tolist() == [
             *b, t]
